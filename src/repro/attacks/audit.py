@@ -22,7 +22,12 @@ Audit protocol (fixed per run, all derived from the master seed):
    sweep — the same factoring the vectorized sweep engine uses — so a
    membership trial costs one scaled noise draw and a reconstruction
    repeat costs one Laplace tensor.
-4. Per measure, derive canonical unit-noise streams
+4. Per measure, obtain the one kernel (through ``store`` unless the
+   backend is python) and read the observer's cluster-similarity vector
+   as a row of the scoring core's profile ``P = S @ C``
+   (:mod:`repro.core.scoring`), over a column-sorted copy so the python
+   and vectorized backends agree bit for bit.  Derive canonical
+   unit-noise streams
    (``SeedSequence(seed)`` -> per-measure children) shared across the
    epsilon sweep: common random numbers make the per-measure bounds
    monotone in epsilon by construction, and the whole report
@@ -63,6 +68,7 @@ from repro.attacks.reconstruction import (
     victim_edge_mask,
 )
 from repro.attacks.sybil import SybilAttack
+from repro.cache.store import load_or_build_kernel
 from repro.core.baselines import NoiseOnEdges, NoiseOnUtility
 from repro.core.cluster_weights import (
     ClusterItemAverages,
@@ -70,6 +76,7 @@ from repro.core.cluster_weights import (
     cluster_item_averages,
 )
 from repro.core.private import covering_clustering, louvain_strategy
+from repro.core.scoring import ClusterProfile
 from repro.datasets.dataset import SocialRecDataset
 from repro.exceptions import ExperimentError
 from repro.obs.ledger import PrivacyLedgerView
@@ -77,7 +84,8 @@ from repro.obs.registry import Telemetry, get_telemetry
 from repro.obs.registry import incr as obs_incr
 from repro.obs.registry import telemetry as obs_telemetry
 from repro.obs.spans import span
-from repro.similarity.base import SimilarityCache, get_measure
+from repro.similarity.base import get_measure
+from repro.similarity.matrix import SimilarityMatrix
 from repro.types import ItemId, UserId
 
 __all__ = [
@@ -285,39 +293,17 @@ def _choose_attacked_edge(
     return victim, item
 
 
-def _observer_cluster_vector(
-    measure_name: str,
-    attacked_graph,
-    observer: UserId,
-    clustering,
-    backend: str,
-    store,
-) -> np.ndarray:
-    """``sim_sum(observer, c)`` per cluster, backend-independent.
+def _column_sorted(kernel: SimilarityMatrix) -> SimilarityMatrix:
+    """A copy of ``kernel`` with every row's entries in column order.
 
-    Accumulates the observer's similarity row in a sorted user order so
-    python and vectorized rows (bit-identical for CN/GD/KZ) sum in the
-    same sequence — extending the backend-equivalence contract to the
-    attack scoring path.
+    Python and vectorized kernels hold bit-identical CN/GD/KZ rows in
+    different stored orders; scoring a column-sorted copy makes the
+    profile's sums — and so the whole report — backend-independent.
     """
-    measure = get_measure(measure_name)
-    cache = SimilarityCache(measure, attacked_graph, backend=backend)
-    if store is not None and backend != "python":
-        from repro.compute.kernels import build_kernel, supports_vectorized_kernel
-
-        if supports_vectorized_kernel(measure):
-            lookup = store.get_or_compute(
-                attacked_graph,
-                measure,
-                lambda: build_kernel(attacked_graph, measure, backend=backend),
-            )
-            cache.adopt_kernel(lookup.matrix)
-    vector = np.zeros(clustering.num_clusters)
-    row = cache.row(observer)
-    for user, score in sorted(row.items(), key=lambda kv: repr(kv[0])):
-        if user in clustering:
-            vector[clustering.cluster_of(user)] += score
-    return vector
+    matrix = kernel.matrix.copy()
+    matrix.has_sorted_indices = False
+    matrix.sort_indices()
+    return SimilarityMatrix.from_csr(matrix, kernel.users)
 
 
 def _fit_deployed_target(
@@ -534,8 +520,14 @@ def run_privacy_audit(
                 unit_laplace_draws(stream_without, trials),
                 unit_laplace_draws(stream_with, trials),
             )
-            sim_vector = _observer_cluster_vector(
-                measure_name, attacked_graph, observer, clustering, backend, store
+            kernel = load_or_build_kernel(
+                attacked_graph,
+                get_measure(measure_name),
+                None if backend == "python" else store,
+                backend=backend,
+            ).matrix
+            sim_vector = ClusterProfile(_column_sorted(kernel), clustering).row(
+                observer
             )
             repeat_streams = recon_root.spawn(len(epsilons) * repeats)
             for target in targets:

@@ -11,7 +11,8 @@ and pool workers at zero privacy cost.
   measure parameters.
 - :mod:`repro.cache.store` — the artifact format and the
   :class:`~repro.cache.store.SimilarityStore` front-end (LRU, counters,
-  info/prune/warm).
+  info/prune), and :func:`~repro.cache.store.load_or_build_kernel`, the
+  one "store hit, else build and persist" entry point.
 """
 
 from repro.cache.keys import (
@@ -26,6 +27,7 @@ from repro.cache.store import (
     CacheStats,
     SimilarityStore,
     load_kernel_artifact,
+    load_or_build_kernel,
     open_kernel_csr,
     save_kernel_artifact,
 )
@@ -38,6 +40,7 @@ __all__ = [
     "SimilarityStore",
     "graph_fingerprint",
     "load_kernel_artifact",
+    "load_or_build_kernel",
     "measure_fingerprint",
     "open_kernel_csr",
     "save_kernel_artifact",

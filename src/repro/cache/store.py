@@ -43,6 +43,7 @@ from repro.cache.keys import (
     measure_fingerprint,
     similarity_cache_key,
 )
+from repro.compute.kernels import build_kernel, supports_vectorized_kernel
 from repro.exceptions import CacheIntegrityError
 from repro.graph.protocol import GraphLike
 from repro.obs.registry import incr as obs_incr
@@ -56,6 +57,7 @@ __all__ = [
     "CacheStats",
     "SimilarityStore",
     "load_kernel_artifact",
+    "load_or_build_kernel",
     "open_kernel_csr",
     "save_kernel_artifact",
 ]
@@ -315,13 +317,41 @@ class CacheLookup:
 
     Attributes:
         matrix: the kernel, from memory, disk, or a fresh computation.
-        path: the on-disk artifact backing it (valid for memory-mapping).
+        path: the on-disk artifact backing it (valid for memory-mapping),
+            or None when no store holds it.
         hit: True when no recomputation happened.
     """
 
     matrix: SimilarityMatrix
-    path: str
+    path: Optional[str]
     hit: bool
+
+
+def load_or_build_kernel(
+    graph: GraphLike,
+    measure: SimilarityMeasure,
+    store: Optional["SimilarityStore"] = None,
+    *,
+    backend: str = "auto",
+    stats=None,
+    build: Optional[Callable[[], SimilarityMatrix]] = None,
+) -> CacheLookup:
+    """The kernel for ``(graph, measure)``: a store hit, else a build.
+
+    The one place a kernel is obtained.  The build — ``build()``, by
+    default :func:`~repro.compute.build_kernel` with ``backend`` filling
+    ``stats`` — is persisted to ``store``; without a store, or for a
+    measure with no vectorised kernel (never stored), it is the build
+    alone, reported as a miss with no artifact path.
+    """
+    if build is None:
+
+        def build() -> SimilarityMatrix:
+            return build_kernel(graph, measure, backend=backend, stats=stats)
+
+    if store is None or not supports_vectorized_kernel(measure):
+        return CacheLookup(matrix=build(), path=None, hit=False)
+    return store.get_or_compute(graph, measure, build)
 
 
 class SimilarityStore:
@@ -491,15 +521,6 @@ class SimilarityStore:
             removed += 1
             freed += entry.size_bytes
         return removed, freed
-
-    def warm(
-        self,
-        graph: GraphLike,
-        measure: SimilarityMeasure,
-        compute: Callable[[], SimilarityMatrix],
-    ) -> CacheLookup:
-        """Ensure the artifact for ``(graph, measure)`` exists on disk."""
-        return self.get_or_compute(graph, measure, compute)
 
     def clear_memory(self) -> None:
         """Drop the in-memory LRU (disk artifacts are untouched)."""

@@ -1223,24 +1223,20 @@ def _cmd_cache(args: argparse.Namespace) -> int:
     # warm
     import time as _time
 
-    from repro.compute.stats import ComputeStats
-    from repro.core.batch import compute_similarity_kernel, supports_vectorised_measure
+    from repro.cache.store import load_or_build_kernel
+    from repro.compute import ComputeStats, supports_vectorized_kernel
 
     dataset = _resolve_dataset(args)
     backend = getattr(args, "backend", "auto")
     for name in args.measures:
         measure = get_measure(name)
-        if not supports_vectorised_measure(measure):
+        if not supports_vectorized_kernel(measure):
             print(f"{name}: skipped (no vectorised kernel)")
             continue
         compute_stats = ComputeStats(requested=backend)
         start = _time.perf_counter()
-        lookup = store.warm(
-            dataset.social,
-            measure,
-            lambda m=measure: compute_similarity_kernel(
-                dataset.social, m, backend=backend, stats=compute_stats
-            ),
+        lookup = load_or_build_kernel(
+            dataset.social, measure, store, backend=backend, stats=compute_stats
         )
         elapsed = _time.perf_counter() - start
         state = "hit" if lookup.hit else "computed"

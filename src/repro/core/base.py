@@ -21,6 +21,7 @@ from typing import Dict, Iterable, Optional, Sequence
 
 import numpy as np
 
+from repro.core.scoring import top_n_from_vector
 from repro.exceptions import ReproError
 from repro.graph.preference_graph import PreferenceGraph
 from repro.graph.protocol import GraphLike
@@ -34,32 +35,6 @@ __all__ = [
     "NotFittedError",
     "top_n_from_vector",
 ]
-
-
-def top_n_from_vector(
-    user: UserId,
-    items: Sequence[ItemId],
-    estimates: np.ndarray,
-    n: int,
-    tier: str = "personalized",
-) -> RecommendationList:
-    """Deterministic top-N selection from a dense utility vector.
-
-    Ties are broken by item position in ``items``, so any two consumers
-    scoring from the same vector (per-user, batch, release server) agree
-    exactly on the ranking.
-    """
-    limit = min(n, estimates.size)
-    if limit == 0:
-        return as_recommendation_list(user, [], tier=tier)
-    if limit < estimates.size:
-        candidates = np.argpartition(-estimates, limit - 1)[:limit]
-    else:
-        candidates = np.arange(estimates.size)
-    order = candidates[np.lexsort((candidates, -estimates[candidates]))]
-    return as_recommendation_list(
-        user, [(items[i], float(estimates[i])) for i in order], tier=tier
-    )
 
 
 class NotFittedError(ReproError):

@@ -1,18 +1,17 @@
 """Vectorised, sharded, cache-backed batch recommendation.
 
-``PrivateSocialRecommender.recommend`` computes one user's similarity row
-in Python per call; for producing recommendations for *every* user (the
-paper's deployment: "outputs, for each target user, a personalized
-recommendation list"), this module replaces the per-user loop with sparse
-matrix algebra:
+``PrivateSocialRecommender.recommend`` scores one user per call; for
+producing recommendations for *every* user (the paper's deployment:
+"outputs, for each target user, a personalized recommendation list"),
+this module scores blocks of users through :mod:`repro.core.scoring`:
 
     estimates  =  (S @ C) @ W_hat^T
 
-where ``S`` is the all-pairs similarity matrix
-(:mod:`repro.similarity.matrix`), ``C`` the 0/1 user-to-cluster indicator
-matrix, and ``W_hat`` the released noisy averages.  The result is
-identical to the sequential path — the tests assert bit-equal rankings —
-but runs at BLAS speed, chunked to bound memory.
+with the fitted recommender's own kernel ``S`` and profile ``P = S @ C``
+(``recommender.scorer_``), so a batch and the per-user queries share one
+kernel build.  Rankings are identical to the per-user path — the tests
+assert bit-equal rankings — but run at BLAS speed, chunked to bound
+memory.
 
 Two throughput layers sit on top of the kernel:
 
@@ -51,71 +50,21 @@ import numpy as np
 import scipy.sparse as sp
 
 from repro.cache.store import SimilarityStore, open_kernel_csr, save_kernel_artifact
-from repro.compute.kernels import build_kernel, supports_vectorized_kernel
+from repro.compute.kernels import supports_vectorized_kernel
 from repro.compute.stats import ComputeStats, validate_backend
 from repro.core.private import PrivateSocialRecommender
+from repro.core.scoring import ClusterProfile, profile_rows, ranked_list, top_n_rows
 from repro.exceptions import ReproError
 from repro.obs.adapters import publish_batch_stats
 from repro.obs.spans import span
 from repro.resilience.faults import fault_point
-from repro.similarity.base import SimilarityMeasure
-from repro.similarity.matrix import SimilarityMatrix
 from repro.types import RecommendationList, UserId
 
 __all__ = [
     "BatchResult",
     "BatchStats",
     "batch_recommend_all",
-    "compute_similarity_kernel",
-    "supports_vectorised_measure",
 ]
-
-
-def _similarity_matrix_for(
-    graph,
-    measure: SimilarityMeasure,
-    backend: str = "auto",
-    stats: Optional[ComputeStats] = None,
-) -> Optional[SimilarityMatrix]:
-    """The batch kernel for ``measure``, or None when unsupported.
-
-    Construction goes through :func:`repro.compute.build_kernel`, so the
-    chosen ``backend`` (and its auto-fallback accounting) applies here and
-    everywhere else a kernel is built.
-    """
-    if not supports_vectorized_kernel(measure):
-        return None
-    return build_kernel(graph, measure, backend=backend, stats=stats)
-
-
-def compute_similarity_kernel(
-    graph,
-    measure: SimilarityMeasure,
-    backend: str = "auto",
-    stats: Optional[ComputeStats] = None,
-) -> SimilarityMatrix:
-    """The all-pairs kernel for ``measure`` (cache-warming entry point).
-
-    Raises:
-        ReproError: when ``measure`` has no vectorised kernel with its
-            current settings (see :func:`supports_vectorised_measure`).
-    """
-    matrix = _similarity_matrix_for(graph, measure, backend=backend, stats=stats)
-    if matrix is None:
-        raise ReproError(
-            f"measure {measure!r} has no vectorised similarity kernel"
-        )
-    return matrix
-
-
-def supports_vectorised_measure(measure: SimilarityMeasure) -> bool:
-    """Whether ``measure`` has a batch kernel (with its current settings).
-
-    Delegates to :func:`repro.compute.supports_vectorized_kernel`: cn/aa/ra
-    always, Graph Distance at *any* cutoff (the blocked BFS kernel), and
-    Katz up to the paper's l <= 3.
-    """
-    return supports_vectorized_kernel(measure)
 
 
 @dataclass
@@ -136,8 +85,9 @@ class BatchStats:
             shards plus zero-signal users routed through the ladder).
         cache_hits / cache_misses: similarity-store lookups during this
             call (both zero when no store was passed).
-        kernel_seconds: time spent obtaining the similarity kernel
-            (near zero on a warm cache).
+        kernel_seconds: time spent obtaining the similarity kernel and
+            its cluster profile (near zero once the recommender holds
+            them).
         compute: the :class:`~repro.compute.stats.ComputeStats` of the
             kernel construction, when one ran during this call (None on a
             warm cache or the per-user path).
@@ -181,41 +131,27 @@ class BatchResult(Dict[UserId, RecommendationList]):
         self.stats = BatchStats()
 
 
-def _score_positions(
-    kernel: sp.csr_matrix,
-    indicator: sp.csr_matrix,
-    release_t: np.ndarray,
-    positions: Sequence[int],
-) -> Tuple[np.ndarray, List[int]]:
-    """Utility estimates for a block of users given by kernel row positions.
+_Block = Tuple[np.ndarray, np.ndarray, np.ndarray]
 
-    ``positions[i] == -1`` marks a user absent from the kernel (zero
-    similarity row).  Returns the dense ``(len(positions), num_items)``
-    estimate matrix plus the indices of rows with no similarity signal —
-    those users must be served by the per-user degradation ladder so
-    their reported tier matches ``recommender.recommend`` exactly.
+
+def _score_block(profile: np.ndarray, release_t: np.ndarray, limit: int) -> _Block:
+    """``(ranked item positions, their estimates, has-signal mask)``.
+
+    Rows without similarity signal must be served by the per-user
+    degradation ladder so their reported tier matches
+    ``recommender.recommend`` exactly.
     """
-    present = [p for p in positions if p >= 0]
-    dense = np.zeros((len(positions), indicator.shape[1]))
-    if present:
-        cluster_rows = kernel[present, :] @ indicator
-        dense_present = np.asarray(cluster_rows.todense())
-        cursor = 0
-        for i, p in enumerate(positions):
-            if p >= 0:
-                dense[i, :] = dense_present[cursor, :]
-                cursor += 1
-    estimates = dense @ release_t
-    zero_rows = [i for i in range(len(positions)) if not dense[i, :].any()]
-    return estimates, zero_rows
+    ranked, scores = top_n_rows(profile, release_t, limit)
+    return ranked, scores, profile.any(axis=1)
 
 
 def _score_shard_worker(
     artifact_path: str,
-    positions: List[int],
-    indicator_parts: Tuple[np.ndarray, np.ndarray, np.ndarray, Tuple[int, int]],
+    positions: np.ndarray,
+    indicator: sp.csr_matrix,
     release_t: np.ndarray,
-) -> Tuple[np.ndarray, List[int]]:
+    limit: int,
+) -> _Block:
     """Pool-worker entry point: score one user shard from the cached kernel.
 
     The kernel is memory-mapped straight out of the artifact — workers
@@ -223,9 +159,7 @@ def _score_shard_worker(
     buffers.  Module-level so it pickles under every start method.
     """
     kernel = open_kernel_csr(artifact_path)
-    data, indices, indptr, shape = indicator_parts
-    indicator = sp.csr_matrix((data, indices, indptr), shape=shape)
-    return _score_positions(kernel, indicator, release_t, positions)
+    return _score_block(profile_rows(kernel, indicator, positions), release_t, limit)
 
 
 def batch_recommend_all(
@@ -319,49 +253,39 @@ def _batch_recommend_all(
     stats = results.stats
     compute_stats = ComputeStats(requested=backend)
 
+    profile: Optional[ClusterProfile] = None
     artifact_path: Optional[str] = None
     kernel_start = time.perf_counter()
     try:
         fault_point("batch.kernel")
-        if store is not None and supports_vectorised_measure(recommender.measure):
-            before = store.stats.snapshot()
-            lookup = store.get_or_compute(
-                state.social,
-                recommender.measure,
-                lambda: compute_similarity_kernel(
-                    state.social,
-                    recommender.measure,
-                    backend=backend,
-                    stats=compute_stats,
-                ),
+        if supports_vectorized_kernel(recommender.measure):
+            before = store.stats.snapshot() if store is not None else None
+            # The recommender's own cache: its per-user queries (the
+            # zero-signal users below) reuse this kernel and profile.
+            lookup = state.similarity.ensure_kernel(
+                store, backend=backend, stats=compute_stats
             )
-            sim_matrix: Optional[SimilarityMatrix] = lookup.matrix
             artifact_path = lookup.path
-            stats.cache_hits = store.stats.hits - before.hits
-            stats.cache_misses = store.stats.misses - before.misses
-        else:
-            sim_matrix = _similarity_matrix_for(
-                state.social, recommender.measure, backend=backend, stats=compute_stats
-            )
+            if before is not None:
+                stats.cache_hits = store.stats.hits - before.hits
+                stats.cache_misses = store.stats.misses - before.misses
+            profile = recommender.scorer_.profile()
     except Exception:
         # A failing kernel degrades the whole batch to the (slower but
         # independent) per-user path rather than killing the run.
-        sim_matrix = None
+        profile = None
         stats.record_transition("kernel->per-user")
     stats.kernel_seconds = time.perf_counter() - kernel_start
     if compute_stats.backend:  # a construction actually ran
         stats.compute = compute_stats
 
-    if sim_matrix is None:
+    if profile is None:
         # No vectorised kernel: fall back to the per-user path.
         stats.mode = "per-user"
-        for user in target_users:
-            results[user] = recommender.recommend(user, n=limit)
-        stats.fallback_users = len(target_users)
+        _per_user(recommender, results, target_users, limit)
         _finalise_stats(stats, len(results), start_time)
         return results
 
-    indicator = recommender.cluster_indicator(sim_matrix.users)
     release_t = np.ascontiguousarray(weights.matrix.T)  # (clusters x items)
 
     parallel = workers is not None and workers > 1 and len(target_users) > 1
@@ -371,8 +295,7 @@ def _batch_recommend_all(
             results,
             target_users,
             limit,
-            sim_matrix,
-            indicator,
+            profile,
             release_t,
             artifact_path,
             workers,
@@ -380,14 +303,7 @@ def _batch_recommend_all(
         )
     else:
         _run_sequential(
-            recommender,
-            results,
-            target_users,
-            limit,
-            sim_matrix,
-            indicator,
-            release_t,
-            chunk_size,
+            recommender, results, target_users, limit, profile, release_t, chunk_size
         )
     _finalise_stats(stats, len(results), start_time)
     return results
@@ -407,8 +323,7 @@ def _merge_block(
     recommender: PrivateSocialRecommender,
     results: BatchResult,
     block_users: Sequence[UserId],
-    estimates: np.ndarray,
-    zero_rows: Sequence[int],
+    block: _Block,
     limit: int,
 ) -> None:
     """Turn a scored block into recommendation lists.
@@ -417,16 +332,25 @@ def _merge_block(
     ladder (and its reported tier) matches ``recommender.recommend``
     exactly.
     """
-    weights = recommender.noisy_weights_
-    zero_set = set(zero_rows)
+    items = recommender.noisy_weights_.items
+    ranked, scores, signal = block
     for i, user in enumerate(block_users):
-        if i in zero_set:
-            results[user] = recommender.recommend(user, n=limit)
-            results.stats.fallback_users += 1
+        if signal[i]:
+            results[user] = ranked_list(user, items, ranked[i], scores[i])
         else:
-            results[user] = recommender._recommend_from_vector(
-                user, weights.items, estimates[i, :], limit
-            )
+            _per_user(recommender, results, [user], limit)
+
+
+def _per_user(
+    recommender: PrivateSocialRecommender,
+    results: BatchResult,
+    users: Sequence[UserId],
+    limit: int,
+) -> None:
+    """Serve ``users`` one by one (and count them as fallback users)."""
+    for user in users:
+        results[user] = recommender.recommend(user, n=limit)
+    results.stats.fallback_users += len(users)
 
 
 def _run_sequential(
@@ -434,16 +358,13 @@ def _run_sequential(
     results: BatchResult,
     target_users: Sequence[UserId],
     limit: int,
-    sim_matrix: SimilarityMatrix,
-    indicator: sp.csr_matrix,
+    profile: ClusterProfile,
     release_t: np.ndarray,
     chunk_size: int,
 ) -> None:
     """The in-process path: one pass of chunked dense products."""
     stats = results.stats
     stats.mode = "sequential"
-    cluster_sims = sim_matrix.matrix @ indicator  # (users x clusters)
-    num_clusters = indicator.shape[1]
     for start in range(0, len(target_users), chunk_size):
         chunk = target_users[start : start + chunk_size]
         chunk_start = time.perf_counter()
@@ -451,34 +372,16 @@ def _run_sequential(
         with span("batch.chunk"):
             try:
                 fault_point("batch.chunk")
-                chunk_rows = [sim_matrix.index.get(user) for user in chunk]
-                present = [p for p in chunk_rows if p is not None]
-                dense = np.zeros((len(chunk), num_clusters))
-                if present:
-                    dense_present = np.asarray(
-                        cluster_sims[present, :].todense()
-                    )
-                    cursor = 0
-                    for i, p in enumerate(chunk_rows):
-                        if p is not None:
-                            dense[i, :] = dense_present[cursor, :]
-                            cursor += 1
-                estimates = dense @ release_t  # (chunk x items)
-                zero_rows = [
-                    i for i in range(len(chunk)) if not dense[i, :].any()
-                ]
-                _merge_block(
-                    recommender, results, chunk, estimates, zero_rows, limit
-                )
+                rows = profile.rows(profile.positions(chunk))
+                block = _score_block(rows, release_t, limit)
+                _merge_block(recommender, results, chunk, block, limit)
             except Exception:
                 # A chunk that fails mid-kernel (bad BLAS call, injected
                 # fault, memory pressure) degrades to the per-user path for
                 # just that chunk; the rest of the batch stays vectorised.
                 stats.fallback_shards += 1
                 stats.record_transition("vectorized->per-user")
-                for user in chunk:
-                    results[user] = recommender.recommend(user, n=limit)
-                stats.fallback_users += len(chunk)
+                _per_user(recommender, results, chunk, limit)
         stats.shard_seconds.append(time.perf_counter() - chunk_start)
 
 
@@ -487,8 +390,7 @@ def _run_parallel(
     results: BatchResult,
     target_users: Sequence[UserId],
     limit: int,
-    sim_matrix: SimilarityMatrix,
-    indicator: sp.csr_matrix,
+    profile: ClusterProfile,
     release_t: np.ndarray,
     artifact_path: Optional[str],
     workers: int,
@@ -508,30 +410,23 @@ def _run_parallel(
             ephemeral = tempfile.TemporaryDirectory(prefix="repro-kernel-")
             artifact_path = os.path.join(ephemeral.name, "kernel.npz")
             save_kernel_artifact(
-                artifact_path, sim_matrix, "ephemeral", recommender.measure
+                artifact_path, profile.kernel, "ephemeral", recommender.measure
             )
 
         shards = [
             list(target_users[start : start + shard_size])
             for start in range(0, len(target_users), shard_size)
         ]
-        positions_per_shard = [
-            [sim_matrix.index.get(user, -1) for user in shard] for shard in shards
-        ]
-        indicator_parts = (
-            indicator.data,
-            indicator.indices,
-            indicator.indptr,
-            indicator.shape,
-        )
+        positions_per_shard = [profile.positions(shard) for shard in shards]
         with ProcessPoolExecutor(max_workers=workers) as pool:
             futures = [
                 pool.submit(
                     _score_shard_worker,
                     artifact_path,
                     positions,
-                    indicator_parts,
+                    profile.indicator,
                     release_t,
+                    limit,
                 )
                 for positions in positions_per_shard
             ]
@@ -541,34 +436,25 @@ def _run_parallel(
                 with span("batch.shard"):
                     try:
                         fault_point("batch.shard")
-                        estimates, zero_rows = future.result()
+                        block = future.result()
                     except Exception:
                         # Worker died or was told to fail: rescore this
-                        # shard with the in-parent kernel (same math, same
+                        # shard with the in-parent profile (same math, same
                         # result), then per-user if even that fails.
                         stats.fallback_shards += 1
                         stats.record_transition("pool->parent")
                         try:
-                            estimates, zero_rows = _score_positions(
-                                sim_matrix.matrix,
-                                indicator,
-                                release_t,
-                                positions,
+                            block = _score_block(
+                                profile.rows(positions), release_t, limit
                             )
                         except Exception:
                             stats.record_transition("parent->per-user")
-                            for user in shard:
-                                results[user] = recommender.recommend(
-                                    user, n=limit
-                                )
-                            stats.fallback_users += len(shard)
+                            _per_user(recommender, results, shard, limit)
                             stats.shard_seconds.append(
                                 time.perf_counter() - shard_start
                             )
                             continue
-                    _merge_block(
-                        recommender, results, shard, estimates, zero_rows, limit
-                    )
+                    _merge_block(recommender, results, shard, block, limit)
                 stats.shard_seconds.append(time.perf_counter() - shard_start)
     finally:
         if ephemeral is not None:

@@ -27,26 +27,16 @@ from typing import Dict, List, Optional, Tuple
 import numpy as np
 
 from repro.community.clustering import Clustering
-from repro.core.base import top_n_from_vector
 from repro.core.cluster_weights import NoisyClusterWeights
 from repro.core.private import PrivateSocialRecommender
-from repro.exceptions import (
-    DatasetError,
-    NodeNotFoundError,
-    PrivacyError,
-    ReleaseIntegrityError,
-)
+from repro.core.scoring import ReleaseScorer
+from repro.exceptions import DatasetError, PrivacyError, ReleaseIntegrityError
 from repro.graph.social_graph import SocialGraph
-from repro.obs.registry import incr as obs_incr
-from repro.resilience.degradation import (
-    DEGRADATION_LADDER,
-    TIER_PERSONALIZED,
-    degradation_estimates,
-)
+from repro.resilience.degradation import TIER_PERSONALIZED
 from repro.resilience.faults import fault_point
 from repro.resilience.retry import RetryPolicy
 from repro.similarity.base import SimilarityCache, SimilarityMeasure, get_measure
-from repro.types import ItemId, RecommendationList, UserId, as_recommendation_list
+from repro.types import ItemId, RecommendationList, UserId
 
 __all__ = ["PublishedRelease", "ReleaseServer", "ReleaseProvenance", "inspect_release"]
 
@@ -369,47 +359,25 @@ class ReleaseServer:
         self.release = release
         self.social = social
         self.measure = measure
-        self._similarity = SimilarityCache(measure, social)
+        self._scorer = ReleaseScorer(release.weights, SimilarityCache(measure, social))
 
     def warm(self, store=None) -> None:
-        """Precompute the similarity kernel off the request path.
+        """Build the cluster profile ``P = S @ C`` off the request path.
 
         With a :class:`~repro.cache.store.SimilarityStore` the kernel is
-        built (or mmap'd straight back) through the persistent
-        content-addressed cache, so a freshly swapped-in release costs
-        one artifact read, not a kernel build.  Without one, the
-        in-memory cache precomputes.  Measures with no vectorised
-        kernel fall back to per-row precomputation either way.
+        one artifact read, not a build, for a freshly swapped-in release;
+        ``P`` is one sparse product per generation, and a request then a
+        profile-row gather plus one mat-vec.
         """
-        if store is not None:
-            from repro.core.batch import (
-                compute_similarity_kernel,
-                supports_vectorised_measure,
-            )
-
-            if supports_vectorised_measure(self.measure):
-                lookup = store.warm(
-                    self.social,
-                    self.measure,
-                    lambda: compute_similarity_kernel(self.social, self.measure),
-                )
-                self._similarity.adopt_kernel(lookup.matrix)
-                return
-        self._similarity.precompute()
-
-    def _cluster_similarity_vector(self, user: UserId) -> np.ndarray:
-        clustering = self.release.weights.clustering
-        vector = np.zeros(clustering.num_clusters)
-        for v, score in self._similarity.row(user).items():
-            if v in clustering:
-                vector[clustering.cluster_of(v)] += score
-        return vector
+        self._scorer.warm(store)
 
     def utilities(self, user: UserId) -> Dict[ItemId, float]:
-        """Estimated utilities of every released item for ``user``."""
-        weights = self.release.weights
-        estimates = weights.matrix @ self._cluster_similarity_vector(user)
-        return {item: float(estimates[i]) for i, item in enumerate(weights.items)}
+        """Estimated utilities of every released item for ``user``.
+
+        Raises:
+            NodeNotFoundError: for a user outside the social graph.
+        """
+        return self._scorer.utilities(user)
 
     def recommend(
         self, user: UserId, n: int = 10, max_tier: str = TIER_PERSONALIZED
@@ -437,26 +405,7 @@ class ReleaseServer:
         Raises:
             ValueError: if ``n`` < 1 or ``max_tier`` is not a ladder rung.
         """
-        if n < 1:
-            raise ValueError(f"n must be >= 1, got {n}")
-        if max_tier not in DEGRADATION_LADDER:
-            raise ValueError(
-                f"max_tier must be one of {DEGRADATION_LADDER}, got {max_tier!r}"
-            )
-        weights = self.release.weights
-        if max_tier == TIER_PERSONALIZED:
-            try:
-                sim_vector = self._cluster_similarity_vector(user)
-            except NodeNotFoundError:
-                sim_vector = None
-            if sim_vector is not None and sim_vector.any():
-                obs_incr(f"serve.tier.{TIER_PERSONALIZED}")
-                estimates = weights.matrix @ sim_vector
-                return top_n_from_vector(user, weights.items, estimates, n)
-        estimates, tier = degradation_estimates(weights, user, max_tier=max_tier)
-        if estimates is None:
-            return as_recommendation_list(user, [], tier=tier)
-        return top_n_from_vector(user, weights.items, estimates, n, tier=tier)
+        return self._scorer.recommend(user, n, max_tier)
 
 
 @dataclass(frozen=True)

@@ -13,7 +13,8 @@
 
        mu_hat_u^i = sum_c (sum_{v in sim(u) & c} sim(u, v)) * w_hat_c^i
 
-   and output the top-N ranking per user.  Pure post-processing of the
+   and output the top-N ranking per user (the scoring core,
+   :mod:`repro.core.scoring`).  Pure post-processing of the
    sanitised averages plus public data, so the end-to-end algorithm remains
    eps-DP (paper Theorem 4).
 """
@@ -21,21 +22,18 @@
 from __future__ import annotations
 
 import math
-from typing import Callable, Dict, Optional, Sequence
+from typing import Callable, Dict, Optional
 
 import numpy as np
-import scipy.sparse as sp
 
 from repro.community.clustering import Clustering
 from repro.community.louvain import best_louvain_clustering
 from repro.core.base import BaseRecommender, FittedState
 from repro.core.cluster_weights import NoisyClusterWeights, noisy_cluster_item_weights
-from repro.exceptions import NodeNotFoundError, ReproError
+from repro.core.scoring import ReleaseScorer
 from repro.graph.protocol import GraphLike
-from repro.obs.registry import incr as obs_incr
 from repro.privacy.budget import BudgetLedger
 from repro.privacy.mechanisms import validate_epsilon
-from repro.resilience.degradation import degradation_estimates
 from repro.resilience.faults import fault_point
 from repro.similarity.base import SimilarityMeasure
 from repro.types import ItemId, UserId
@@ -110,7 +108,10 @@ class PrivateSocialRecommender(BaseRecommender):
 
     After :meth:`fit`, the attributes :attr:`clustering_`,
     :attr:`noisy_weights_` and :attr:`ledger_` expose the fitted clustering,
-    the sanitised averages, and the privacy-budget accounting.
+    the sanitised averages, and the privacy-budget accounting;
+    :attr:`scorer_` is the :class:`~repro.core.scoring.ReleaseScorer`
+    every query (and :func:`~repro.core.batch.batch_recommend_all`)
+    scores through.
     """
 
     def __init__(
@@ -139,6 +140,7 @@ class PrivateSocialRecommender(BaseRecommender):
         self.clustering_: Optional[Clustering] = None
         self.noisy_weights_: Optional[NoisyClusterWeights] = None
         self.ledger_: Optional[BudgetLedger] = None
+        self.scorer_: Optional[ReleaseScorer] = None
 
     # ------------------------------------------------------------------
     # fit: lines 1-7 of Algorithm 1
@@ -165,20 +167,11 @@ class PrivateSocialRecommender(BaseRecommender):
                     f"cluster-averages[{item!r}]", self.epsilon, group="per-item"
                 )
         self.ledger_ = ledger
+        self.scorer_ = ReleaseScorer(self.noisy_weights_, state.similarity)
 
     # ------------------------------------------------------------------
     # queries: lines 8-21 of Algorithm 1 (pure post-processing)
     # ------------------------------------------------------------------
-    def _cluster_similarity_vector(self, user: UserId) -> np.ndarray:
-        """``sim_sum(u, c)`` for every cluster c, as a dense vector."""
-        clustering = self.clustering_
-        assert clustering is not None
-        vector = np.zeros(clustering.num_clusters)
-        for v, score in self.state.similarity.row(user).items():
-            if v in clustering:
-                vector[clustering.cluster_of(v)] += score
-        return vector
-
     def utilities(self, user: UserId) -> Dict[ItemId, float]:
         """Noisy utility estimates ``mu_hat_u^i`` for every item.
 
@@ -188,11 +181,7 @@ class PrivateSocialRecommender(BaseRecommender):
         items would leak which items have no edges.
         """
         self.state  # raises NotFittedError before estimating anything
-        weights = self.noisy_weights_
-        assert weights is not None
-        sim_vector = self._cluster_similarity_vector(user)
-        estimates = weights.matrix @ sim_vector
-        return {item: float(estimates[i]) for i, item in enumerate(weights.items)}
+        return self.scorer_.utilities(user)
 
     def recommend(self, user: UserId, n: Optional[int] = None):
         """Top-N from the dense estimate vector (fast vectorised path).
@@ -206,51 +195,8 @@ class PrivateSocialRecommender(BaseRecommender):
         post-processing of the released averages: ``total_epsilon()`` is
         unchanged.
         """
-        limit = self.n if n is None else n
-        if limit < 1:
-            raise ValueError(f"n must be >= 1, got {limit}")
-        weights = self.noisy_weights_
-        assert weights is not None
-        try:
-            sim_vector = self._cluster_similarity_vector(user)
-        except NodeNotFoundError:
-            sim_vector = None
-        if sim_vector is not None and sim_vector.any():
-            obs_incr("serve.tier.personalized")
-            estimates = weights.matrix @ sim_vector
-            return self._recommend_from_vector(user, weights.items, estimates, limit)
-        estimates, tier = degradation_estimates(weights, user)
-        if estimates is None:
-            return self._recommend_from_vector(
-                user, weights.items, np.zeros(0), limit, tier=tier
-            )
-        return self._recommend_from_vector(
-            user, weights.items, estimates, limit, tier=tier
-        )
-
-    def cluster_indicator(self, users: Sequence[UserId]) -> sp.csr_matrix:
-        """The 0/1 user-to-cluster indicator matrix over ``users``.
-
-        Row order follows ``users``; users outside the fitted clustering
-        get an all-zero row.  This is the ``C`` of the batch-serving
-        product ``(S @ C) @ W_hat^T`` (:mod:`repro.core.batch`) — exposed
-        here so every consumer builds it from the same fitted clustering.
-
-        Raises:
-            ReproError: when the recommender has no fitted clustering.
-        """
-        clustering = self.clustering_
-        if clustering is None:
-            raise ReproError("recommender has no fitted clustering; fit it first")
-        rows, cols = [], []
-        for position, user in enumerate(users):
-            if user in clustering:
-                rows.append(position)
-                cols.append(clustering.cluster_of(user))
-        return sp.csr_matrix(
-            (np.ones(len(rows)), (rows, cols)),
-            shape=(len(users), clustering.num_clusters),
-        )
+        self.state  # raises NotFittedError before scoring anything
+        return self.scorer_.recommend(user, self.n if n is None else n)
 
     # ------------------------------------------------------------------
     # introspection

@@ -11,11 +11,10 @@ the outermost loop that still needs it:
   (:func:`~repro.core.cluster_weights.cluster_item_averages`), the
   covering clustering, the cluster indicator ``C``, and the cluster-size
   vector of the degradation ladder;
-- per (dataset, measure): the similarity kernel ``S``
-  (:func:`~repro.compute.build_kernel`, optionally through a persistent
-  :class:`~repro.cache.store.SimilarityStore`), the evaluation users'
-  cluster profile ``P = S @ C``, the dense ideal-utility matrix, and the
-  cumulative reference DCG at every cutoff;
+- per (dataset, measure): the similarity kernel ``S`` (the context's
+  reference-pass kernel, else :func:`~repro.cache.store.load_or_build_kernel`),
+  the evaluation users' cluster profile ``P = S @ C``, the dense
+  ideal-utility matrix, and the cumulative reference DCG at every cutoff;
 - per (epsilon, repeat): *only* one Laplace tensor, one matmul
   ``E = P @ (A + L)^T``, one vectorised ranking, and one cumulative-DCG
   pass scoring every N at once.
@@ -23,11 +22,10 @@ the outermost loop that still needs it:
 Equivalence with the per-user reference path is structural, not
 approximate: the noise stream reuses the recommender's exact generator
 discipline (one ``default_rng(SeedSequence(seed))`` laplace draw over the
-full matrix), the ranking reproduces ``top_n_from_vector``'s
-argpartition/stable-sort tie-breaking, the zero-signal users are served
-by the same degradation ladder, and the NDCG accumulation follows the
-scalar summation order.  The test suite pins rankings and scores against
-the reference engine.
+full matrix), ``C``, ``P``, ``E``, the ranking and the zero-signal
+ladder are the scoring core's (:mod:`repro.core.scoring`), and the NDCG
+accumulation follows the scalar summation order.  The test suite pins
+rankings and scores against the reference engine.
 
 With ``workers >= 2`` the (epsilon) cells of one measure fan out over a
 process pool; workers memory-map the cached kernel artifact and the
@@ -52,10 +50,16 @@ import scipy.sparse as sp
 
 from repro.cache.store import SimilarityStore, open_kernel_csr, save_kernel_artifact
 from repro.community.clustering import Clustering
-from repro.compute.kernels import build_kernel, supports_vectorized_kernel
 from repro.compute.stats import ComputeStats, validate_backend
 from repro.core.cluster_weights import ClusterItemAverages, cluster_item_averages
 from repro.core.private import covering_clustering
+from repro.core.scoring import (
+    cluster_indicator,
+    estimate_rows,
+    ladder_estimates,
+    profile_rows,
+    rank_rows,
+)
 from repro.datasets.dataset import SocialRecDataset
 from repro.exceptions import ExperimentError
 from repro.experiments.evaluation import EvaluationContext
@@ -65,6 +69,7 @@ from repro.obs.ledger import record_laplace_release
 from repro.obs.spans import span
 from repro.privacy.mechanisms import validate_epsilon
 from repro.resilience.faults import fault_point
+from repro.similarity.base import SimilarityCache
 from repro.similarity.matrix import SimilarityMatrix
 from repro.types import ItemId, UserId
 
@@ -98,7 +103,7 @@ class EngineStats:
     Attributes:
         mode: ``"parallel"`` or ``"sequential"`` (last evaluate call).
         workers: configured pool width (1 = in-process).
-        measures: distinct similarity kernels built or loaded.
+        measures: distinct similarity kernels scored with.
         cells: (epsilon) cells scored by the engine.
         repeats: noise repeats scored across all cells.
         fallback_cells: pooled cells rescored sequentially in-parent.
@@ -108,8 +113,8 @@ class EngineStats:
             a store).
         kernel_seconds: time spent obtaining similarity kernels.
         wall_seconds: total time inside ``evaluate_many``.
-        compute: the :class:`~repro.compute.stats.ComputeStats` of the
-            most recent kernel construction (None on a warm cache).
+        compute: the :class:`~repro.compute.stats.ComputeStats` behind
+            the most recent kernel scored with (None on a warm cache).
         tier_transitions: degradation-ladder transitions, keyed by edge
             (``"pool->parent"``, ``"parent->legacy"``,
             ``"sequential->legacy"``).  ``fallback_cells`` /
@@ -185,58 +190,6 @@ def _noised(matrix: np.ndarray, scales: Optional[np.ndarray], seed: int) -> np.n
     )
 
 
-def _rank_rows(estimates: np.ndarray, limit: int) -> np.ndarray:
-    """Top-``limit`` item positions per row of a dense estimate block.
-
-    Reproduces ``BaseRecommender.top_n_from_vector`` exactly: argpartition
-    selects each row's top set, then a stable sort on (-estimate, item
-    position) orders it.  The reference's lexsort keys make the final
-    ranking a function of the selected *set* alone, so sorting the
-    candidate positions ascending before the stable value sort yields the
-    identical ranking.
-    """
-    num_rows, num_items = estimates.shape
-    limit = min(limit, num_items)
-    if limit == 0:
-        return np.empty((num_rows, 0), dtype=np.intp)
-    negated = -estimates
-    if limit < num_items:
-        candidates = np.argpartition(negated, limit - 1, axis=1)[:, :limit]
-        candidates = np.sort(candidates, axis=1)
-    else:
-        candidates = np.tile(np.arange(num_items, dtype=np.intp), (num_rows, 1))
-    values = np.take_along_axis(negated, candidates, axis=1)
-    order = np.argsort(values, axis=1, kind="stable")
-    return np.take_along_axis(candidates, order, axis=1)
-
-
-def _degraded_estimates(
-    noised: np.ndarray, sizes: np.ndarray, column: int
-) -> Optional[np.ndarray]:
-    """The degradation-ladder estimates for one zero-signal user.
-
-    Mirrors :func:`repro.resilience.degradation.degradation_estimates`
-    tier for tier (``column`` is the user's cluster, -1 when the user is
-    outside the clustering); None means the empty tier (empty ranking).
-    """
-    if noised.size == 0:
-        return None
-    if column >= 0:
-        return np.asarray(noised[:, column], dtype=float)
-    total = sizes.sum()
-    if total <= 0:
-        return None
-    return np.asarray(noised @ (sizes / total), dtype=float)
-
-
-def _profile_rows(
-    kernel: sp.csr_matrix, positions: Sequence[int], indicator: sp.csr_matrix
-) -> np.ndarray:
-    """``P = S @ C`` restricted to the evaluation users' kernel rows."""
-    rows = kernel[list(positions), :] @ indicator
-    return np.asarray(rows.todense())
-
-
 def _rank_repeat(
     profile: np.ndarray,
     noised: np.ndarray,
@@ -263,19 +216,17 @@ def _rank_repeat(
     }
     for start in range(0, num_users, chunk_size):
         stop = min(start + chunk_size, num_users)
-        estimates = profile[start:stop] @ release_t
+        estimates = estimate_rows(profile[start:stop], release_t)
         for n, limit in limits.items():
-            ranked[n][start:stop] = _rank_rows(estimates, limit)
+            ranked[n][start:stop] = rank_rows(estimates, limit)
     overrides: Dict[int, Dict[int, np.ndarray]] = {n: {} for n in limits}
     for row in np.flatnonzero(~profile.any(axis=1)):
-        estimates = _degraded_estimates(noised, sizes, int(columns[row]))
+        estimates, _ = ladder_estimates(noised, int(columns[row]), sizes)
         for n, limit in limits.items():
             if estimates is None:
                 overrides[n][int(row)] = np.empty(0, dtype=np.intp)
             else:
-                overrides[n][int(row)] = _rank_rows(
-                    estimates[np.newaxis, :], limit
-                )[0]
+                overrides[n][int(row)] = rank_rows(estimates[np.newaxis, :], limit)[0]
     return {n: (ranked[n], overrides[n]) for n in limits}
 
 
@@ -325,15 +276,6 @@ def _cell_scores(
     if num_users == 0:
         raise ExperimentError("cannot score a cell with no evaluation users")
     averages_matrix = np.asarray(averages_matrix)
-    ref_width = reference_cum.shape[1]
-    reference_at = {
-        int(n): (
-            np.asarray(reference_cum[:, min(int(n), ref_width) - 1])
-            if ref_width
-            else np.zeros(num_users)
-        )
-        for n in ns
-    }
     results: Dict[int, List[float]] = {int(n): [] for n in ns}
     for seed in seeds:
         with span("engine.repeat"):
@@ -345,18 +287,29 @@ def _cell_scores(
             )
             for n, (ranked, overrides) in per_n.items():
                 private = _private_dcg(utilities, ranked, overrides)
-                reference = reference_at[n]
-                scores = np.ones(num_users)
-                positive = reference > 0.0
-                scores[positive] = private[positive] / reference[positive]
+                scores = _ndcg_scores(private, reference_cum, n)
                 results[n].append(float(np.cumsum(scores)[-1]) / num_users)
     return results
 
 
+def _ndcg_scores(private: np.ndarray, reference_cum: np.ndarray, n: int) -> np.ndarray:
+    """Per-user NDCG@n: ``ndcg_at_n``'s division, 1.0 without reference DCG."""
+    width = reference_cum.shape[1]
+    reference = (
+        np.asarray(reference_cum[:, min(n, width) - 1])
+        if width
+        else np.zeros(private.size)
+    )
+    scores = np.ones(private.size)
+    positive = reference > 0.0
+    scores[positive] = private[positive] / reference[positive]
+    return scores
+
+
 def _score_cell_worker(
     artifact_path: str,
-    positions: List[int],
-    indicator_parts: Tuple[np.ndarray, np.ndarray, np.ndarray, Tuple[int, int]],
+    positions: np.ndarray,
+    indicator: sp.csr_matrix,
     utilities_path: str,
     reference_path: str,
     averages_path: str,
@@ -376,9 +329,7 @@ def _score_cell_worker(
     method.
     """
     kernel = open_kernel_csr(artifact_path)
-    data, indices, indptr, shape = indicator_parts
-    indicator = sp.csr_matrix((data, indices, indptr), shape=shape)
-    profile = _profile_rows(kernel, positions, indicator)
+    profile = profile_rows(kernel, indicator, positions)
     utilities = np.load(utilities_path, mmap_mode="r")
     reference_cum = np.load(reference_path, mmap_mode="r")
     averages_matrix = np.load(averages_path, mmap_mode="r")
@@ -494,42 +445,37 @@ class SweepEngine:
     # ------------------------------------------------------------------
     # cached preprocessing layers
     # ------------------------------------------------------------------
-    def _kernel_for(self, measure) -> _KernelBundle:
+    def _kernel_for(self, context: EvaluationContext) -> _KernelBundle:
+        measure = context.measure
         bundle = self._kernels.get(measure.name)
         if bundle is not None:
             return bundle
         started = time.perf_counter()
+        # The context's reference pass already holds this graph's kernel
+        # when it was built with the engine's backend: share it.
+        cache = context.similarity
+        if (
+            cache is None
+            or cache.graph is not self.dataset.social
+            or cache.backend != self.backend
+        ):
+            cache = SimilarityCache(measure, self.dataset.social, backend=self.backend)
         compute_stats = ComputeStats(requested=self.backend)
-        artifact_path: Optional[str] = None
-        if self.store is not None and supports_vectorized_kernel(measure):
-            before = self.store.stats.snapshot()
-            lookup = self.store.get_or_compute(
-                self.dataset.social,
-                measure,
-                lambda: build_kernel(
-                    self.dataset.social,
-                    measure,
-                    backend=self.backend,
-                    stats=compute_stats,
-                ),
-            )
-            kernel = lookup.matrix
-            artifact_path = lookup.path
+        before = self.store.stats.snapshot() if self.store is not None else None
+        lookup = cache.ensure_kernel(self.store, stats=compute_stats)
+        if before is not None:
             self.stats.cache_hits += self.store.stats.hits - before.hits
             self.stats.cache_misses += self.store.stats.misses - before.misses
-        else:
-            kernel = build_kernel(
-                self.dataset.social,
-                measure,
-                backend=self.backend,
-                stats=compute_stats,
-            )
-        bundle = _KernelBundle(kernel=kernel, artifact_path=artifact_path)
+        bundle = _KernelBundle(kernel=lookup.matrix, artifact_path=lookup.path)
         self._kernels[measure.name] = bundle
         self.stats.measures += 1
         self.stats.kernel_seconds += time.perf_counter() - started
-        if compute_stats.backend:  # a construction actually ran
+        # The construction behind the kernel scored with: just now, or in
+        # the shared context's reference pass.
+        if compute_stats.backend:
             self.stats.compute = compute_stats
+        elif cache.last_compute_stats is not None:
+            self.stats.compute = cache.last_compute_stats
         return bundle
 
     def _items(self) -> Tuple[List[ItemId], Dict[ItemId, int]]:
@@ -591,21 +537,12 @@ class SweepEngine:
             user_clamp=self.user_clamp,
             backend=self.backend,
         )
-        rows, cols = [], []
-        for position, user in enumerate(users):
-            if user in covering:
-                rows.append(position)
-                cols.append(covering.cluster_of(user))
-        indicator = sp.csr_matrix(
-            (np.ones(len(rows)), (rows, cols)),
-            shape=(len(users), covering.num_clusters),
-        )
         arrays = _ClusterArrays(
             clustering=clustering,
             covering=covering,
             users=list(users),
             averages=averages,
-            indicator=indicator,
+            indicator=cluster_indicator(users, covering),
             sizes=np.asarray(covering.sizes(), dtype=float),
         )
         self._clusters[id(clustering)] = arrays
@@ -638,8 +575,8 @@ class SweepEngine:
         key = (measure_name, id(evals.context), id(cluster_arrays.covering))
         profile = self._profiles.get(key)
         if profile is None:
-            profile = _profile_rows(
-                bundle.kernel.matrix, evals.positions, cluster_arrays.indicator
+            profile = profile_rows(
+                bundle.kernel.matrix, cluster_arrays.indicator, evals.positions
             )
             self._profiles[key] = profile
         return profile
@@ -736,7 +673,7 @@ class SweepEngine:
             return results
 
         measure = context.measure
-        bundle = self._kernel_for(measure)
+        bundle = self._kernel_for(context)
         evals = self._eval_for(context, bundle)
         cluster_arrays = self._cluster_for(clustering, bundle)
         columns = self._columns_for(context, cluster_arrays)
@@ -790,14 +727,6 @@ class SweepEngine:
             averages_path = self._spill_array(
                 ("averages", id(cluster_arrays.covering)), averages.matrix
             )
-            positions = [int(p) for p in evals.positions]
-            indicator = cluster_arrays.indicator
-            indicator_parts = (
-                indicator.data,
-                indicator.indices,
-                indicator.indptr,
-                indicator.shape,
-            )
             with ProcessPoolExecutor(
                 max_workers=min(self.workers, len(pending))
             ) as pool:
@@ -805,8 +734,8 @@ class SweepEngine:
                     pool.submit(
                         _score_cell_worker,
                         artifact_path,
-                        positions,
-                        indicator_parts,
+                        evals.positions,
+                        cluster_arrays.indicator,
                         utilities_path,
                         reference_path,
                         averages_path,
@@ -906,7 +835,7 @@ class SweepEngine:
     def _repeat_state(self, context, clustering, epsilon, repeat_seed, ns):
         epsilon = validate_epsilon(float(epsilon))
         measure = context.measure
-        bundle = self._kernel_for(measure)
+        bundle = self._kernel_for(context)
         evals = self._eval_for(context, bundle)
         cluster_arrays = self._cluster_for(clustering, bundle)
         columns = self._columns_for(context, cluster_arrays)
@@ -986,16 +915,7 @@ class SweepEngine:
         )
         ranked, overrides = per_n[int(n)]
         private = _private_dcg(evals.utilities, ranked, overrides)
-        ref_width = evals.reference_cum.shape[1]
-        if ref_width:
-            reference = np.asarray(
-                evals.reference_cum[:, min(int(n), ref_width) - 1]
-            )
-        else:
-            reference = np.zeros(len(context.users))
-        scores = np.ones(len(context.users))
-        positive = reference > 0.0
-        scores[positive] = private[positive] / reference[positive]
+        scores = _ndcg_scores(private, evals.reference_cum, int(n))
         return {
             user: float(scores[row]) for row, user in enumerate(context.users)
         }

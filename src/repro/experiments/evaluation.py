@@ -28,7 +28,7 @@ from repro.core.recommender import SocialRecommender
 from repro.datasets.dataset import SocialRecDataset
 from repro.exceptions import ExperimentError
 from repro.metrics.ndcg import average_ndcg
-from repro.similarity.base import SimilarityMeasure
+from repro.similarity.base import SimilarityCache, SimilarityMeasure
 from repro.types import ItemId, UserId
 
 __all__ = ["EvaluationContext", "evaluate_recommender", "evaluate_factory"]
@@ -49,6 +49,8 @@ class EvaluationContext:
         max_n: the largest N any caller will request.
         reference_rankings: per-user non-private top-``max_n`` rankings.
         ideal_utilities: per-user true utility maps.
+        similarity: the reference's similarity cache, whose kernel the
+            sweep engine reuses (None for a hand-assembled context).
     """
 
     dataset: SocialRecDataset
@@ -57,6 +59,9 @@ class EvaluationContext:
     max_n: int
     reference_rankings: Dict[UserId, List[ItemId]] = field(repr=False)
     ideal_utilities: Dict[UserId, Dict[ItemId, float]] = field(repr=False)
+    similarity: Optional[SimilarityCache] = field(
+        default=None, init=False, repr=False, compare=False
+    )
 
     @classmethod
     def build(
@@ -100,7 +105,7 @@ class EvaluationContext:
         rankings = {
             u: reference.recommend(u, n=max_n).item_ids() for u in all_users
         }
-        return cls(
+        context = cls(
             dataset=dataset,
             measure=measure,
             users=list(all_users),
@@ -108,6 +113,8 @@ class EvaluationContext:
             reference_rankings=rankings,
             ideal_utilities=ideal,
         )
+        context.similarity = reference.state.similarity
+        return context
 
     def ndcg_of_rankings(
         self, rankings: Dict[UserId, Sequence[ItemId]], n: int

@@ -17,9 +17,11 @@ the registry*:
 
 Scalar fields round-trip exactly (integers bit-for-bit, floats as
 written).  Per-shard wall-time *lists* are aggregated — the registry
-stores count and total (``batch.shard_seconds``), not the sequence — and
-nested ``compute`` stats are published under their own ``compute.*``
-namespace.
+stores count and total (``batch.shard_seconds``), not the sequence.
+Nested ``compute`` stats live under their own ``compute.*`` namespace,
+which :func:`~repro.compute.build_kernel` publishes once per
+construction, so the engine and batch adapters leave it alone and their
+views rebuild ``compute`` from it.
 """
 
 from __future__ import annotations
@@ -96,8 +98,6 @@ def publish_engine_stats(stats, registry: Optional[Telemetry] = None) -> None:
     registry.add_gauge("engine.wall_seconds", stats.wall_seconds)
     for edge, count in stats.tier_transitions.items():
         registry.incr(f"engine.tier_transition.{edge}", count)
-    if stats.compute is not None:
-        publish_compute_stats(stats.compute, registry)
 
 
 def publish_batch_stats(stats, registry: Optional[Telemetry] = None) -> None:
@@ -118,8 +118,6 @@ def publish_batch_stats(stats, registry: Optional[Telemetry] = None) -> None:
     registry.add_gauge("batch.shard_seconds", sum(stats.shard_seconds))
     for edge, count in stats.tier_transitions.items():
         registry.incr(f"batch.tier_transition.{edge}", count)
-    if stats.compute is not None:
-        publish_compute_stats(stats.compute, registry)
 
 
 def _mode_from(snapshot: TelemetrySnapshot, prefix: str) -> str:

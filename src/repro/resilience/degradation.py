@@ -61,7 +61,7 @@ def degradation_estimates(
         max_tier: the best ladder rung the caller allows.  The serving
             tier's admission control uses this to shed load *down* the
             ladder under overload: capping at :data:`TIER_GLOBAL` skips
-            the per-user cluster lookup, capping at :data:`TIER_EMPTY`
+            the user's own cluster rung, capping at :data:`TIER_EMPTY`
             returns the empty rung immediately.  Every rung is
             post-processing of the published matrix, so a cap never
             changes the privacy cost — only how personalized the answer
@@ -76,27 +76,13 @@ def degradation_estimates(
     Raises:
         ValueError: for a ``max_tier`` not on the ladder.
     """
-    if max_tier not in DEGRADATION_LADDER:
-        raise ValueError(
-            f"max_tier must be one of {DEGRADATION_LADDER}, got {max_tier!r}"
-        )
-    cap = DEGRADATION_LADDER.index(max_tier)
+    # The one ladder implementation is the scoring core's (imported here,
+    # not at module level: repro.core imports this module for the tiers).
+    from repro.core.scoring import ladder_estimates
+
     clustering = weights.clustering
-    if (
-        cap >= DEGRADATION_LADDER.index(TIER_EMPTY)
-        or weights.matrix.size == 0
-        or clustering.num_clusters == 0
-    ):
-        obs_incr(f"serve.tier.{TIER_EMPTY}")
-        return None, TIER_EMPTY
-    if cap <= DEGRADATION_LADDER.index(TIER_CLUSTER) and user in clustering:
-        column = clustering.cluster_of(user)
-        obs_incr(f"serve.tier.{TIER_CLUSTER}")
-        return np.asarray(weights.matrix[:, column], dtype=float), TIER_CLUSTER
+    column = clustering.cluster_of(user) if user in clustering else -1
     sizes = np.asarray(clustering.sizes(), dtype=float)
-    total = sizes.sum()
-    if total <= 0:
-        obs_incr(f"serve.tier.{TIER_EMPTY}")
-        return None, TIER_EMPTY
-    obs_incr(f"serve.tier.{TIER_GLOBAL}")
-    return np.asarray(weights.matrix @ (sizes / total), dtype=float), TIER_GLOBAL
+    estimates, tier = ladder_estimates(weights.matrix, column, sizes, max_tier)
+    obs_incr(f"serve.tier.{tier}")
+    return estimates, tier

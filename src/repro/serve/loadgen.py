@@ -9,7 +9,8 @@ benchmark, in two modes:
 - **open loop** — requests fire at seeded exponential (Poisson)
   arrival times regardless of completions; offered load is fixed, so
   pushing ``rate`` past capacity is how the tests saturate admission
-  control and observe the tier ladder shift.
+  control and observe the tier ladder shift.  Latency runs from each
+  request's due time, so a stalled client loop cannot hide lateness.
 
 The request *schedule* — which user, at what offset — is precomputed
 from the seed alone, so two runs against the same server issue
@@ -236,20 +237,24 @@ class LoadGenerator:
         start = loop.time()
 
         async def fire(index: int) -> None:
-            delay = start + self._arrival_offsets[index] - loop.time()
+            due = start + self._arrival_offsets[index]
+            delay = due - loop.time()
             if delay > 0:
                 await asyncio.sleep(delay)
-            records[index] = await self._issue(host, port, index)
+            records[index] = await self._issue(host, port, index, due=due)
 
         tasks = [
             asyncio.ensure_future(fire(i)) for i in range(self.config.requests)
         ]
         await asyncio.gather(*tasks)
 
-    async def _issue(self, host: str, port: int, index: int) -> RequestRecord:
+    async def _issue(
+        self, host: str, port: int, index: int, due: Optional[float] = None
+    ) -> RequestRecord:
+        """Send request ``index``; latency runs from ``due`` when given."""
         user = self._user_sequence[index]
         loop = asyncio.get_running_loop()
-        issued = loop.time()
+        issued = loop.time() if due is None else due
         try:
             status, payload = await asyncio.wait_for(
                 http_get_json(

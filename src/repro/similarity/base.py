@@ -76,13 +76,17 @@ class SimilarityMeasure(abc.ABC):
 
 
 class SimilarityCache:
-    """Memoises similarity rows for one (measure, graph) pair.
+    """Serves similarity rows for one (measure, graph) pair.
 
-    The framework evaluates ``sim(u, .)`` once per user but several
-    downstream consumers (recommender, error decomposition, sensitivity)
-    each want the same rows; the cache makes those reads free after the
-    first pass.  The cache assumes the graph is not mutated after wrapping —
-    mutating it invalidates the cache silently, so wrap a finished snapshot.
+    Several consumers (recommender, error decomposition, sensitivity)
+    want the same rows.  The cache keeps the
+    :class:`~repro.similarity.matrix.SimilarityMatrix` it builds or
+    loads and serves dict rows from it on demand, so one kernel serves
+    every holder of the cache — a fitted recommender and its batch, or a
+    whole sweep; rows computed one at a time (the python backend, users
+    the kernel lacks) are memoised.  The cache assumes the graph is not
+    mutated after wrapping — mutating it invalidates the cache silently,
+    so wrap a finished snapshot.
 
     ``backend`` picks how rows are materialised: ``"auto"`` (the default)
     tries vectorised when the measure supports it and silently degrades to
@@ -108,7 +112,7 @@ class SimilarityCache:
         self._graph = graph
         self._backend = backend
         self._rows: Dict[UserId, Dict[UserId, float]] = {}
-        self._kernel_built = False
+        self._kernel = None
         self._last_stats: Optional[ComputeStats] = None
 
     @property
@@ -126,8 +130,8 @@ class SimilarityCache:
 
     @property
     def last_compute_stats(self):
-        """The :class:`~repro.compute.stats.ComputeStats` of the most recent
-        kernel build, or None when no vectorised build has run."""
+        """The :class:`~repro.compute.stats.ComputeStats` of the kernel this
+        cache built, or None when it built none."""
         return self._last_stats
 
     def _resolved_backend(self, backend: Optional[str] = None) -> str:
@@ -136,34 +140,55 @@ class SimilarityCache:
         requested = self._backend if backend is None else backend
         return resolve_backend(requested, self._measure)
 
-    def _build_kernel(self, backend: str) -> None:
-        """Materialise every row at once through :func:`repro.compute.build_kernel`."""
-        from repro.compute.kernels import build_kernel
+    def ensure_kernel(self, store=None, *, backend: Optional[str] = None, stats=None):
+        """The kernel this cache serves from: held, else obtained and kept.
+
+        A kernel comes from :func:`repro.cache.store.load_or_build_kernel`
+        (a ``store`` hit, else a build with ``backend`` filling ``stats``,
+        persisted to ``store``).  With a ``store`` the lookup runs even
+        when a kernel is held, so its hit/miss counters stay per call.
+        Returns a :class:`~repro.cache.store.CacheLookup` of the held
+        kernel; its ``path`` names a store artifact only when that
+        artifact holds this very matrix.
+        """
+        from repro.cache.store import CacheLookup, load_or_build_kernel
         from repro.compute.stats import ComputeStats
 
-        stats = ComputeStats(requested=backend)
-        kernel = build_kernel(
-            self._graph, self._measure, backend=backend, stats=stats
+        held = self._kernel
+        if held is not None and store is None:
+            return CacheLookup(matrix=held, path=None, hit=True)
+        if stats is None:
+            stats = ComputeStats()
+        lookup = load_or_build_kernel(
+            self._graph,
+            self._measure,
+            store,
+            backend=self._backend if backend is None else backend,
+            stats=stats,
+            build=None if held is None else (lambda: held),
         )
-        self._last_stats = stats
-        for user in kernel.users:
-            if user not in self._rows:
-                self._rows[user] = kernel.row(user)
-        self._kernel_built = True
+        if held is None:
+            self._kernel = lookup.matrix
+            if stats.backend:  # a construction actually ran
+                self._last_stats = stats
+            return lookup
+        if lookup.matrix is held:
+            return lookup
+        return CacheLookup(matrix=held, path=None, hit=lookup.hit)
 
     def row(self, user: UserId) -> Dict[UserId, float]:
-        """Cached ``sim(u, .)`` row (returned mapping must not be mutated)."""
+        """``sim(u, .)`` (the returned mapping must not be mutated)."""
         cached = self._rows.get(user)
-        if cached is None:
-            if not self._kernel_built and self._resolved_backend() == "vectorized":
-                self._build_kernel(self._backend)
-                cached = self._rows.get(user)
-                if cached is not None:
-                    return cached
-                # User absent from the kernel (e.g. added after wrapping);
-                # fall through to the per-row path.
-            cached = self._measure.similarity_row(self._graph, user)
-            self._rows[user] = cached
+        if cached is not None:
+            return cached
+        if self._kernel is None and self._resolved_backend() == "vectorized":
+            self.ensure_kernel()
+        if self._kernel is not None and user in self._kernel.index:
+            return self._kernel.row(user)
+        # Python backend, or a user absent from the kernel (e.g. added
+        # after wrapping): compute the row on its own.
+        cached = self._measure.similarity_row(self._graph, user)
+        self._rows[user] = cached
         return cached
 
     def similarity(self, u: UserId, v: UserId) -> float:
@@ -176,38 +201,28 @@ class SimilarityCache:
         """``sim(u)``: users with positive similarity, from the cached row."""
         return frozenset(v for v, s in self.row(user).items() if s > 0.0)
 
-    def adopt_kernel(self, kernel) -> None:
-        """Seed the cache from an externally built kernel.
-
-        The serving tier warms release generations through the persistent
-        :class:`~repro.cache.store.SimilarityStore`; adopting the stored
-        :class:`~repro.similarity.matrix.SimilarityMatrix` means no
-        request ever pays the kernel build.  Rows already cached win.
-        """
-        for user in kernel.users:
-            if user not in self._rows:
-                self._rows[user] = kernel.row(user)
-        self._kernel_built = True
-
-    def precompute(
-        self, users=None, backend: Optional[str] = None
-    ) -> None:
+    def precompute(self, users=None, backend: Optional[str] = None) -> None:
         """Warm the cache for ``users`` (default: the whole graph).
 
         Args:
-            users: the users to warm (vectorised builds always materialise
-                the full kernel; extra rows are kept — they were free).
+            users: the users to warm (a vectorised build always covers
+                the whole graph).
             backend: override the cache's construction-time backend for
                 this warm-up only.
         """
-        resolved = self._resolved_backend(backend)
-        if resolved == "vectorized" and not self._kernel_built:
-            self._build_kernel(self._backend if backend is None else backend)
+        if self._kernel is None and self._resolved_backend(backend) == "vectorized":
+            self.ensure_kernel(backend=backend)
+        held = self._kernel.index if self._kernel is not None else {}
         for user in self._graph.users() if users is None else users:
-            self.row(user)
+            if user not in held:
+                self.row(user)
 
     def __len__(self) -> int:
-        return len(self._rows)
+        """How many users the cache can answer without computing a row."""
+        if self._kernel is None:
+            return len(self._rows)
+        index = self._kernel.index
+        return len(index) + sum(1 for user in self._rows if user not in index)
 
 
 _REGISTRY: Dict[str, Callable[[], SimilarityMeasure]] = {}

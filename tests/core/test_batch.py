@@ -5,11 +5,8 @@ import math
 import pytest
 
 from repro.cache import SimilarityStore
-from repro.core.batch import (
-    BatchResult,
-    batch_recommend_all,
-    supports_vectorised_measure,
-)
+from repro.compute import supports_vectorized_kernel
+from repro.core.batch import BatchResult, batch_recommend_all
 from repro.core.private import PrivateSocialRecommender
 from repro.resilience.faults import FaultPlan, FaultSpec
 from repro.similarity.adamic_adar import AdamicAdar
@@ -77,17 +74,17 @@ class TestEquivalenceWithSequentialPath:
 
 class TestSupportPredicate:
     def test_supported_measures(self):
-        assert supports_vectorised_measure(CommonNeighbors())
-        assert supports_vectorised_measure(AdamicAdar())
-        assert supports_vectorised_measure(ResourceAllocation())
-        assert supports_vectorised_measure(GraphDistance(max_distance=2))
+        assert supports_vectorized_kernel(CommonNeighbors())
+        assert supports_vectorized_kernel(AdamicAdar())
+        assert supports_vectorized_kernel(ResourceAllocation())
+        assert supports_vectorized_kernel(GraphDistance(max_distance=2))
         # The blocked BFS kernel supports any cutoff.
-        assert supports_vectorised_measure(GraphDistance(max_distance=3))
-        assert supports_vectorised_measure(Katz(max_length=3))
+        assert supports_vectorized_kernel(GraphDistance(max_distance=3))
+        assert supports_vectorized_kernel(Katz(max_length=3))
 
     def test_unsupported_configurations(self):
-        assert not supports_vectorised_measure(Katz(max_length=4))
-        assert not supports_vectorised_measure(Jaccard())
+        assert not supports_vectorized_kernel(Katz(max_length=4))
+        assert not supports_vectorized_kernel(Jaccard())
 
 
 class TestValidation:
@@ -216,12 +213,12 @@ class TestSimilarityCacheIntegration:
         assert cold.stats.cache_misses == 1 and cold.stats.cache_hits == 0
 
         # Any kernel computation on the warm path is a bug, not just slow.
-        import repro.core.batch as batch_module
+        import repro.cache.store as store_module
 
         def explode(*_args, **_kwargs):
             raise AssertionError("kernel recomputed despite a warm cache")
 
-        monkeypatch.setattr(batch_module, "_similarity_matrix_for", explode)
+        monkeypatch.setattr(store_module, "build_kernel", explode)
         warm = batch_recommend_all(rec, n=10, store=store)
         assert warm.stats.cache_hits == 1 and warm.stats.cache_misses == 0
         for user, expected in cold.items():

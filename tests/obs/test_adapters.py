@@ -65,6 +65,8 @@ class TestEngineRoundTrip:
         stats.record_transition("pool->parent")
         stats.record_transition("pool->parent")
         stats.record_transition("parent->legacy")
+        # build_kernel publishes its ComputeStats once, at construction.
+        publish_compute_stats(stats.compute, reg)
         publish_engine_stats(stats, reg)
         view = engine_stats_view(reg.snapshot())
         assert view == stats

@@ -129,6 +129,29 @@ class TestBitIdenticalWithTelemetry:
         )
 
 
+class TestComputeCounters:
+    def test_one_build_counts_once(self, lastfm_small):
+        rec = _fitted(lastfm_small)
+        with telemetry() as registry:
+            result = batch_recommend_all(rec, n=5)
+        kernel = rec.state.similarity.ensure_kernel().matrix
+        assert result.stats.compute is not None
+        assert registry.counter("compute.builds") == 1
+        assert registry.counter("compute.nnz") == kernel.nnz
+
+    def test_one_kernel_per_measure_per_sweep(self, lastfm_small):
+        with telemetry() as registry:
+            run_tradeoff(
+                lastfm_small,
+                measures=[MEASURE],
+                epsilons=(1.0,),
+                ns=(10,),
+                repeats=2,
+                seed=0,
+            )
+        assert registry.counter("compute.builds") == 1
+
+
 class TestCliProfile:
     def test_tradeoff_profile_end_to_end(self, tmp_path, capsys):
         trace_path = str(tmp_path / "BENCH_obs.jsonl")

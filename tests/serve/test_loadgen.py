@@ -2,6 +2,8 @@
 
 from __future__ import annotations
 
+import time
+
 import pytest
 
 from repro.serve import (
@@ -123,3 +125,32 @@ class TestLoadReport:
         summary = report.summary()
         assert "1 error(s)" in summary
         assert "personalized=1" in summary
+
+
+class TestOpenLoopLatency:
+    def test_requests_due_during_a_stall_record_their_lateness(self, monkeypatch):
+        stall_s = 0.3
+        calls = []
+
+        async def blocking_once(host, port, target):
+            if not calls:
+                time.sleep(stall_s)  # blocks the event loop, not just a task
+            calls.append(target)
+            return 200, {"tier": "personalized", "generation": 0}
+
+        monkeypatch.setattr("repro.serve.loadgen.http_get_json", blocking_once)
+        config = LoadgenConfig(requests=20, mode="open", rate=50.0, seed=4)
+        generator = LoadGenerator(list(range(10)), config)
+        report = generator.run("127.0.0.1", 1)
+        offsets = [offset for _, offset in generator.schedule()]
+        assert len(report.records) == len(offsets) == len(calls)
+
+        stall_end = offsets[0] + stall_s
+        late = [
+            (record, stall_end - offset)
+            for record, offset in zip(report.records, offsets)
+            if offsets[0] < offset < stall_end
+        ]
+        assert late, "no request fell due during the stall"
+        for record, lateness in late:
+            assert record.latency_s >= lateness - 0.01
