@@ -37,12 +37,17 @@ from typing import Dict, Iterable, List, Optional, Sequence
 import numpy as np
 
 from repro.core.base import BaseRecommender, FittedState
+from repro.core.scoring import ExactUtilities, preference_edges
 from repro.privacy.mechanisms import validate_epsilon
 from repro.privacy.sensitivity import utility_query_sensitivity
 from repro.similarity.base import SimilarityMeasure
 from repro.types import ItemId, UserId
 
 __all__ = ["GroupAndSmooth", "select_group_size"]
+
+#: Item columns smoothed at a time, bounding the sort and gather
+#: temporaries at ``GROUP_BLOCK x |U|``.
+GROUP_BLOCK = 64
 
 
 class GroupAndSmooth(BaseRecommender):
@@ -87,34 +92,34 @@ class GroupAndSmooth(BaseRecommender):
         num_items = len(state.items)
         rng = np.random.default_rng(np.random.SeedSequence((self.seed, 3)))
 
-        # True utility matrix (needed to smooth) and reverse similarity
-        # index: reverse_sim[v] = [(u, sim(u, v)), ...] for sampling the
-        # rough-estimate targets.
-        true_utilities = np.zeros((num_users, num_items))
-        reverse_sim: Dict[UserId, List[tuple]] = {u: [] for u in self._users}
-        max_sim = 0.0
-        for u in self._users:
-            row = self._user_row[u]
-            for v, score in state.similarity.row(u).items():
-                max_sim = max(max_sim, score)
-                if v in reverse_sim:
-                    reverse_sim[v].append((row, score))
-                if not state.preferences.has_user(v):
-                    continue
-                for item, weight in state.preferences.items_of(v).items():
-                    true_utilities[row, state.item_index[item]] += score * weight
+        # True utilities (needed to smooth), rows in user order, and the
+        # reverse similarity index for sampling rough-estimate targets:
+        # column v lists (u, sim(u, v)) for every u with v in sim(u), u
+        # ascending.
+        exact = ExactUtilities(state.similarity, state.preferences, state.item_index)
+        true_utilities = exact.rows(self._users).toarray()
+        reverse_sim = state.similarity.row_matrix(self._users).tocsc()
+        max_sim = float(reverse_sim.data.max(initial=0.0))
 
         noiseless = math.isinf(self.epsilon)
         half_eps = self.epsilon / 2.0 if not noiseless else math.inf
 
         # Phase 1: rough estimates — each edge feeds one sampled target.
+        # One call draws them in edge order, consuming the stream as one
+        # scalar draw per edge would; np.add.at adds in that order too.
+        owners, items, weights = preference_edges(
+            state.preferences, state.similarity.column_users(), state.item_index
+        )
+        starts = reverse_sim.indptr[owners]
+        counts = reverse_sim.indptr[owners + 1] - starts
+        sampled = counts > 0
+        slots = starts[sampled] + rng.integers(0, counts[sampled])
         rough = np.zeros((num_users, num_items))
-        for v, item, weight in state.preferences.edges():
-            candidates = reverse_sim.get(v)
-            if not candidates:
-                continue
-            row, score = candidates[int(rng.integers(len(candidates)))]
-            rough[row, state.item_index[item]] += score * weight
+        np.add.at(
+            rough,
+            (reverse_sim.indices[slots], items[sampled]),
+            reverse_sim.data[slots] * weights[sampled],
+        )
         if not noiseless and max_sim > 0.0:
             rough += rng.laplace(0.0, max_sim / half_eps, size=rough.shape)
 
@@ -128,15 +133,31 @@ class GroupAndSmooth(BaseRecommender):
             0.0 if noiseless else (delta_nou / m) / half_eps if delta_nou else 0.0
         )
 
+        # Per item: stable sort by rough estimate, cut into groups of m,
+        # release each group's true mean plus one draw (column by column,
+        # group by group).  Blocks of columns bound the temporaries.
+        full, tail = divmod(num_users, m)
         estimates = np.zeros((num_users, num_items))
-        for col in range(num_items):
-            order = np.argsort(rough[:, col], kind="stable")
-            for start in range(0, num_users, m):
-                group = order[start : start + m]
-                mean = float(np.mean(true_utilities[group, col]))
-                if mean_scale > 0.0:
-                    mean += float(rng.laplace(0.0, mean_scale))
-                estimates[group, col] = mean
+        for start in range(0, num_items, GROUP_BLOCK):
+            block = slice(start, min(start + GROUP_BLOCK, num_items))
+            order = np.argsort(rough[:, block], axis=0, kind="stable")
+            ranked = np.ascontiguousarray(
+                np.take_along_axis(true_utilities[:, block], order, axis=0).T
+            )
+            width = ranked.shape[0]
+            means = np.empty((width, full + (tail > 0)))
+            grouped = ranked[:, : full * m].reshape(-1, m)
+            means[:, :full] = grouped.mean(axis=-1).reshape(width, full)
+            if tail:
+                means[:, full] = ranked[:, full * m :].mean(axis=-1)
+            if mean_scale > 0.0:
+                means += rng.laplace(0.0, mean_scale, size=means.shape)
+            np.put_along_axis(
+                estimates[:, block],
+                order,
+                np.repeat(means, m, axis=1)[:, :num_users].T,
+                axis=0,
+            )
         self._estimates = estimates
 
     def utilities(self, user: UserId) -> Dict[ItemId, float]:

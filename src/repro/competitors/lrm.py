@@ -26,6 +26,7 @@ from typing import Dict, List, Optional
 import numpy as np
 
 from repro.core.base import BaseRecommender, FittedState
+from repro.core.scoring import preference_matrix
 from repro.privacy.mechanisms import validate_epsilon
 from repro.similarity.base import SimilarityMeasure
 from repro.types import ItemId, UserId
@@ -80,22 +81,21 @@ class LowRankMechanism(BaseRecommender):
         num_users = len(self._users)
         num_items = len(state.items)
 
-        # Build the dense workload matrix W[u, v] = sim(u, v).
-        workload = np.zeros((num_users, num_users))
-        for u in self._users:
-            row = self._user_row[u]
-            for v, score in state.similarity.row(u).items():
-                col = self._user_row.get(v)
-                if col is not None:
-                    workload[row, col] = score
-
-        # Truncated SVD factorisation W ~ B L.
         if num_users == 0:
             self._B = np.zeros((0, 0))
             self._noisy_LD = np.zeros((0, num_items))
             self.rank_ = 0
             self.workload_rank_ = 0
             return
+
+        # The dense workload matrix W[u, v] = sim(u, v), both axes in
+        # user order (the cache's columns follow the kernel's order).
+        columns = {v: col for col, v in enumerate(state.similarity.column_users())}
+        workload = state.similarity.row_matrix(self._users)[
+            :, [columns[v] for v in self._users]
+        ].toarray()
+
+        # Truncated SVD factorisation W ~ B L.
         u_mat, singular, vt = np.linalg.svd(workload, full_matrices=False)
         cutoff = self.tolerance * (singular[0] if singular.size else 0.0)
         numerical_rank = int(np.sum(singular > cutoff))
@@ -108,11 +108,9 @@ class LowRankMechanism(BaseRecommender):
         factor_l = sqrt_s[:, np.newaxis] * vt[:r, :]
 
         # Preference indicator matrix D (|U| x |I|), then compressed answers.
-        indicator = np.zeros((num_users, num_items))
-        for user, item, weight in state.preferences.edges():
-            row = self._user_row.get(user)
-            if row is not None:
-                indicator[row, state.item_index[item]] = weight
+        indicator = preference_matrix(
+            state.preferences, self._users, state.item_index
+        ).toarray()
         compressed = factor_l @ indicator
 
         if math.isinf(self.epsilon) or num_items == 0:

@@ -30,7 +30,8 @@ from typing import Dict, Optional
 
 import numpy as np
 
-from repro.core.base import BaseRecommender, FittedState
+from repro.core.base import BaseRecommender, FittedState, NotFittedError
+from repro.core.scoring import ExactUtilities
 from repro.privacy.mechanisms import validate_epsilon
 from repro.privacy.sensitivity import utility_query_sensitivity
 from repro.similarity.base import SimilarityMeasure
@@ -66,12 +67,16 @@ class NoiseOnUtility(BaseRecommender):
         self.seed = seed
         self.sensitivity_: Optional[float] = None
         self._user_position: Dict[UserId, int] = {}
+        self._exact: Optional[ExactUtilities] = None
 
     def _prepare(self, state: FittedState) -> None:
         self.sensitivity_ = utility_query_sensitivity(
             state.social, self.measure, cache=state.similarity
         )
         self._user_position = {u: i for i, u in enumerate(state.social.users())}
+        self._exact = ExactUtilities(
+            state.similarity, state.preferences, state.item_index
+        )
 
     @property
     def noise_scale(self) -> float:
@@ -89,33 +94,14 @@ class NoiseOnUtility(BaseRecommender):
         zero-utility items would reveal which items the user's similarity
         set never touched.
         """
-        state = self.state
-        exact: Dict[ItemId, float] = {item: 0.0 for item in state.items}
-        for v, sim_score in state.similarity.row(user).items():
-            if not state.preferences.has_user(v):
-                continue
-            for item, weight in state.preferences.items_of(v).items():
-                exact[item] += sim_score * weight
-        scale = self.noise_scale
-        if scale == 0.0:
-            return exact
-        position = self._user_position.get(user)
-        rng = _user_rng(self.seed, position if position is not None else -1)
-        noise = rng.laplace(0.0, scale, size=len(state.items))
-        return {
-            item: exact[item] + float(noise[i])
-            for i, item in enumerate(state.items)
-        }
+        noisy = self._utility_vector(user)
+        return {item: float(noisy[i]) for i, item in enumerate(self.state.items)}
 
     def _utility_vector(self, user: UserId) -> np.ndarray:
         """Dense noisy utility vector aligned with ``state.items``."""
-        state = self.state
-        exact = np.zeros(len(state.items))
-        for v, sim_score in state.similarity.row(user).items():
-            if not state.preferences.has_user(v):
-                continue
-            for item, weight in state.preferences.items_of(v).items():
-                exact[state.item_index[item]] += sim_score * weight
+        if not self.is_fitted:
+            raise NotFittedError(self)
+        exact = self._exact.rows([user]).toarray()[0]
         scale = self.noise_scale
         if scale > 0.0:
             position = self._user_position.get(user)

@@ -11,9 +11,12 @@ NDCG scores every private ranking against the utilities computed here.
 
 from __future__ import annotations
 
-from typing import Dict
+from typing import Dict, Sequence
 
-from repro.core.base import BaseRecommender
+import scipy.sparse as sp
+
+from repro.core.base import BaseRecommender, FittedState, NotFittedError
+from repro.core.scoring import ExactUtilities
 from repro.types import ItemId, UserId
 
 __all__ = ["SocialRecommender"]
@@ -32,6 +35,22 @@ class SocialRecommender(BaseRecommender):
         ['a', 'b']
     """
 
+    def _prepare(self, state: FittedState) -> None:
+        self._exact = ExactUtilities(
+            state.similarity, state.preferences, state.item_index
+        )
+
+    def utility_rows(self, users: Sequence[UserId]) -> sp.csr_matrix:
+        """Exact utilities of ``users`` as sparse rows over ``state.items``.
+
+        Raises:
+            NotFittedError: when ``fit`` has not run yet.
+            NodeNotFoundError: for a user outside the social graph.
+        """
+        if not self.is_fitted:
+            raise NotFittedError(self)
+        return self._exact.rows(users)
+
     def utilities(self, user: UserId) -> Dict[ItemId, float]:
         """Exact utilities of all items with non-zero score for ``user``.
 
@@ -40,11 +59,6 @@ class SocialRecommender(BaseRecommender):
         would only slow ranking down.  Ranking treats missing items as
         zero-utility, matching the paper.
         """
-        state = self.state
-        scores: Dict[ItemId, float] = {}
-        for v, sim_score in state.similarity.row(user).items():
-            if not state.preferences.has_user(v):
-                continue
-            for item, weight in state.preferences.items_of(v).items():
-                scores[item] = scores.get(item, 0.0) + sim_score * weight
-        return scores
+        row = self.utility_rows([user])
+        items = self.state.items
+        return dict(zip([items[j] for j in row.indices.tolist()], row.data.tolist()))

@@ -17,17 +17,31 @@ entry per row), the order a per-user loop over the row would use;
 callers needing two kernels to agree bit for bit pass column-sorted
 copies.  ``E`` is one mat-vec for a single user and one mat-mul against
 the contiguous ``W_hat^T`` for a block, so each path keeps its sums.
+
+The exact utilities of Definition 3, ``mu_u^i = sum_v sim(u, v) w(v, i)``,
+are one sparse product too (:class:`ExactUtilities`)::
+
+    W  = the users x items preference weights, over the kernel's user order
+    mu = S[users] @ W
+
+Scipy's product accumulates ``mu[u, i]`` from zero along ``S``'s row
+in the order :meth:`~repro.similarity.base.SimilarityCache.row_matrix`
+keeps it, the order a loop over ``row(u)`` uses (``W`` contributes one
+term per row), so every value is the loop's to the bit.  The exact
+recommender, the evaluation reference, the sweep engine's ideal
+utilities and the NOU, LRM and GS baselines all read ``mu`` from here.
 """
 
 from __future__ import annotations
 
-from typing import Dict, Optional, Sequence, Tuple
+from typing import Dict, List, Mapping, Optional, Sequence, Tuple
 
 import numpy as np
 import scipy.sparse as sp
 
 from repro.community.clustering import Clustering
 from repro.exceptions import NodeNotFoundError
+from repro.graph.preference_graph import PreferenceGraph
 from repro.obs.registry import incr as obs_incr
 from repro.resilience.degradation import (
     DEGRADATION_LADDER,
@@ -42,10 +56,13 @@ from repro.types import ItemId, RecommendationList, UserId, as_recommendation_li
 __all__ = [
     "RANK_BLOCK",
     "ClusterProfile",
+    "ExactUtilities",
     "ReleaseScorer",
     "cluster_indicator",
     "estimate_rows",
     "ladder_estimates",
+    "preference_edges",
+    "preference_matrix",
     "profile_rows",
     "rank_rows",
     "ranked_list",
@@ -118,6 +135,75 @@ class ClusterProfile:
             start, stop = self.matrix.indptr[position : position + 2]
             vector[self.matrix.indices[start:stop]] = self.matrix.data[start:stop]
         return vector
+
+
+def preference_edges(
+    preferences: PreferenceGraph,
+    users: Sequence[UserId],
+    item_index: Mapping[ItemId, int],
+) -> Tuple[np.ndarray, np.ndarray, np.ndarray]:
+    """``(rows, columns, weights)`` of the edges of ``users``.
+
+    ``rows`` index ``users`` and ``columns`` ``item_index``; the edges
+    come in :meth:`PreferenceGraph.edges` order, and edges of users
+    outside ``users`` are left out.
+    """
+    index = {user: row for row, user in enumerate(users)}
+    rows: List[int] = []
+    columns: List[int] = []
+    weights: List[float] = []
+    for user in preferences.users():
+        row = index.get(user)
+        if row is None:
+            continue
+        owned = preferences.items_of(user)
+        rows.extend([row] * len(owned))
+        columns.extend(map(item_index.__getitem__, owned))
+        weights.extend(owned.values())
+    return (
+        np.array(rows, dtype=np.intp),
+        np.array(columns, dtype=np.intp),
+        np.array(weights, dtype=float),
+    )
+
+
+def preference_matrix(
+    preferences: PreferenceGraph,
+    users: Sequence[UserId],
+    item_index: Mapping[ItemId, int],
+) -> sp.csr_matrix:
+    """``W``: ``w(v, i)`` at row ``v`` of ``users``, column ``item_index[i]``."""
+    rows, columns, weights = preference_edges(preferences, users, item_index)
+    return sp.csr_matrix(
+        (weights, (rows, columns)), shape=(len(users), len(item_index))
+    )
+
+
+class ExactUtilities:
+    """Definition 3's exact utilities ``mu = S @ W`` for one fit.
+
+    ``W`` is built once, over the similarity cache's column order; each
+    call is then one sparse product over the cache's kernel rows.
+    """
+
+    def __init__(
+        self,
+        similarity,  # SimilarityCache
+        preferences: PreferenceGraph,
+        item_index: Mapping[ItemId, int],
+    ) -> None:
+        self.similarity = similarity
+        self.weights = preference_matrix(
+            preferences, similarity.column_users(), item_index
+        )
+
+    def rows(self, users: Sequence[UserId]) -> sp.csr_matrix:
+        """``mu`` of each of ``users`` as sparse rows over the items.
+
+        Raises:
+            NodeNotFoundError: for a user outside the social graph.
+        """
+        return self.similarity.row_matrix(users) @ self.weights
 
 
 def estimate_rows(profile: np.ndarray, release_t: np.ndarray) -> np.ndarray:

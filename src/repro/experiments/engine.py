@@ -404,8 +404,6 @@ class SweepEngine:
         self._clusters: Dict[int, _ClusterArrays] = {}
         self._columns: Dict[Tuple[int, int], np.ndarray] = {}
         self._profiles: Dict[Tuple[str, int, int], np.ndarray] = {}
-        self._item_index: Optional[Dict[ItemId, int]] = None
-        self._items_list: List[ItemId] = []
         self._spill_dir: Optional[tempfile.TemporaryDirectory] = None
         self._spill_paths: Dict[tuple, str] = {}
         self._spill_count = 0
@@ -478,13 +476,6 @@ class SweepEngine:
             self.stats.compute = cache.last_compute_stats
         return bundle
 
-    def _items(self) -> Tuple[List[ItemId], Dict[ItemId, int]]:
-        if self._item_index is None:
-            items = list(self.dataset.preferences.items())
-            self._item_index = {item: i for i, item in enumerate(items)}
-            self._items_list = items
-        return self._items_list, self._item_index
-
     def _eval_for(self, context: EvaluationContext, bundle: _KernelBundle) -> _EvalArrays:
         arrays = self._evals.get(id(context))
         if arrays is not None:
@@ -496,20 +487,23 @@ class SweepEngine:
                 f"evaluation users missing from the similarity kernel: "
                 f"{missing[:5]!r}"
             )
+        if (
+            context.utility_rows is None
+            or context.dataset.preferences.items()
+            != self.dataset.preferences.items()
+        ):
+            raise ExperimentError(
+                "the sweep engine scores contexts from EvaluationContext.build "
+                "over its own dataset's items"
+            )
         positions = np.array([index[u] for u in context.users], dtype=np.intp)
-        _, item_index = self._items()
-        utilities = np.zeros((len(context.users), len(item_index)))
-        for row, user in enumerate(context.users):
-            for item, value in context.ideal_utilities[user].items():
-                column = item_index.get(item)
-                if column is not None:
-                    utilities[row, column] = value
+        utilities = context.utility_rows.toarray()
+        # Utilities are non-negative and a tie has one gain, so the
+        # reference ranking's gains are each row's largest utilities in
+        # descending order, then zeros.
         reference_gains = np.zeros((len(context.users), context.max_n))
-        for row, user in enumerate(context.users):
-            ideal = context.ideal_utilities[user]
-            ranking = context.reference_rankings[user]
-            for position, item in enumerate(ranking[: context.max_n]):
-                reference_gains[row, position] = ideal.get(item, 0.0)
+        top = -np.sort(-utilities, axis=1)[:, : context.max_n]
+        reference_gains[:, : top.shape[1]] = top
         arrays = _EvalArrays(
             context=context,
             positions=positions,
@@ -639,7 +633,9 @@ class SweepEngine:
 
         Raises:
             ExperimentError: for invalid cutoffs/repeats (mirrors the
-                reference path's validation).
+                reference path's validation), or a context that
+                :meth:`EvaluationContext.build` did not build over this
+                engine's items.
         """
         with span("engine.evaluate_many"):
             return self._evaluate_many(context, clustering, cells, base_seed)

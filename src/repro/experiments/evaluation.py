@@ -19,15 +19,18 @@ from __future__ import annotations
 
 import statistics
 from dataclasses import dataclass, field
-from typing import Callable, Dict, List, Optional, Sequence
+from typing import Callable, Dict, List, Optional, Sequence, Tuple
 
 import numpy as np
+import scipy.sparse as sp
 
 from repro.core.base import BaseRecommender
 from repro.core.recommender import SocialRecommender
 from repro.datasets.dataset import SocialRecDataset
 from repro.exceptions import ExperimentError
 from repro.metrics.ndcg import average_ndcg
+from repro.metrics.ranking import rank_items
+from repro.obs.spans import span
 from repro.similarity.base import SimilarityCache, SimilarityMeasure
 from repro.types import ItemId, UserId
 
@@ -51,6 +54,9 @@ class EvaluationContext:
         ideal_utilities: per-user true utility maps.
         similarity: the reference's similarity cache, whose kernel the
             sweep engine reuses (None for a hand-assembled context).
+        utility_rows: the ideal utilities as sparse rows, one per user,
+            over the dataset's items: the matrix the sweep engine scores
+            against (None for a hand-assembled context).
     """
 
     dataset: SocialRecDataset
@@ -60,6 +66,9 @@ class EvaluationContext:
     reference_rankings: Dict[UserId, List[ItemId]] = field(repr=False)
     ideal_utilities: Dict[UserId, Dict[ItemId, float]] = field(repr=False)
     similarity: Optional[SimilarityCache] = field(
+        default=None, init=False, repr=False, compare=False
+    )
+    utility_rows: Optional[sp.csr_matrix] = field(
         default=None, init=False, repr=False, compare=False
     )
 
@@ -99,21 +108,23 @@ class EvaluationContext:
                 rng = np.random.default_rng(np.random.SeedSequence((seed, 23)))
                 chosen = rng.choice(len(all_users), size=sample_size, replace=False)
                 all_users = [all_users[int(i)] for i in sorted(chosen)]
-        reference = SocialRecommender(measure, n=max_n)
-        reference.fit(dataset.social, dataset.preferences)
-        ideal = {u: reference.utilities(u) for u in all_users}
-        rankings = {
-            u: reference.recommend(u, n=max_n).item_ids() for u in all_users
-        }
-        context = cls(
-            dataset=dataset,
-            measure=measure,
-            users=list(all_users),
-            max_n=max_n,
-            reference_rankings=rankings,
-            ideal_utilities=ideal,
-        )
-        context.similarity = reference.state.similarity
+        with span("experiments.reference"):
+            reference = SocialRecommender(measure, n=max_n)
+            reference.fit(dataset.social, dataset.preferences)
+            utilities = reference.utility_rows(all_users)
+            ideal, rankings = _reference_answers(
+                utilities, all_users, reference.state.items, max_n
+            )
+            context = cls(
+                dataset=dataset,
+                measure=measure,
+                users=list(all_users),
+                max_n=max_n,
+                reference_rankings=rankings,
+                ideal_utilities=ideal,
+            )
+            context.similarity = reference.state.similarity
+            context.utility_rows = utilities
         return context
 
     def ndcg_of_rankings(
@@ -153,6 +164,41 @@ class EvaluationContext:
             )
             for u in self.users
         }
+
+
+def _reference_answers(
+    utilities: sp.csr_matrix,
+    users: Sequence[UserId],
+    items: Sequence[ItemId],
+    limit: int,
+) -> Tuple[Dict[UserId, Dict[ItemId, float]], Dict[UserId, List[ItemId]]]:
+    """Each user's ideal-utility map and reference top-``limit`` ranking.
+
+    A map holds the items stored in the user's row of ``utilities``.  The
+    ranking orders them as :func:`rank_items` does — descending utility,
+    then ascending item identifier — by one ``lexsort`` over identifier
+    ranks when the identifiers sort, else through ``rank_items`` itself.
+    """
+    try:
+        by_identifier = sorted(range(len(items)), key=items.__getitem__)
+    except TypeError:  # identifiers of mixed types
+        identifier_rank = None
+    else:
+        identifier_rank = np.empty(len(items), dtype=np.intp)
+        identifier_rank[by_identifier] = np.arange(len(items))
+    ideal: Dict[UserId, Dict[ItemId, float]] = {}
+    rankings: Dict[UserId, List[ItemId]] = {}
+    bounds = zip(users, utilities.indptr[:-1], utilities.indptr[1:])
+    for user, start, stop in bounds:
+        columns = utilities.indices[start:stop]
+        values = utilities.data[start:stop]
+        ideal[user] = dict(zip([items[j] for j in columns.tolist()], values.tolist()))
+        if identifier_rank is None:
+            rankings[user] = rank_items(ideal[user], n=limit)
+        else:
+            order = np.lexsort((identifier_rank[columns], -values))[:limit]
+            rankings[user] = [items[j] for j in columns[order].tolist()]
+    return ideal, rankings
 
 
 def evaluate_recommender(

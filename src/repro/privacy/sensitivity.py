@@ -17,7 +17,10 @@ These are the quantities Theorems 1/3 calibrate the Laplace noise against.
 
 from __future__ import annotations
 
-from typing import Dict, Iterable, Optional
+from typing import Dict, Optional, Sequence
+
+import numpy as np
+import scipy.sparse as sp
 
 from repro.community.clustering import Clustering
 from repro.graph.social_graph import SocialGraph
@@ -29,7 +32,19 @@ __all__ = [
     "edge_weight_sensitivity",
     "cluster_average_sensitivity",
     "similarity_column_sums",
+    "column_sums",
 ]
+
+
+def column_sums(rows: sp.spmatrix, users: Sequence[UserId]) -> Dict[UserId, float]:
+    """``sum_u rows[u, v]`` for the user ``v`` of every column.
+
+    Each column accumulates down ``rows`` in row order, one sequential
+    pass over the CSR entries.
+    """
+    rows = sp.csr_matrix(rows)
+    sums = np.bincount(rows.indices, weights=rows.data, minlength=len(users))
+    return {user: float(sums[i]) for i, user in enumerate(users)}
 
 
 def similarity_column_sums(
@@ -40,7 +55,9 @@ def similarity_column_sums(
     """``sum_u sim(u, v)`` for every user ``v``.
 
     This is how much total utility mass a single user's preference edge can
-    inject across all other users' queries for one item.
+    inject across all other users' queries for one item.  The sums read
+    the cache's rows (:meth:`SimilarityCache.row_matrix`) and accumulate
+    over ``u`` in ``graph.users()`` order.
 
     Args:
         graph: the social graph.
@@ -49,11 +66,9 @@ def similarity_column_sums(
     """
     if cache is None:
         cache = SimilarityCache(measure, graph)
-    sums: Dict[UserId, float] = {u: 0.0 for u in graph.users()}
-    for u in graph.users():
-        for v, score in cache.row(u).items():
-            sums[v] = sums.get(v, 0.0) + score
-    return sums
+    users = graph.users()
+    sums = column_sums(cache.row_matrix(users), cache.column_users())
+    return {user: sums[user] for user in users}
 
 
 def utility_query_sensitivity(

@@ -14,7 +14,10 @@ sweep per user instead of O(|U|) pairwise calls.
 from __future__ import annotations
 
 import abc
-from typing import Callable, Dict, FrozenSet, List, Optional, Type
+from typing import Callable, Dict, FrozenSet, List, Optional, Sequence
+
+import numpy as np
+import scipy.sparse as sp
 
 from repro.exceptions import SimilarityError
 from repro.graph.protocol import GraphLike
@@ -190,6 +193,50 @@ class SimilarityCache:
         cached = self._measure.similarity_row(self._graph, user)
         self._rows[user] = cached
         return cached
+
+    def _column_order(self):
+        """The held kernel, else the graph's adjacency export: both carry
+        the graph's stable user order as ``users`` and ``index``."""
+        if self._kernel is not None:
+            return self._kernel
+        from repro.compute.adjacency import adjacency_csr
+
+        return adjacency_csr(self._graph)
+
+    def column_users(self) -> Sequence[UserId]:
+        """The column order of :meth:`row_matrix`: the kernel's user order.
+
+        That is the graph's stable user order, which every kernel of the
+        graph follows, so it does not change when a kernel arrives later.
+        """
+        return self._column_order().users
+
+    def row_matrix(self, users: Sequence[UserId]) -> sp.csr_matrix:
+        """``row(u)`` of each of ``users`` as one CSR row over :meth:`column_users`.
+
+        Each row holds its entries in the order :meth:`row` iterates
+        them (a kernel row's stored order, a python row's dict order),
+        so a product over the result sums exactly as a loop over
+        ``row(u)`` does.
+
+        Raises:
+            NodeNotFoundError: for a user outside the graph.
+        """
+        if self._kernel is None and self._resolved_backend() == "vectorized":
+            self.ensure_kernel()
+        kernel, memoised = self._kernel, self._rows
+        if kernel is not None and all(
+            user in kernel.index and user not in memoised for user in users
+        ):
+            rows = kernel.matrix[[kernel.index[user] for user in users]]
+            rows.eliminate_zeros()  # row() skips stored zeros
+            return rows
+        rows = [self.row(user) for user in users]
+        columns = self._column_order().index
+        indptr = np.cumsum([0] + [len(row) for row in rows])
+        indices = [columns[other] for row in rows for other in row]
+        data = [score for row in rows for score in row.values()]
+        return sp.csr_matrix((data, indices, indptr), shape=(len(rows), len(columns)))
 
     def similarity(self, u: UserId, v: UserId) -> float:
         """Cached ``sim(u, v)``."""

@@ -117,9 +117,15 @@ class SimilarityMatrix:
         }
 
     def column_sums(self) -> Dict[UserId, float]:
-        """``sum_u sim(u, v)`` per user — the NOU sensitivity inputs."""
-        sums = np.asarray(self.matrix.sum(axis=0)).ravel()
-        return {user: float(sums[i]) for i, user in enumerate(self.users)}
+        """``sum_u sim(u, v)`` per user — the NOU sensitivity inputs.
+
+        Accumulated over ``u`` in row order by
+        :func:`repro.privacy.sensitivity.column_sums`, the one
+        implementation the NOU and GS sensitivity reads.
+        """
+        from repro.privacy.sensitivity import column_sums
+
+        return column_sums(self.matrix, self.users)
 
 
 def adjacency_matrix(graph: SocialGraph):

@@ -11,6 +11,7 @@ import math
 import pytest
 
 from repro.core.private import PrivateSocialRecommender, louvain_strategy
+from repro.exceptions import ExperimentError
 from repro.experiments.comparison import run_comparison
 from repro.experiments.degree_effect import run_degree_effect
 from repro.experiments.engine import (
@@ -86,6 +87,18 @@ class TestValidation:
     def test_bad_backend_rejected(self, lastfm_small):
         with pytest.raises(ValueError):
             SweepEngine(lastfm_small, backend="gpu")
+
+    def test_hand_assembled_context_rejected(self, engine, context, clustering):
+        assembled = EvaluationContext(
+            dataset=context.dataset,
+            measure=context.measure,
+            users=context.users,
+            max_n=context.max_n,
+            reference_rankings=context.reference_rankings,
+            ideal_utilities=context.ideal_utilities,
+        )
+        with pytest.raises(ExperimentError, match="EvaluationContext.build"):
+            engine.evaluate_many(assembled, clustering, [(1.0, [10], 1)])
 
 
 class TestEquivalence:
