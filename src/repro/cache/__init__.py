@@ -3,9 +3,9 @@
 The utility/privacy trade-off of the framework depends only on the
 released noisy aggregates; the all-pairs similarity matrices that batch
 serving multiplies against them are pure functions of *public* inputs.
-This package therefore caches those kernels on disk — content-addressed,
-checksummed, memory-mappable — and reuses them across runs, processes,
-and pool workers at zero privacy cost.
+This package therefore caches those kernels on disk — content-addressed
+and checksummed — and reuses them across runs and processes at zero
+privacy cost.
 
 - :mod:`repro.cache.keys` — content-hash keys over graph structure and
   measure parameters.
@@ -28,7 +28,6 @@ from repro.cache.store import (
     SimilarityStore,
     load_kernel_artifact,
     load_or_build_kernel,
-    open_kernel_csr,
     save_kernel_artifact,
 )
 
@@ -42,7 +41,6 @@ __all__ = [
     "load_kernel_artifact",
     "load_or_build_kernel",
     "measure_fingerprint",
-    "open_kernel_csr",
     "save_kernel_artifact",
     "similarity_cache_key",
 ]

@@ -15,11 +15,7 @@ each kernel as a single ``.npz`` artifact:
   never a crash and never wrong results;
 - **atomic** — written to a sibling temp file, fsynced, then
   ``os.replace``d into place, so a crash leaves either the old artifact
-  or none;
-- **memory-mappable** — arrays are stored uncompressed, and
-  :func:`open_kernel_csr` maps them straight out of the zip container so
-  pool workers share one page-cache copy instead of each re-reading (or
-  worse, recomputing) the kernel.
+  or none.
 
 :class:`SimilarityStore` fronts the directory with a small in-memory LRU
 and hit/miss/eviction counters (:class:`CacheStats`).
@@ -30,7 +26,6 @@ from __future__ import annotations
 import hashlib
 import json
 import os
-import zipfile
 from collections import OrderedDict
 from dataclasses import dataclass
 from typing import Callable, List, Optional, Tuple
@@ -58,7 +53,6 @@ __all__ = [
     "SimilarityStore",
     "load_kernel_artifact",
     "load_or_build_kernel",
-    "open_kernel_csr",
     "save_kernel_artifact",
 ]
 
@@ -83,9 +77,9 @@ def save_kernel_artifact(
 ) -> None:
     """Atomically write ``matrix`` as a checksummed kernel artifact.
 
-    The arrays are stored *uncompressed* (``np.savez``) so loaders can
-    memory-map them in place; similarity kernels are sparse enough that
-    the size cost is small next to the recompute cost they avoid.
+    The arrays are stored *uncompressed* (``np.savez``), so a load is a
+    plain read with no inflate pass; similarity kernels are sparse enough
+    that the size cost is small next to the recompute cost they avoid.
 
     Raises:
         OSError: for IO failures while writing.
@@ -195,76 +189,6 @@ def load_kernel_artifact(path: str) -> Tuple[SimilarityMatrix, dict]:
     return matrix, metadata
 
 
-def _member_memmap(path: str, name: str) -> Optional[np.ndarray]:
-    """Memory-map one uncompressed ``.npy`` member of a zip archive.
-
-    Returns None when the member is compressed or otherwise unmappable,
-    in which case the caller falls back to a regular read.
-    """
-    try:
-        with zipfile.ZipFile(path) as archive:
-            info = archive.getinfo(name)
-            if info.compress_type != zipfile.ZIP_STORED:
-                return None
-            with open(path, "rb") as handle:
-                handle.seek(info.header_offset)
-                local_header = handle.read(30)
-                if len(local_header) != 30 or local_header[:4] != b"PK\x03\x04":
-                    return None
-                name_length = int.from_bytes(local_header[26:28], "little")
-                extra_length = int.from_bytes(local_header[28:30], "little")
-                handle.seek(info.header_offset + 30 + name_length + extra_length)
-                version = np.lib.format.read_magic(handle)
-                if version == (1, 0):
-                    shape, fortran, dtype = np.lib.format.read_array_header_1_0(handle)
-                elif version == (2, 0):
-                    shape, fortran, dtype = np.lib.format.read_array_header_2_0(handle)
-                else:
-                    return None
-                if dtype.hasobject:
-                    return None
-                offset = handle.tell()
-        return np.memmap(
-            path,
-            dtype=dtype,
-            shape=shape,
-            order="F" if fortran else "C",
-            mode="r",
-            offset=offset,
-        )
-    except (OSError, KeyError, ValueError):
-        return None
-
-
-def open_kernel_csr(path: str) -> sp.csr_matrix:
-    """Open an artifact's CSR matrix, memory-mapping the buffers in place.
-
-    Pool workers use this instead of :func:`load_kernel_artifact`: the
-    arrays stay on disk (shared through the page cache across workers)
-    and no checksum pass is paid — integrity was verified by the parent
-    when it produced or first loaded the artifact.  Falls back to a
-    regular verified load when mapping is not possible.
-
-    Raises:
-        CacheIntegrityError / OSError: as :func:`load_kernel_artifact`
-            (fallback path only).
-    """
-    data = _member_memmap(path, "data.npy")
-    indices = _member_memmap(path, "indices.npy")
-    indptr = _member_memmap(path, "indptr.npy")
-    if data is not None and indices is not None and indptr is not None:
-        try:
-            # NpzFile reads members lazily, so this touches only the
-            # small metadata vector, not the mapped buffers.
-            with np.load(path) as archive:
-                shape = tuple(json.loads(bytes(archive["metadata"]))["shape"])
-        except Exception:
-            shape = (indptr.shape[0] - 1, indptr.shape[0] - 1)
-        return sp.csr_matrix((data, indices, indptr), shape=shape, copy=False)
-    matrix, _ = load_kernel_artifact(path)
-    return matrix.matrix
-
-
 @dataclass
 class CacheStats:
     """Counters for one :class:`SimilarityStore` instance.
@@ -317,8 +241,8 @@ class CacheLookup:
 
     Attributes:
         matrix: the kernel, from memory, disk, or a fresh computation.
-        path: the on-disk artifact backing it (valid for memory-mapping),
-            or None when no store holds it.
+        path: the on-disk artifact backing it, or None when no store
+            holds it.
         hit: True when no recomputation happened.
     """
 
@@ -400,7 +324,7 @@ class SimilarityStore:
         verified), then ``compute()``.  A corrupt artifact is deleted,
         recomputed, and rewritten — corruption costs time, never
         correctness.  The returned path always names a fresh, valid
-        artifact, so pool workers can map it immediately.
+        artifact.
         """
         key = self.key_for(graph, measure)
         path = self.path_for(key)

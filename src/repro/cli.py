@@ -9,8 +9,8 @@ Commands:
 - ``attack``         — the Section 2.3 Sybil attack demonstration.
 - ``check-release``  — verify a saved release artifact's integrity and
   provenance (optionally Monte-Carlo-auditing its epsilon claim).
-- ``batch``          — serve top-N lists for every user at once (sharded
-  workers + similarity cache), reporting throughput counters.
+- ``batch``          — serve top-N lists for every user at once (chunked
+  dense scoring + similarity cache), reporting throughput counters.
 - ``cache``          — manage the persistent similarity-kernel cache
   (``info`` / ``warm`` / ``prune``).
 - ``obs``            — inspect recorded observability data:
@@ -218,13 +218,6 @@ def build_parser() -> argparse.ArgumentParser:
         "matmul, 'reference' keeps the per-user loop (identical numbers)",
     )
     p_trade.add_argument(
-        "--workers",
-        type=_positive_int,
-        default=None,
-        help="process-pool size; >= 2 fans epsilon cells out in parallel "
-        "(vectorized engine only)",
-    )
-    p_trade.add_argument(
         "--cache-dir",
         default=None,
         help="persist/reuse similarity kernels in this directory "
@@ -351,24 +344,12 @@ def build_parser() -> argparse.ArgumentParser:
 
     p_batch = sub.add_parser(
         "batch",
-        help="serve top-N recommendations for every user in one sharded pass",
+        help="serve top-N recommendations for every user in one batch pass",
     )
     _add_dataset_arguments(p_batch)
     p_batch.add_argument("--measure", default="cn")
     p_batch.add_argument("--epsilon", type=_parse_epsilon, default=0.5)
     p_batch.add_argument("--n", type=_positive_int, default=10)
-    p_batch.add_argument(
-        "--workers",
-        type=_positive_int,
-        default=None,
-        help="process-pool size; >= 2 enables sharded parallel scoring",
-    )
-    p_batch.add_argument(
-        "--shard-size",
-        type=_positive_int,
-        default=None,
-        help="users per shard (default: 4 shards per worker)",
-    )
     p_batch.add_argument(
         "--cache-dir",
         default=None,
@@ -773,7 +754,6 @@ def _cmd_tradeoff(args: argparse.Namespace) -> int:
         seed=args.seed,
         checkpoint=args.checkpoint,
         engine=args.engine,
-        workers=args.workers,
         store=store,
         backend=args.backend,
     )
@@ -783,15 +763,11 @@ def _cmd_tradeoff(args: argparse.Namespace) -> int:
     stats = getattr(cells, "stats", None)
     if stats is not None:
         print(
-            f"engine:      mode={stats.mode}, {stats.workers} worker(s), "
-            f"{stats.cells} cell(s) x {stats.repeats} repeat(s) over "
-            f"{stats.measures} measure(s) in {stats.wall_seconds:.2f}s"
+            f"engine:      {stats.cells} cell(s) x {stats.repeats} repeat(s) "
+            f"over {stats.measures} measure(s) in {stats.wall_seconds:.2f}s"
         )
-        if stats.fallback_cells or stats.legacy_cells:
-            print(
-                f"degraded:    {stats.fallback_cells} cell(s) retried "
-                f"sequentially, {stats.legacy_cells} on the per-user path"
-            )
+        if stats.legacy_cells:
+            print(f"degraded:    {stats.legacy_cells} cell(s) on the per-user path")
         print(
             f"kernel:      {stats.kernel_seconds * 1000:.0f} ms "
             f"({stats.cache_hits} cache hit(s), {stats.cache_misses} miss(es))"
@@ -1131,8 +1107,6 @@ def _cmd_batch(args: argparse.Namespace) -> int:
         recommender,
         n=args.n,
         store=store,
-        workers=args.workers,
-        shard_size=args.shard_size,
         backend=args.backend,
     )
     stats = results.stats
@@ -1140,7 +1114,7 @@ def _cmd_batch(args: argparse.Namespace) -> int:
     preview = ", ".join(shard_ms[:8]) + (", ..." if len(shard_ms) > 8 else "")
     print(
         f"served {stats.users_served} users in {stats.wall_seconds:.2f}s "
-        f"({stats.rows_per_second:,.0f} rows/s, mode={stats.mode})"
+        f"({stats.rows_per_second:,.0f} rows/s)"
     )
     print(
         f"shards:      {stats.num_shards} "
@@ -1172,7 +1146,7 @@ def _format_compute_stats(compute) -> str:
         f"{compute.rows} rows at {compute.rows_per_second:,.0f} rows/s"
     )
     if compute.blocks:
-        line += f", {compute.blocks} block(s) x {compute.workers} worker(s)"
+        line += f", {compute.blocks} block(s)"
     if compute.fallbacks:
         line += f", {compute.fallbacks} fallback(s)"
     if stages:

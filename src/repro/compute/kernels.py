@@ -15,11 +15,10 @@ time** so peak memory stays bounded by
   scoring ``1/d`` exactly; this covers *any* cutoff, not just the
   paper's d <= 2.
 
-Every closed form decomposes row-wise, so blocks can be computed
-independently and fanned out across a ``ProcessPoolExecutor`` (workers
-receive the shared CSR buffers once and return CSR block buffers); the
-assembled kernel streams into :class:`~repro.similarity.matrix.SimilarityMatrix`
-without a dense intermediate.
+Every closed form decomposes row-wise, so blocks are computed one after
+another in-process; the assembled kernel streams into
+:class:`~repro.similarity.matrix.SimilarityMatrix` without a dense
+intermediate.
 
 Equivalence is the contract: each block builder reproduces the python
 rows within 1e-9 (Katz and Graph Distance bit-exactly — integer path
@@ -32,7 +31,6 @@ from __future__ import annotations
 import os
 import tempfile
 import time
-from concurrent.futures import ProcessPoolExecutor
 from typing import Any, Dict, List, Optional, Tuple
 
 import numpy as np
@@ -369,27 +367,6 @@ def _build_block(
     raise ReproError(f"unknown kernel kind {kind!r}")  # pragma: no cover
 
 
-_CsrParts = Tuple[np.ndarray, np.ndarray, np.ndarray, Tuple[int, int]]
-
-
-def _block_worker(
-    adjacency_parts: _CsrParts,
-    degrees: np.ndarray,
-    start: int,
-    stop: int,
-    params: Dict[str, Any],
-) -> _CsrParts:
-    """Pool-worker entry point: build one row block from shared buffers.
-
-    Module-level so it pickles under every start method; returns the
-    block's CSR buffers (cheaper to transfer than a pickled spmatrix).
-    """
-    data, indices, indptr, shape = adjacency_parts
-    adjacency = sp.csr_matrix((data, indices, indptr), shape=shape)
-    block = _build_block(adjacency, degrees, start, stop, params)
-    return block.data, block.indices, block.indptr, block.shape
-
-
 # ----------------------------------------------------------------------
 # kernel construction
 # ----------------------------------------------------------------------
@@ -428,7 +405,6 @@ def _vectorized_kernel(
     measure: Any,
     params: Dict[str, Any],
     block_size: int,
-    workers: Optional[int],
     memory_budget_bytes: Optional[int],
     stats: ComputeStats,
 ) -> SimilarityMatrix:
@@ -448,57 +424,29 @@ def _vectorized_kernel(
     if memory_budget_bytes is not None:
         with tempfile.TemporaryDirectory(prefix="kernel-spill-") as spill_dir:
             return _run_blocks(
-                adj, bounds, params, workers, stats,
-                spiller=_BlockSpiller(spill_dir, stats),
+                adj, bounds, params, stats, spiller=_BlockSpiller(spill_dir, stats)
             )
-    return _run_blocks(adj, bounds, params, workers, stats, spiller=None)
+    return _run_blocks(adj, bounds, params, stats, spiller=None)
 
 
 def _run_blocks(
     adj: CSRAdjacency,
     bounds: List[Tuple[int, int]],
     params: Dict[str, Any],
-    workers: Optional[int],
     stats: ComputeStats,
     spiller: Optional[_BlockSpiller],
 ) -> SimilarityMatrix:
     n = adj.num_users
     stage_start = time.perf_counter()
     blocks: List[sp.csr_matrix] = []
-
-    def _finish_block(block: sp.csr_matrix) -> None:
-        if spiller is not None:
-            spiller.add(block)
-        else:
-            blocks.append(block)
-
-    if workers is not None and workers > 1 and len(bounds) > 1:
-        stats.workers = workers
-        adjacency_parts = (
-            adj.matrix.data,
-            adj.matrix.indices,
-            adj.matrix.indptr,
-            adj.matrix.shape,
-        )
-        with ProcessPoolExecutor(max_workers=workers) as pool:
-            futures = [
-                pool.submit(
-                    _block_worker, adjacency_parts, adj.degrees, start, stop, params
-                )
-                for start, stop in bounds
-            ]
-            for future in futures:
-                data, indices, indptr, shape = future.result()
-                _finish_block(
-                    sp.csr_matrix((data, indices, indptr), shape=shape)
-                )
-    else:
-        for start, stop in bounds:
-            with span("compute.kernel.block"):
-                fault_point("compute.kernel.block")
-                _finish_block(
-                    _build_block(adj.matrix, adj.degrees, start, stop, params)
-                )
+    for start, stop in bounds:
+        with span("compute.kernel.block"):
+            fault_point("compute.kernel.block")
+            block = _build_block(adj.matrix, adj.degrees, start, stop, params)
+            if spiller is not None:
+                spiller.add(block)
+            else:
+                blocks.append(block)
     stats.add_stage("blocks", time.perf_counter() - stage_start)
 
     stage_start = time.perf_counter()
@@ -517,7 +465,6 @@ def build_kernel(
     *,
     backend: str = "auto",
     block_size: int = DEFAULT_BLOCK_SIZE,
-    workers: Optional[int] = None,
     memory_budget_bytes: Optional[int] = None,
     stats: Optional[ComputeStats] = None,
 ) -> SimilarityMatrix:
@@ -534,8 +481,6 @@ def build_kernel(
             fall back), or ``"python"`` (reference row loop).
         block_size: kernel rows per construction block; bounds peak
             memory on the vectorised path.
-        workers: with ``workers >= 2``, fan row blocks out across a
-            process pool (vectorised path only).
         memory_budget_bytes: hard target for the construction working
             set (vectorised path).  When set, block bounds are derived
             adaptively from a per-row cost estimate so each block's
@@ -574,7 +519,6 @@ def build_kernel(
                 measure,
                 backend=backend,
                 block_size=block_size,
-                workers=workers,
                 memory_budget_bytes=memory_budget_bytes,
                 stats=stats,
             )
@@ -590,7 +534,6 @@ def _build_kernel(
     *,
     backend: str,
     block_size: int,
-    workers: Optional[int],
     memory_budget_bytes: Optional[int],
     stats: ComputeStats,
 ) -> SimilarityMatrix:
@@ -609,13 +552,7 @@ def _build_kernel(
         try:
             fault_point("compute.kernel")
             result = _vectorized_kernel(
-                graph,
-                measure,
-                params,
-                block_size,
-                workers,
-                memory_budget_bytes,
-                stats,
+                graph, measure, params, block_size, memory_budget_bytes, stats
             )
             stats.backend = "vectorized"
             stats.finish(

@@ -33,7 +33,6 @@ class ComputeStats:
         rows: kernel rows produced.
         nnz: stored non-zero entries in the result.
         blocks: row blocks the construction was split into.
-        workers: processes used (1 = in-process).
         fallbacks: vectorised attempts that degraded to the python path.
         memory_budget_bytes: the caller's peak-memory target for block
             construction (0 = unbudgeted).
@@ -52,7 +51,6 @@ class ComputeStats:
     rows: int = 0
     nnz: int = 0
     blocks: int = 0
-    workers: int = 1
     fallbacks: int = 0
     memory_budget_bytes: int = 0
     spill_blocks: int = 0

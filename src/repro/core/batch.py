@@ -1,4 +1,4 @@
-"""Vectorised, sharded, cache-backed batch recommendation.
+"""Vectorised, cache-backed batch recommendation.
 
 ``PrivateSocialRecommender.recommend`` scores one user per call; for
 producing recommendations for *every* user (the paper's deployment:
@@ -13,47 +13,35 @@ kernel build.  Rankings are identical to the per-user path — the tests
 assert bit-equal rankings — but run at BLAS speed, chunked to bound
 memory.
 
-Two throughput layers sit on top of the kernel:
-
-- **A persistent similarity cache** (:mod:`repro.cache`): ``S`` reads
-  only the *public* social graph, so it can be computed once, persisted
-  as a checksummed artifact, and reused across runs and processes at
-  zero privacy cost.  Pass a :class:`~repro.cache.store.SimilarityStore`
-  to skip recomputation entirely on a warm cache.
-- **User-sharded parallel execution**: with ``workers >= 2`` the target
-  users are split into contiguous shards scored across a process pool.
-  Workers *memory-map* the cached kernel artifact instead of receiving
-  (or recomputing) the matrix, so per-worker startup cost is bounded by
-  page-cache reads.  A shard whose worker fails falls back to the
-  in-parent sequential kernel, then to the per-user path — the same
-  degradation ladder as the sequential mode.
+A persistent similarity cache (:mod:`repro.cache`) sits under the
+kernel: ``S`` reads only the *public* social graph, so it can be
+computed once, persisted as a checksummed artifact, and reused across
+runs and processes at zero privacy cost.  Pass a
+:class:`~repro.cache.store.SimilarityStore` to skip recomputation
+entirely on a warm cache.
 
 Measures without a vectorised kernel (or with non-default cutoffs the
-kernels do not cover) fall back to the per-user path transparently.
-Every call returns a :class:`BatchResult` — a plain dict of
+kernels do not cover) fall back to the per-user path transparently, as
+does a chunk whose scoring fails.  Every call returns a
+:class:`BatchResult` — a plain dict of
 user -> :class:`~repro.types.RecommendationList` carrying a
-:class:`BatchStats` with cache hit/miss counters, per-shard wall times,
+:class:`BatchStats` with cache hit/miss counters, per-chunk wall times,
 and overall rows/sec.
 """
 
 from __future__ import annotations
 
-import math
-import os
-import tempfile
 import time
-from concurrent.futures import ProcessPoolExecutor
 from dataclasses import dataclass, field
-from typing import Dict, Iterable, List, Optional, Sequence, Tuple
+from typing import Dict, Iterable, List, Optional, Sequence
 
 import numpy as np
-import scipy.sparse as sp
 
-from repro.cache.store import SimilarityStore, open_kernel_csr, save_kernel_artifact
+from repro.cache.store import SimilarityStore
 from repro.compute.kernels import supports_vectorized_kernel
 from repro.compute.stats import ComputeStats, validate_backend
 from repro.core.private import PrivateSocialRecommender
-from repro.core.scoring import ClusterProfile, profile_rows, ranked_list, top_n_rows
+from repro.core.scoring import ClusterProfile, ranked_list, top_n_rows
 from repro.exceptions import ReproError
 from repro.obs.adapters import publish_batch_stats
 from repro.obs.spans import span
@@ -72,17 +60,16 @@ class BatchStats:
     """Perf counters for one :func:`batch_recommend_all` call.
 
     Attributes:
-        mode: ``"parallel"``, ``"sequential"``, or ``"per-user"`` (no
-            vectorised kernel, or the kernel failed outright).
+        mode: ``"sequential"``, or ``"per-user"`` (no vectorised
+            kernel, or the kernel failed outright).
         users_served: number of recommendation lists produced.
         wall_seconds: end-to-end wall time of the call.
         rows_per_second: ``users_served / wall_seconds``.
-        num_shards: shards (parallel) or chunks (sequential) scored.
-        shard_seconds: wall time per shard/chunk, in completion order.
-        fallback_shards: shards/chunks that degraded off the pooled or
-            vectorised path.
+        num_shards: chunks scored.
+        shard_seconds: wall time per chunk, in scoring order.
+        fallback_shards: chunks that degraded off the vectorised path.
         fallback_users: users served by the per-user path (degraded
-            shards plus zero-signal users routed through the ladder).
+            chunks plus zero-signal users routed through the ladder).
         cache_hits / cache_misses: similarity-store lookups during this
             call (both zero when no store was passed).
         kernel_seconds: time spent obtaining the similarity kernel and
@@ -92,12 +79,10 @@ class BatchStats:
             kernel construction, when one ran during this call (None on a
             warm cache or the per-user path).
         tier_transitions: degradation-ladder transitions, keyed by edge
-            (``"kernel->per-user"``, ``"pool->parent"``,
-            ``"parent->per-user"``, ``"vectorized->per-user"``).
+            (``"kernel->per-user"``, ``"vectorized->per-user"``).
             ``fallback_shards``/``fallback_users`` count *work items*;
-            this counts *transitions*, so a pool that degrades to the
-            in-parent ladder mid-run is visible even when every shard
-            still gets served.
+            this counts *transitions*, so a chunk that degrades mid-run
+            is visible even when every user still gets served.
     """
 
     mode: str = "sequential"
@@ -115,7 +100,7 @@ class BatchStats:
     tier_transitions: Dict[str, int] = field(default_factory=dict)
 
     def record_transition(self, edge: str) -> None:
-        """Count one degradation-ladder transition (e.g. ``"pool->parent"``)."""
+        """Count one degradation-ladder transition (e.g. ``"kernel->per-user"``)."""
         self.tier_transitions[edge] = self.tier_transitions.get(edge, 0) + 1
 
 
@@ -131,37 +116,6 @@ class BatchResult(Dict[UserId, RecommendationList]):
         self.stats = BatchStats()
 
 
-_Block = Tuple[np.ndarray, np.ndarray, np.ndarray]
-
-
-def _score_block(profile: np.ndarray, release_t: np.ndarray, limit: int) -> _Block:
-    """``(ranked item positions, their estimates, has-signal mask)``.
-
-    Rows without similarity signal must be served by the per-user
-    degradation ladder so their reported tier matches
-    ``recommender.recommend`` exactly.
-    """
-    ranked, scores = top_n_rows(profile, release_t, limit)
-    return ranked, scores, profile.any(axis=1)
-
-
-def _score_shard_worker(
-    artifact_path: str,
-    positions: np.ndarray,
-    indicator: sp.csr_matrix,
-    release_t: np.ndarray,
-    limit: int,
-) -> _Block:
-    """Pool-worker entry point: score one user shard from the cached kernel.
-
-    The kernel is memory-mapped straight out of the artifact — workers
-    never recompute similarities and share one page-cache copy of the
-    buffers.  Module-level so it pickles under every start method.
-    """
-    kernel = open_kernel_csr(artifact_path)
-    return _score_block(profile_rows(kernel, indicator, positions), release_t, limit)
-
-
 def batch_recommend_all(
     recommender: PrivateSocialRecommender,
     users: Optional[Iterable[UserId]] = None,
@@ -169,8 +123,6 @@ def batch_recommend_all(
     chunk_size: int = 512,
     *,
     store: Optional[SimilarityStore] = None,
-    workers: Optional[int] = None,
-    shard_size: Optional[int] = None,
     backend: str = "auto",
 ) -> BatchResult:
     """Top-N recommendations for many users at once.
@@ -179,17 +131,11 @@ def batch_recommend_all(
         recommender: a *fitted* private recommender.
         users: target users (default: every social-graph user).
         n: list length (default: the recommender's ``n``).
-        chunk_size: users per dense chunk on the sequential path; bounds
-            peak memory at roughly ``chunk_size * num_items`` floats.
+        chunk_size: users per dense chunk; bounds peak memory at
+            roughly ``chunk_size * num_items`` floats.
         store: optional persistent similarity cache; the kernel is
             loaded from (or written to) it instead of being recomputed,
             and hit/miss counters are reported on the result's stats.
-        workers: with ``workers >= 2``, score contiguous user shards
-            across a process pool whose workers memory-map the cached
-            kernel artifact.  Default (None or 1) stays in-process.
-        shard_size: users per pool shard (default: spread the target
-            users over ``4 * workers`` shards so a slow shard cannot
-            stall the whole batch).
         backend: kernel construction backend
             (``auto | vectorized | python``; see
             :func:`repro.compute.build_kernel`).  Affects construction
@@ -204,8 +150,7 @@ def batch_recommend_all(
     Raises:
         NotFittedError: when the recommender has not been fitted.
         ReproError: if the recommender has no released weights.
-        ValueError: for invalid ``n``, ``chunk_size``, ``workers``, or
-            ``shard_size``.
+        ValueError: for invalid ``n`` or ``chunk_size``.
     """
     with span("batch.recommend_all"):
         return _batch_recommend_all(
@@ -214,8 +159,6 @@ def batch_recommend_all(
             n,
             chunk_size,
             store=store,
-            workers=workers,
-            shard_size=shard_size,
             backend=backend,
         )
 
@@ -227,8 +170,6 @@ def _batch_recommend_all(
     chunk_size: int = 512,
     *,
     store: Optional[SimilarityStore] = None,
-    workers: Optional[int] = None,
-    shard_size: Optional[int] = None,
     backend: str = "auto",
 ) -> BatchResult:
     start_time = time.perf_counter()
@@ -242,10 +183,6 @@ def _batch_recommend_all(
         raise ValueError(f"n must be >= 1, got {limit}")
     if chunk_size < 1:
         raise ValueError(f"chunk_size must be >= 1, got {chunk_size}")
-    if workers is not None and workers < 1:
-        raise ValueError(f"workers must be >= 1, got {workers}")
-    if shard_size is not None and shard_size < 1:
-        raise ValueError(f"shard_size must be >= 1, got {shard_size}")
     validate_backend(backend)
 
     target_users = list(users) if users is not None else state.social.users()
@@ -254,7 +191,6 @@ def _batch_recommend_all(
     compute_stats = ComputeStats(requested=backend)
 
     profile: Optional[ClusterProfile] = None
-    artifact_path: Optional[str] = None
     kernel_start = time.perf_counter()
     try:
         fault_point("batch.kernel")
@@ -262,10 +198,7 @@ def _batch_recommend_all(
             before = store.stats.snapshot() if store is not None else None
             # The recommender's own cache: its per-user queries (the
             # zero-signal users below) reuse this kernel and profile.
-            lookup = state.similarity.ensure_kernel(
-                store, backend=backend, stats=compute_stats
-            )
-            artifact_path = lookup.path
+            state.similarity.ensure_kernel(store, backend=backend, stats=compute_stats)
             if before is not None:
                 stats.cache_hits = store.stats.hits - before.hits
                 stats.cache_misses = store.stats.misses - before.misses
@@ -287,24 +220,9 @@ def _batch_recommend_all(
         return results
 
     release_t = np.ascontiguousarray(weights.matrix.T)  # (clusters x items)
-
-    parallel = workers is not None and workers > 1 and len(target_users) > 1
-    if parallel:
-        _run_parallel(
-            recommender,
-            results,
-            target_users,
-            limit,
-            profile,
-            release_t,
-            artifact_path,
-            workers,
-            shard_size,
-        )
-    else:
-        _run_sequential(
-            recommender, results, target_users, limit, profile, release_t, chunk_size
-        )
+    _run_sequential(
+        recommender, results, target_users, limit, profile, release_t, chunk_size
+    )
     _finalise_stats(stats, len(results), start_time)
     return results
 
@@ -319,22 +237,24 @@ def _finalise_stats(stats: BatchStats, served: int, start_time: float) -> None:
     publish_batch_stats(stats)
 
 
-def _merge_block(
+def _score_chunk(
     recommender: PrivateSocialRecommender,
     results: BatchResult,
-    block_users: Sequence[UserId],
-    block: _Block,
+    chunk: Sequence[UserId],
+    profile: np.ndarray,
+    release_t: np.ndarray,
     limit: int,
 ) -> None:
-    """Turn a scored block into recommendation lists.
+    """Turn one chunk's profile rows into recommendation lists.
 
     Zero-signal users route through the per-user path so the degradation
     ladder (and its reported tier) matches ``recommender.recommend``
     exactly.
     """
     items = recommender.noisy_weights_.items
-    ranked, scores, signal = block
-    for i, user in enumerate(block_users):
+    ranked, scores = top_n_rows(profile, release_t, limit)
+    signal = profile.any(axis=1)
+    for i, user in enumerate(chunk):
         if signal[i]:
             results[user] = ranked_list(user, items, ranked[i], scores[i])
         else:
@@ -373,8 +293,7 @@ def _run_sequential(
             try:
                 fault_point("batch.chunk")
                 rows = profile.rows(profile.positions(chunk))
-                block = _score_block(rows, release_t, limit)
-                _merge_block(recommender, results, chunk, block, limit)
+                _score_chunk(recommender, results, chunk, rows, release_t, limit)
             except Exception:
                 # A chunk that fails mid-kernel (bad BLAS call, injected
                 # fault, memory pressure) degrades to the per-user path for
@@ -384,78 +303,3 @@ def _run_sequential(
                 _per_user(recommender, results, chunk, limit)
         stats.shard_seconds.append(time.perf_counter() - chunk_start)
 
-
-def _run_parallel(
-    recommender: PrivateSocialRecommender,
-    results: BatchResult,
-    target_users: Sequence[UserId],
-    limit: int,
-    profile: ClusterProfile,
-    release_t: np.ndarray,
-    artifact_path: Optional[str],
-    workers: int,
-    shard_size: Optional[int],
-) -> None:
-    """The pooled path: contiguous user shards scored across processes."""
-    stats = results.stats
-    stats.mode = "parallel"
-    if shard_size is None:
-        shard_size = max(1, math.ceil(len(target_users) / (workers * 4)))
-
-    ephemeral: Optional[tempfile.TemporaryDirectory] = None
-    try:
-        if artifact_path is None or not os.path.exists(artifact_path):
-            # No persistent store: spill the kernel to a temp artifact so
-            # workers can still map it instead of pickling the matrix.
-            ephemeral = tempfile.TemporaryDirectory(prefix="repro-kernel-")
-            artifact_path = os.path.join(ephemeral.name, "kernel.npz")
-            save_kernel_artifact(
-                artifact_path, profile.kernel, "ephemeral", recommender.measure
-            )
-
-        shards = [
-            list(target_users[start : start + shard_size])
-            for start in range(0, len(target_users), shard_size)
-        ]
-        positions_per_shard = [profile.positions(shard) for shard in shards]
-        with ProcessPoolExecutor(max_workers=workers) as pool:
-            futures = [
-                pool.submit(
-                    _score_shard_worker,
-                    artifact_path,
-                    positions,
-                    profile.indicator,
-                    release_t,
-                    limit,
-                )
-                for positions in positions_per_shard
-            ]
-            for shard, positions, future in zip(shards, positions_per_shard, futures):
-                shard_start = time.perf_counter()
-                stats.num_shards += 1
-                with span("batch.shard"):
-                    try:
-                        fault_point("batch.shard")
-                        block = future.result()
-                    except Exception:
-                        # Worker died or was told to fail: rescore this
-                        # shard with the in-parent profile (same math, same
-                        # result), then per-user if even that fails.
-                        stats.fallback_shards += 1
-                        stats.record_transition("pool->parent")
-                        try:
-                            block = _score_block(
-                                profile.rows(positions), release_t, limit
-                            )
-                        except Exception:
-                            stats.record_transition("parent->per-user")
-                            _per_user(recommender, results, shard, limit)
-                            stats.shard_seconds.append(
-                                time.perf_counter() - shard_start
-                            )
-                            continue
-                    _merge_block(recommender, results, shard, block, limit)
-                stats.shard_seconds.append(time.perf_counter() - shard_start)
-    finally:
-        if ephemeral is not None:
-            ephemeral.cleanup()

@@ -11,8 +11,9 @@ the outermost loop that still needs it:
   (:func:`~repro.core.cluster_weights.cluster_item_averages`), the
   covering clustering, the cluster indicator ``C``, and the cluster-size
   vector of the degradation ladder;
-- per (dataset, measure): the similarity kernel ``S`` (the context's
-  reference-pass kernel, else :func:`~repro.cache.store.load_or_build_kernel`),
+- per (dataset, measure parameters): the similarity kernel ``S`` (the
+  context's reference-pass kernel, else
+  :func:`~repro.cache.store.load_or_build_kernel`),
   the evaluation users' cluster profile ``P = S @ C``, the dense
   ideal-utility matrix, and the cumulative reference DCG at every cutoff;
 - per (epsilon, repeat): *only* one Laplace tensor, one matmul
@@ -27,28 +28,23 @@ ladder are the scoring core's (:mod:`repro.core.scoring`), and the NDCG
 accumulation follows the scalar summation order.  The test suite pins
 rankings and scores against the reference engine.
 
-With ``workers >= 2`` the (epsilon) cells of one measure fan out over a
-process pool; workers memory-map the cached kernel artifact and the
-spilled evaluation arrays instead of receiving them pickled.  Failures
-degrade per cell: pooled cell -> in-parent sequential scoring -> the cell
-is abandoned to the caller's per-user reference path (fault sites
+Cells are scored one after another in-process.  A cell that fails is
+abandoned to the caller's per-user reference path (fault sites
 ``engine.cell`` and ``engine.repeat``).
 """
 
 from __future__ import annotations
 
-import os
 import statistics
-import tempfile
 import time
-from concurrent.futures import ProcessPoolExecutor
 from dataclasses import dataclass, field
 from typing import Dict, List, Optional, Sequence, Tuple
 
 import numpy as np
 import scipy.sparse as sp
 
-from repro.cache.store import SimilarityStore, open_kernel_csr, save_kernel_artifact
+from repro.cache.keys import measure_fingerprint
+from repro.cache.store import SimilarityStore
 from repro.community.clustering import Clustering
 from repro.compute.stats import ComputeStats, validate_backend
 from repro.core.cluster_weights import ClusterItemAverages, cluster_item_averages
@@ -101,34 +97,25 @@ class EngineStats:
     """Perf counters for one :class:`SweepEngine` instance.
 
     Attributes:
-        mode: ``"parallel"`` or ``"sequential"`` (last evaluate call).
-        workers: configured pool width (1 = in-process).
         measures: distinct similarity kernels scored with.
         cells: (epsilon) cells scored by the engine.
         repeats: noise repeats scored across all cells.
-        fallback_cells: pooled cells rescored sequentially in-parent.
-        legacy_cells: cells abandoned entirely (the caller should rescore
-            them with the per-user reference path).
+        legacy_cells: cells abandoned to the caller, which rescores them
+            with the per-user reference path.
         cache_hits / cache_misses: similarity-store lookups (zero without
             a store).
         kernel_seconds: time spent obtaining similarity kernels.
         wall_seconds: total time inside ``evaluate_many``.
         compute: the :class:`~repro.compute.stats.ComputeStats` behind
             the most recent kernel scored with (None on a warm cache).
-        tier_transitions: degradation-ladder transitions, keyed by edge
-            (``"pool->parent"``, ``"parent->legacy"``,
-            ``"sequential->legacy"``).  ``fallback_cells`` /
-            ``legacy_cells`` count *cells*; this counts *transitions*, so
-            mid-run ladder drops are visible even when a cell later
-            succeeds on a lower rung.
+        tier_transitions: degradation-ladder transitions keyed by edge,
+            published as ``engine.tier_transition.<edge>`` like the batch
+            layer's; the engine's one edge is ``"sequential->legacy"``.
     """
 
-    mode: str = ""
-    workers: int = 1
     measures: int = 0
     cells: int = 0
     repeats: int = 0
-    fallback_cells: int = 0
     legacy_cells: int = 0
     cache_hits: int = 0
     cache_misses: int = 0
@@ -138,16 +125,8 @@ class EngineStats:
     tier_transitions: Dict[str, int] = field(default_factory=dict)
 
     def record_transition(self, edge: str) -> None:
-        """Count one degradation-ladder transition (e.g. ``"pool->parent"``)."""
+        """Count one degradation-ladder transition (``"sequential->legacy"``)."""
         self.tier_transitions[edge] = self.tier_transitions.get(edge, 0) + 1
-
-
-@dataclass
-class _KernelBundle:
-    """One measure's kernel plus the on-disk artifact workers can map."""
-
-    kernel: SimilarityMatrix
-    artifact_path: Optional[str]
 
 
 @dataclass
@@ -236,7 +215,6 @@ def _private_dcg(
     overrides: Dict[int, np.ndarray],
 ) -> np.ndarray:
     """Per-user DCG of the private rankings under the ideal utilities."""
-    utilities = np.asarray(utilities)
     num_users = ranked.shape[0]
     if ranked.shape[1]:
         gains = np.take_along_axis(utilities, ranked, axis=1)
@@ -263,7 +241,6 @@ def _cell_scores(
     seeds: Sequence[int],
     scales: Optional[np.ndarray],
     chunk_size: int,
-    fault_site: Optional[str] = None,
 ) -> Dict[int, List[float]]:
     """Average NDCG@n per repeat for one (measure, epsilon) cell.
 
@@ -275,12 +252,10 @@ def _cell_scores(
     num_users = profile.shape[0]
     if num_users == 0:
         raise ExperimentError("cannot score a cell with no evaluation users")
-    averages_matrix = np.asarray(averages_matrix)
     results: Dict[int, List[float]] = {int(n): [] for n in ns}
     for seed in seeds:
         with span("engine.repeat"):
-            if fault_site is not None:
-                fault_point(fault_site)
+            fault_point("engine.repeat")
             noised = _noised(averages_matrix, scales, int(seed))
             per_n = _rank_repeat(
                 profile, noised, sizes, columns, ns, chunk_size
@@ -296,55 +271,12 @@ def _ndcg_scores(private: np.ndarray, reference_cum: np.ndarray, n: int) -> np.n
     """Per-user NDCG@n: ``ndcg_at_n``'s division, 1.0 without reference DCG."""
     width = reference_cum.shape[1]
     reference = (
-        np.asarray(reference_cum[:, min(n, width) - 1])
-        if width
-        else np.zeros(private.size)
+        reference_cum[:, min(n, width) - 1] if width else np.zeros(private.size)
     )
     scores = np.ones(private.size)
     positive = reference > 0.0
     scores[positive] = private[positive] / reference[positive]
     return scores
-
-
-def _score_cell_worker(
-    artifact_path: str,
-    positions: np.ndarray,
-    indicator: sp.csr_matrix,
-    utilities_path: str,
-    reference_path: str,
-    averages_path: str,
-    sizes: np.ndarray,
-    columns: np.ndarray,
-    ns: Sequence[int],
-    seeds: Sequence[int],
-    scales: Optional[np.ndarray],
-    chunk_size: int,
-) -> Dict[int, List[float]]:
-    """Pool-worker entry point: score one (measure, epsilon) cell.
-
-    The kernel CSR buffers are memory-mapped straight out of the cached
-    artifact and the dense evaluation arrays out of their ``.npy`` spills,
-    so workers share one page-cache copy of every large input instead of
-    receiving them pickled.  Module-level so it pickles under every start
-    method.
-    """
-    kernel = open_kernel_csr(artifact_path)
-    profile = profile_rows(kernel, indicator, positions)
-    utilities = np.load(utilities_path, mmap_mode="r")
-    reference_cum = np.load(reference_path, mmap_mode="r")
-    averages_matrix = np.load(averages_path, mmap_mode="r")
-    return _cell_scores(
-        profile,
-        utilities,
-        reference_cum,
-        averages_matrix,
-        sizes,
-        columns,
-        ns,
-        seeds,
-        scales,
-        chunk_size,
-    )
 
 
 class SweepEngine:
@@ -359,9 +291,6 @@ class SweepEngine:
         dataset: the evaluation dataset.
         store: optional persistent similarity cache for the kernels;
             hit/miss counters land on :attr:`stats`.
-        workers: with ``workers >= 2``, the epsilon cells of each
-            ``evaluate_many`` call fan out over a process pool whose
-            workers memory-map the kernel artifact.  Default: in-process.
         backend: kernel construction backend
             (``auto | vectorized | python``); measures without a
             vectorised kernel transparently use the per-user reference
@@ -378,7 +307,6 @@ class SweepEngine:
         dataset: SocialRecDataset,
         *,
         store: Optional[SimilarityStore] = None,
-        workers: Optional[int] = None,
         backend: str = "auto",
         chunk_size: int = 1024,
         max_weight: float = 1.0,
@@ -386,53 +314,38 @@ class SweepEngine:
         user_clamp: int = 50,
     ) -> None:
         validate_backend(backend)
-        if workers is not None and workers < 1:
-            raise ValueError(f"workers must be >= 1, got {workers}")
         if chunk_size < 1:
             raise ValueError(f"chunk_size must be >= 1, got {chunk_size}")
         self.dataset = dataset
         self.store = store
-        self.workers = workers
         self.backend = backend
         self.chunk_size = chunk_size
         self.max_weight = max_weight
         self.protection = protection
         self.user_clamp = user_clamp
-        self.stats = EngineStats(workers=workers if workers else 1)
-        self._kernels: Dict[str, _KernelBundle] = {}
+        self.stats = EngineStats()
+        # Keyed by measure_fingerprint: two parameterisations of one
+        # measure share a registry name but not a kernel.
+        self._kernels: Dict[str, SimilarityMatrix] = {}
         self._evals: Dict[int, _EvalArrays] = {}
         self._clusters: Dict[int, _ClusterArrays] = {}
         self._columns: Dict[Tuple[int, int], np.ndarray] = {}
         self._profiles: Dict[Tuple[str, int, int], np.ndarray] = {}
-        self._spill_dir: Optional[tempfile.TemporaryDirectory] = None
-        self._spill_paths: Dict[tuple, str] = {}
-        self._spill_count = 0
         self._stats_published = False
 
     # ------------------------------------------------------------------
     # lifecycle
     # ------------------------------------------------------------------
     def close(self) -> None:
-        """Release the spill directory (cached arrays stay usable).
+        """Publish :attr:`stats` into the active telemetry registry.
 
-        Also publishes :attr:`stats` into the active telemetry registry
-        (once per engine, no-op when observability is disabled), so a
-        profiled run's summary carries the engine counters.
+        Once per engine, no-op when observability is disabled, so a
+        profiled run's summary carries the engine counters; cached
+        arrays stay usable.
         """
         if not self._stats_published:
             self._stats_published = True
             publish_engine_stats(self.stats)
-        if self._spill_dir is not None:
-            self._spill_dir.cleanup()
-            self._spill_dir = None
-            self._spill_paths.clear()
-            # Ephemeral artifacts lived in the spill dir; forget them so a
-            # later parallel call re-spills instead of mapping a dead path.
-            for bundle in self._kernels.values():
-                if bundle.artifact_path and not os.path.exists(
-                    bundle.artifact_path
-                ):
-                    bundle.artifact_path = None
 
     def __enter__(self) -> "SweepEngine":
         return self
@@ -443,11 +356,11 @@ class SweepEngine:
     # ------------------------------------------------------------------
     # cached preprocessing layers
     # ------------------------------------------------------------------
-    def _kernel_for(self, context: EvaluationContext) -> _KernelBundle:
-        measure = context.measure
-        bundle = self._kernels.get(measure.name)
-        if bundle is not None:
-            return bundle
+    def _kernel_for(self, context: EvaluationContext) -> SimilarityMatrix:
+        key = measure_fingerprint(context.measure)
+        kernel = self._kernels.get(key)
+        if kernel is not None:
+            return kernel
         started = time.perf_counter()
         # The context's reference pass already holds this graph's kernel
         # when it was built with the engine's backend: share it.
@@ -457,15 +370,16 @@ class SweepEngine:
             or cache.graph is not self.dataset.social
             or cache.backend != self.backend
         ):
-            cache = SimilarityCache(measure, self.dataset.social, backend=self.backend)
+            cache = SimilarityCache(
+                context.measure, self.dataset.social, backend=self.backend
+            )
         compute_stats = ComputeStats(requested=self.backend)
         before = self.store.stats.snapshot() if self.store is not None else None
         lookup = cache.ensure_kernel(self.store, stats=compute_stats)
         if before is not None:
             self.stats.cache_hits += self.store.stats.hits - before.hits
             self.stats.cache_misses += self.store.stats.misses - before.misses
-        bundle = _KernelBundle(kernel=lookup.matrix, artifact_path=lookup.path)
-        self._kernels[measure.name] = bundle
+        kernel = self._kernels[key] = lookup.matrix
         self.stats.measures += 1
         self.stats.kernel_seconds += time.perf_counter() - started
         # The construction behind the kernel scored with: just now, or in
@@ -474,13 +388,15 @@ class SweepEngine:
             self.stats.compute = compute_stats
         elif cache.last_compute_stats is not None:
             self.stats.compute = cache.last_compute_stats
-        return bundle
+        return kernel
 
-    def _eval_for(self, context: EvaluationContext, bundle: _KernelBundle) -> _EvalArrays:
+    def _eval_for(
+        self, context: EvaluationContext, kernel: SimilarityMatrix
+    ) -> _EvalArrays:
         arrays = self._evals.get(id(context))
         if arrays is not None:
             return arrays
-        index = bundle.kernel.index
+        index = kernel.index
         missing = [u for u in context.users if u not in index]
         if missing:
             raise ExperimentError(
@@ -514,10 +430,10 @@ class SweepEngine:
         return arrays
 
     def _cluster_for(
-        self, clustering: Clustering, bundle: _KernelBundle
+        self, clustering: Clustering, kernel: SimilarityMatrix
     ) -> _ClusterArrays:
         arrays = self._clusters.get(id(clustering))
-        users = bundle.kernel.users
+        users = kernel.users
         if arrays is not None and (
             arrays.users is users or arrays.users == users
         ):
@@ -561,46 +477,22 @@ class SweepEngine:
 
     def _profile_for(
         self,
-        measure_name: str,
-        bundle: _KernelBundle,
+        kernel: SimilarityMatrix,
         evals: _EvalArrays,
         cluster_arrays: _ClusterArrays,
     ) -> np.ndarray:
-        key = (measure_name, id(evals.context), id(cluster_arrays.covering))
+        key = (
+            measure_fingerprint(evals.context.measure),
+            id(evals.context),
+            id(cluster_arrays.covering),
+        )
         profile = self._profiles.get(key)
         if profile is None:
             profile = profile_rows(
-                bundle.kernel.matrix, cluster_arrays.indicator, evals.positions
+                kernel.matrix, cluster_arrays.indicator, evals.positions
             )
             self._profiles[key] = profile
         return profile
-
-    # ------------------------------------------------------------------
-    # spill management (parallel mode)
-    # ------------------------------------------------------------------
-    def _spill_root(self) -> str:
-        if self._spill_dir is None:
-            self._spill_dir = tempfile.TemporaryDirectory(prefix="repro-engine-")
-        return self._spill_dir.name
-
-    def _spill_array(self, tag: tuple, array: np.ndarray) -> str:
-        path = self._spill_paths.get(tag)
-        if path is None:
-            self._spill_count += 1
-            path = os.path.join(self._spill_root(), f"spill-{self._spill_count}.npy")
-            np.save(path, np.ascontiguousarray(array))
-            self._spill_paths[tag] = path
-        return path
-
-    def _artifact_for(self, measure, bundle: _KernelBundle) -> str:
-        if bundle.artifact_path is None or not os.path.exists(bundle.artifact_path):
-            self._spill_count += 1
-            path = os.path.join(
-                self._spill_root(), f"kernel-{self._spill_count}.npz"
-            )
-            save_kernel_artifact(path, bundle.kernel, "ephemeral", measure)
-            bundle.artifact_path = path
-        return bundle.artifact_path
 
     # ------------------------------------------------------------------
     # evaluation
@@ -617,10 +509,9 @@ class SweepEngine:
         Repeat ``r`` of every cell draws its noise from seed
         ``base_seed + r`` — the same stream ``evaluate_factory`` hands the
         recommender factory, so results are interchangeable with the
-        reference engine.  Cells that fail even the in-parent sequential
-        rung are *omitted* from the result (and counted in
-        ``stats.legacy_cells``); callers rescore them with the per-user
-        reference path.
+        reference engine.  Cells that fail are *omitted* from the result
+        (and counted in ``stats.legacy_cells``); callers rescore them with
+        the per-user reference path.
 
         Args:
             context: the cached non-private reference for this measure.
@@ -668,73 +559,24 @@ class SweepEngine:
         if not normalised:
             return results
 
-        measure = context.measure
-        bundle = self._kernel_for(context)
-        evals = self._eval_for(context, bundle)
-        cluster_arrays = self._cluster_for(clustering, bundle)
+        kernel = self._kernel_for(context)
+        evals = self._eval_for(context, kernel)
+        cluster_arrays = self._cluster_for(clustering, kernel)
         columns = self._columns_for(context, cluster_arrays)
         averages = cluster_arrays.averages
 
-        pending = [
-            (
-                epsilon,
-                ns,
-                [base_seed + r for r in range(repeats)],
-                averages.laplace_scales(epsilon),
-            )
-            for epsilon, ns, repeats in normalised
-        ]
-        scored: Dict[int, Dict[int, List[float]]] = {}
-
-        def score_sequential(cell_index: int) -> None:
-            epsilon, ns, seeds, scales = pending[cell_index]
-            profile = self._profile_for(
-                measure.name, bundle, evals, cluster_arrays
-            )
-            with span("engine.cell"):
-                scored[cell_index] = _cell_scores(
-                    profile,
-                    evals.utilities,
-                    evals.reference_cum,
-                    averages.matrix,
-                    cluster_arrays.sizes,
-                    columns,
-                    ns,
-                    seeds,
-                    scales,
-                    self.chunk_size,
-                    fault_site="engine.repeat",
-                )
-
-        use_pool = (
-            self.workers is not None
-            and self.workers > 1
-            and len(pending) > 1
-        )
-        if use_pool:
-            self.stats.mode = "parallel"
-            artifact_path = self._artifact_for(measure, bundle)
-            utilities_path = self._spill_array(
-                ("utilities", id(context)), evals.utilities
-            )
-            reference_path = self._spill_array(
-                ("reference", id(context)), evals.reference_cum
-            )
-            averages_path = self._spill_array(
-                ("averages", id(cluster_arrays.covering)), averages.matrix
-            )
-            with ProcessPoolExecutor(
-                max_workers=min(self.workers, len(pending))
-            ) as pool:
-                futures = [
-                    pool.submit(
-                        _score_cell_worker,
-                        artifact_path,
-                        evals.positions,
-                        cluster_arrays.indicator,
-                        utilities_path,
-                        reference_path,
-                        averages_path,
+        for epsilon, ns, repeats in normalised:
+            seeds = [base_seed + r for r in range(repeats)]
+            scales = averages.laplace_scales(epsilon)
+            try:
+                fault_point("engine.cell")
+                profile = self._profile_for(kernel, evals, cluster_arrays)
+                with span("engine.cell"):
+                    per_cell = _cell_scores(
+                        profile,
+                        evals.utilities,
+                        evals.reference_cum,
+                        averages.matrix,
                         cluster_arrays.sizes,
                         columns,
                         ns,
@@ -742,45 +584,16 @@ class SweepEngine:
                         scales,
                         self.chunk_size,
                     )
-                    for (_, ns, seeds, scales) in pending
-                ]
-                for cell_index, future in enumerate(futures):
-                    try:
-                        fault_point("engine.cell")
-                        scored[cell_index] = future.result()
-                    except Exception:
-                        # Worker died or was told to fail: rescore this
-                        # cell with the in-parent kernel (same math, same
-                        # result), then abandon it to the reference path
-                        # if even that fails.
-                        self.stats.fallback_cells += 1
-                        self.stats.record_transition("pool->parent")
-                        try:
-                            score_sequential(cell_index)
-                        except Exception:
-                            scored.pop(cell_index, None)
-                            self.stats.legacy_cells += 1
-                            self.stats.record_transition("parent->legacy")
-        else:
-            self.stats.mode = "sequential"
-            for cell_index in range(len(pending)):
-                try:
-                    fault_point("engine.cell")
-                    score_sequential(cell_index)
-                except Exception:
-                    scored.pop(cell_index, None)
-                    self.stats.legacy_cells += 1
-                    self.stats.record_transition("sequential->legacy")
-
-        for cell_index, (epsilon, ns, seeds, _) in enumerate(pending):
-            per_cell = scored.get(cell_index)
-            if per_cell is None:
+            except Exception:
+                self.stats.legacy_cells += 1
+                self.stats.record_transition("sequential->legacy")
                 continue
             self.stats.cells += 1
             self.stats.repeats += len(seeds)
-            # Ledger each scored repeat's Laplace release in-parent (pool
-            # workers have no active registry); no-op when telemetry is
-            # disabled or no noise was drawn (epsilon = inf).
+            # Ledger each scored repeat's Laplace release (an abandoned
+            # cell is ledgered by the per-user path that rescores it);
+            # no-op when telemetry is disabled or no noise was drawn
+            # (epsilon = inf).
             for _ in seeds:
                 record_laplace_release(
                     epsilon,
@@ -789,14 +602,14 @@ class SweepEngine:
                     items=len(averages.items),
                 )
             for n in ns:
-                per_repeat = per_cell[int(n)]
+                per_repeat = per_cell[n]
                 mean = statistics.fmean(per_repeat)
                 std = (
                     statistics.pstdev(per_repeat)
                     if len(per_repeat) > 1
                     else 0.0
                 )
-                results[(epsilon, int(n))] = (mean, std)
+                results[(epsilon, n)] = (mean, std)
         self.stats.wall_seconds += time.perf_counter() - started
         return results
 
@@ -830,12 +643,11 @@ class SweepEngine:
     # ------------------------------------------------------------------
     def _repeat_state(self, context, clustering, epsilon, repeat_seed, ns):
         epsilon = validate_epsilon(float(epsilon))
-        measure = context.measure
-        bundle = self._kernel_for(context)
-        evals = self._eval_for(context, bundle)
-        cluster_arrays = self._cluster_for(clustering, bundle)
+        kernel = self._kernel_for(context)
+        evals = self._eval_for(context, kernel)
+        cluster_arrays = self._cluster_for(clustering, kernel)
         columns = self._columns_for(context, cluster_arrays)
-        profile = self._profile_for(measure.name, bundle, evals, cluster_arrays)
+        profile = self._profile_for(kernel, evals, cluster_arrays)
         averages = cluster_arrays.averages
         scales = averages.laplace_scales(epsilon)
         noised = _noised(averages.matrix, scales, int(repeat_seed))

@@ -132,7 +132,6 @@ def run_tradeoff(
     seed: int = 0,
     checkpoint: Optional[Union[str, SweepCheckpoint]] = None,
     engine: str = "vectorized",
-    workers: Optional[int] = None,
     store: Optional[SimilarityStore] = None,
     backend: str = "auto",
 ) -> TradeoffResult:
@@ -161,9 +160,6 @@ def run_tradeoff(
             :class:`~repro.experiments.engine.SweepEngine`;
             ``"reference"`` keeps the original per-user loop.  Both
             produce the same numbers and checkpoint keys.
-        workers: with ``workers >= 2`` the vectorized engine fans epsilon
-            cells out over a process pool (ignored by the reference
-            engine).
         store: optional persistent similarity cache for the vectorized
             engine's kernels.
         backend: kernel construction backend for the vectorized engine
@@ -201,9 +197,7 @@ def run_tradeoff(
 
     sweep_engine: Optional[SweepEngine] = None
     if engine == "vectorized":
-        sweep_engine = SweepEngine(
-            dataset, store=store, workers=workers, backend=backend
-        )
+        sweep_engine = SweepEngine(dataset, store=store, backend=backend)
 
     max_n = max(ns)
     cells = TradeoffResult()

@@ -415,8 +415,7 @@ def open_bigcsr(path: str, verify: bool = True) -> BigCSRGraph:
         verify: stream every buffer once and compare SHA-256 digests
             against the metadata (one sequential read; it also warms the
             page cache).  Pass False when a parent process already
-            verified the artifact — pool workers and the serving tier's
-            reload path do.
+            verified the artifact.
 
     Raises:
         GraphArtifactError: corrupt or truncated artifacts, checksum

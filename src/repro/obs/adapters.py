@@ -68,7 +68,6 @@ def publish_compute_stats(stats, registry: Optional[Telemetry] = None) -> None:
         registry.set_gauge(
             "compute.memory_budget_bytes", stats.memory_budget_bytes
         )
-    registry.set_gauge("compute.workers", stats.workers)
     registry.add_gauge("compute.total_seconds", stats.total_seconds)
     registry.set_gauge("compute.rows_per_second", stats.rows_per_second)
     for stage, seconds in stats.stage_seconds.items():
@@ -84,13 +83,9 @@ def publish_engine_stats(stats, registry: Optional[Telemetry] = None) -> None:
     registry = _registry(registry)
     if registry is None:
         return
-    if stats.mode:
-        registry.incr(f"engine.mode.{stats.mode}")
-    registry.set_gauge("engine.workers", stats.workers)
     registry.incr("engine.measures", stats.measures)
     registry.incr("engine.cells", stats.cells)
     registry.incr("engine.repeats", stats.repeats)
-    registry.incr("engine.fallback_cells", stats.fallback_cells)
     registry.incr("engine.legacy_cells", stats.legacy_cells)
     registry.incr("engine.cache_hits", stats.cache_hits)
     registry.incr("engine.cache_misses", stats.cache_misses)
@@ -157,7 +152,6 @@ def compute_stats_view(snapshot: TelemetrySnapshot):
         rows=snapshot.counters.get("compute.rows", 0),
         nnz=snapshot.counters.get("compute.nnz", 0),
         blocks=snapshot.counters.get("compute.blocks", 0),
-        workers=int(snapshot.gauges.get("compute.workers", 1)),
         fallbacks=snapshot.counters.get("compute.fallbacks", 0),
         memory_budget_bytes=int(
             snapshot.gauges.get("compute.memory_budget_bytes", 0)
@@ -178,12 +172,9 @@ def engine_stats_view(snapshot: TelemetrySnapshot):
     from repro.experiments.engine import EngineStats
 
     stats = EngineStats(
-        mode=_mode_from(snapshot, "engine.mode."),
-        workers=int(snapshot.gauges.get("engine.workers", 1)),
         measures=snapshot.counters.get("engine.measures", 0),
         cells=snapshot.counters.get("engine.cells", 0),
         repeats=snapshot.counters.get("engine.repeats", 0),
-        fallback_cells=snapshot.counters.get("engine.fallback_cells", 0),
         legacy_cells=snapshot.counters.get("engine.legacy_cells", 0),
         cache_hits=snapshot.counters.get("engine.cache_hits", 0),
         cache_misses=snapshot.counters.get("engine.cache_misses", 0),

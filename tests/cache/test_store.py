@@ -3,13 +3,11 @@
 import os
 import zipfile
 
-import numpy as np
 import pytest
 
 from repro.cache.store import (
     SimilarityStore,
     load_kernel_artifact,
-    open_kernel_csr,
     save_kernel_artifact,
 )
 from repro.exceptions import CacheIntegrityError
@@ -56,22 +54,6 @@ class TestArtifactRoundtrip:
         path = str(tmp_path / "kernel.npz")
         save_kernel_artifact(path, matrix, "k" * 64, CommonNeighbors())
         assert os.listdir(tmp_path) == ["kernel.npz"]
-
-    def test_open_kernel_csr_memory_maps_the_buffers(self, graph, tmp_path):
-        matrix = common_neighbors_matrix(graph)
-        path = str(tmp_path / "kernel.npz")
-        save_kernel_artifact(path, matrix, "k" * 64, CommonNeighbors())
-        csr = open_kernel_csr(path)
-        assert (csr.toarray() == matrix.matrix.toarray()).all()
-
-        def backing(array):
-            while array is not None and not isinstance(array, np.memmap):
-                array = getattr(array, "base", None)
-            return array
-
-        assert isinstance(backing(csr.data), np.memmap)
-        assert isinstance(backing(csr.indices), np.memmap)
-        assert isinstance(backing(csr.indptr), np.memmap)
 
 
 class TestStoreLookup:

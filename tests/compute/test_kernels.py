@@ -89,15 +89,6 @@ class TestEquivalence:
             )
             assert (blocked.matrix != full.matrix).nnz == 0
 
-    def test_parallel_matches_sequential(self, graph):
-        seq = build_kernel(
-            graph, AdamicAdar(), backend="vectorized", block_size=16
-        )
-        par = build_kernel(
-            graph, AdamicAdar(), backend="vectorized", block_size=16, workers=3
-        )
-        assert (par.matrix != seq.matrix).nnz == 0
-
     def test_python_kernel_rows_are_exact(self, graph):
         measure = AdamicAdar()
         kernel = python_kernel(graph, measure)

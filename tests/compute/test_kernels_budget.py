@@ -92,22 +92,6 @@ def test_budget_bounds_cover_all_rows(graph):
     assert all(stop > start for start, stop in bounds)
 
 
-def test_budgeted_kernel_with_workers(graph):
-    """Spill also applies on the process-pool path."""
-    stats = ComputeStats()
-    pooled = build_kernel(
-        graph,
-        get_measure("cn"),
-        workers=2,
-        memory_budget_bytes=100_000,
-        stats=stats,
-    )
-    unbudgeted = build_kernel(graph, get_measure("cn"))
-    assert (pooled.matrix != unbudgeted.matrix).nnz == 0
-    assert stats.workers == 2
-    assert stats.spill_blocks == stats.blocks > 1
-
-
 def test_invalid_budget_rejected(graph):
     with pytest.raises(ValueError, match="memory_budget_bytes"):
         build_kernel(graph, get_measure("cn"), memory_budget_bytes=0)

@@ -1,4 +1,4 @@
-"""Unit tests for the vectorised, sharded batch recommendation path."""
+"""Unit tests for the vectorised batch recommendation path."""
 
 import math
 
@@ -115,91 +115,17 @@ class TestValidation:
         assert results["ghost"].tier == "global-popularity"
         assert results["ghost"] == rec.recommend("ghost", n=5)
 
-    def test_invalid_workers(self, lastfm_small):
-        rec = _fitted(lastfm_small, CommonNeighbors())
-        with pytest.raises(ValueError):
-            batch_recommend_all(rec, workers=0)
 
-    def test_invalid_shard_size(self, lastfm_small):
-        rec = _fitted(lastfm_small, CommonNeighbors())
-        with pytest.raises(ValueError):
-            batch_recommend_all(rec, workers=2, shard_size=0)
-
-
-class TestParallelShardedPath:
-    """workers >= 2: contiguous shards scored across a process pool."""
-
-    def test_pooled_rankings_identical_to_sequential(self, lastfm_small):
-        rec = _fitted(lastfm_small, CommonNeighbors())
-        sequential = batch_recommend_all(rec, n=10)
-        pooled = batch_recommend_all(rec, n=10, workers=2)
-        assert set(pooled) == set(sequential)
-        for user, expected in sequential.items():
-            assert pooled[user].item_ids() == expected.item_ids(), user
-            assert pooled[user].utilities() == pytest.approx(expected.utilities())
-        assert pooled.stats.mode == "parallel"
-        assert pooled.stats.num_shards >= 2
-
-    def test_pooled_matches_per_user_path(self, lastfm_small):
-        rec = _fitted(lastfm_small, AdamicAdar())
-        pooled = batch_recommend_all(rec, n=10, workers=2)
-        for user in lastfm_small.social.users()[:20]:
-            expected = rec.recommend(user, n=10)
-            assert pooled[user].item_ids() == expected.item_ids(), user
-
-    def test_explicit_shard_size(self, lastfm_small):
-        rec = _fitted(lastfm_small, CommonNeighbors())
-        users = lastfm_small.social.users()
-        pooled = batch_recommend_all(rec, n=5, workers=2, shard_size=7)
-        assert pooled.stats.num_shards == math.ceil(len(users) / 7)
-        sequential = batch_recommend_all(rec, n=5)
-        for user, expected in sequential.items():
-            assert pooled[user].item_ids() == expected.item_ids()
-
-    def test_pooled_unknown_user_degrades_like_sequential(self, lastfm_small):
-        rec = _fitted(lastfm_small, CommonNeighbors(), epsilon=math.inf)
-        users = lastfm_small.social.users()[:6] + ["ghost"]
-        pooled = batch_recommend_all(rec, users=users, n=5, workers=2, shard_size=3)
-        assert pooled["ghost"].tier == "global-popularity"
-        assert pooled["ghost"] == rec.recommend("ghost", n=5)
-
-    def test_single_worker_stays_sequential(self, lastfm_small):
-        rec = _fitted(lastfm_small, CommonNeighbors())
-        result = batch_recommend_all(rec, n=5, workers=1)
-        assert result.stats.mode == "sequential"
-
-
-class TestShardFaultFallback:
+class TestKernelFaultFallback:
     pytestmark = pytest.mark.faults
-
-    def test_failed_shard_falls_back_without_changing_results(self, lastfm_small):
-        rec = _fitted(lastfm_small, CommonNeighbors())
-        sequential = batch_recommend_all(rec, n=10)
-        plan = FaultPlan([FaultSpec(site="batch.shard", kind="raise", on_call=2)])
-        with plan.installed():
-            pooled = batch_recommend_all(rec, n=10, workers=2)
-        assert pooled.stats.fallback_shards == 1
-        for user, expected in sequential.items():
-            assert pooled[user].item_ids() == expected.item_ids(), user
-
-    def test_every_shard_failing_still_serves_everyone(self, lastfm_small):
-        rec = _fitted(lastfm_small, CommonNeighbors())
-        sequential = batch_recommend_all(rec, n=10)
-        plan = FaultPlan(
-            [FaultSpec(site="batch.shard", kind="raise", repeat=True)]
-        )
-        with plan.installed():
-            pooled = batch_recommend_all(rec, n=10, workers=2)
-        assert pooled.stats.fallback_shards == pooled.stats.num_shards
-        for user, expected in sequential.items():
-            assert pooled[user].item_ids() == expected.item_ids(), user
 
     def test_kernel_fault_degrades_whole_batch_to_per_user(self, lastfm_small):
         rec = _fitted(lastfm_small, CommonNeighbors())
         plan = FaultPlan([FaultSpec(site="batch.kernel", kind="raise")])
         with plan.installed():
-            result = batch_recommend_all(rec, n=5, workers=2)
+            result = batch_recommend_all(rec, n=5)
         assert result.stats.mode == "per-user"
+        assert result.stats.tier_transitions == {"kernel->per-user": 1}
         assert set(result) == set(lastfm_small.social.users())
 
 
@@ -234,18 +160,6 @@ class TestSimilarityCacheIntegration:
         result = batch_recommend_all(rec, n=10, store=fresh)
         assert result.stats.cache_hits == 1
         assert fresh.stats.disk_hits == 1
-
-    def test_pooled_workers_reuse_the_cached_artifact(self, lastfm_small, tmp_path):
-        rec = _fitted(lastfm_small, CommonNeighbors())
-        store = SimilarityStore(str(tmp_path / "kernels"))
-        sequential = batch_recommend_all(rec, n=10)
-        pooled = batch_recommend_all(rec, n=10, store=store, workers=2)
-        again = batch_recommend_all(rec, n=10, store=store, workers=2)
-        assert pooled.stats.cache_misses == 1
-        assert again.stats.cache_hits == 1 and again.stats.cache_misses == 0
-        for user, expected in sequential.items():
-            assert pooled[user].item_ids() == expected.item_ids()
-            assert again[user].item_ids() == expected.item_ids()
 
     def test_unsupported_measure_bypasses_the_store(self, lastfm_small, tmp_path):
         rec = _fitted(lastfm_small, Jaccard())

@@ -194,14 +194,13 @@ class TestResume:
         assert counter.calls_to("tradeoff.cell") == 3  # all recomputed
 
     @pytest.mark.faults
-    def test_resume_under_engine_faults_with_workers(
+    def test_resume_under_engine_faults(
         self, tiny_dataset, tiny_clustering, tmp_path
     ):
-        """Interrupt a workers=2 sweep twice while every pooled cell is
-        also failing (engine.cell raises, forcing the pool -> in-parent
-        degradation), reloading the checkpoint between legs: the final
-        result must still be bit-identical to a clean single-process
-        sweep."""
+        """Interrupt a sweep twice while every engine cell is also failing
+        (engine.cell raises, so each cell takes the legacy rung to the
+        per-user path), reloading the checkpoint between legs: the final
+        result must still be bit-identical to a clean sweep."""
         baseline = sweep(tiny_dataset, tiny_clustering)
 
         path = str(tmp_path / "sweep.jsonl")
@@ -223,7 +222,6 @@ class TestResume:
                     clustering=tiny_clustering,
                     seed=3,
                     checkpoint=SweepCheckpoint(path),  # fresh reload per leg
-                    workers=2,
                 )
 
         with pytest.raises(OSError):

@@ -24,6 +24,8 @@ from repro.experiments.tradeoff import run_tradeoff
 from repro.resilience.faults import FaultPlan, FaultSpec
 from repro.similarity.adamic_adar import AdamicAdar
 from repro.similarity.common_neighbors import CommonNeighbors
+from repro.similarity.graph_distance import GraphDistance
+from repro.similarity.katz import Katz
 
 MEASURE = CommonNeighbors()
 
@@ -75,10 +77,6 @@ class TestValidation:
     def test_run_tradeoff_rejects_unknown_engine(self, lastfm_small):
         with pytest.raises(ValueError, match="unknown engine"):
             run_tradeoff(lastfm_small, [MEASURE], engine="bogus")
-
-    def test_bad_workers_rejected(self, lastfm_small):
-        with pytest.raises(ValueError, match="workers"):
-            SweepEngine(lastfm_small, workers=0)
 
     def test_bad_chunk_size_rejected(self, lastfm_small):
         with pytest.raises(ValueError, match="chunk_size"):
@@ -253,7 +251,6 @@ class TestStats:
             engine="vectorized",
         )
         assert cells.stats is not None
-        assert cells.stats.mode == "sequential"
         assert cells.stats.cells == 1
         assert cells.stats.repeats == 2
         assert cells.stats.legacy_cells == 0
@@ -272,30 +269,31 @@ class TestStats:
         assert cells.stats is None
 
 
-class TestParallel:
-    def test_workers_match_sequential_exactly(
-        self, lastfm_small, context, clustering
+class TestKernelCache:
+    @pytest.mark.parametrize(
+        "first, second",
+        [
+            (Katz(alpha=0.05), Katz(alpha=0.5)),
+            (GraphDistance(max_distance=1), GraphDistance(max_distance=3)),
+        ],
+        ids=["kz-alpha", "gd-cutoff"],
+    )
+    def test_same_name_measures_score_with_their_own_kernels(
+        self, lastfm_small, clustering, first, second
     ):
-        cells = [(1.0, (10, 50), 2), (0.1, (10, 50), 2)]
-        with SweepEngine(lastfm_small) as sequential, SweepEngine(
-            lastfm_small, workers=2
-        ) as parallel:
-            expected = sequential.evaluate_many(
-                context, clustering, cells, base_seed=1
-            )
-            actual = parallel.evaluate_many(
-                context, clustering, cells, base_seed=1
-            )
+        """Two parameterisations of one measure share a registry name but
+        not a kernel: a shared engine must score each with its own."""
+        contexts = [
+            EvaluationContext.build(lastfm_small, measure, max_n=10, seed=0)
+            for measure in (first, second)
+        ]
+        with SweepEngine(lastfm_small) as shared:
+            shared.repeat_rankings(contexts[0], clustering, 1.0, 5, [10])
+            actual = shared.repeat_rankings(contexts[1], clustering, 1.0, 5, [10])
+        with SweepEngine(lastfm_small) as fresh:
+            expected = fresh.repeat_rankings(contexts[1], clustering, 1.0, 5, [10])
         assert actual == expected
-        assert parallel.stats.mode == "parallel"
-        assert sequential.stats.mode == "sequential"
-
-    def test_single_cell_stays_sequential(
-        self, lastfm_small, context, clustering
-    ):
-        with SweepEngine(lastfm_small, workers=2) as engine:
-            engine.evaluate(context, clustering, 1.0, [10], 1)
-            assert engine.stats.mode == "sequential"
+        assert shared.stats.measures == 2
 
 
 class TestFaultLadder:
@@ -318,42 +316,6 @@ class TestFaultLadder:
             results = engine.evaluate(context, clustering, 1.0, [10], 3)
         assert results == {}
         assert engine.stats.legacy_cells == 1
-
-    def test_parallel_cell_fault_rescored_in_parent(
-        self, lastfm_small, context, clustering
-    ):
-        cells = [(1.0, (10,), 2), (0.1, (10,), 2)]
-        with SweepEngine(lastfm_small, workers=2) as faulted:
-            plan = FaultPlan([FaultSpec(site="engine.cell", on_call=1)])
-            with plan.installed():
-                results = faulted.evaluate_many(
-                    context, clustering, cells, base_seed=1
-                )
-            assert faulted.stats.fallback_cells == 1
-            assert faulted.stats.legacy_cells == 0
-        with SweepEngine(lastfm_small) as clean:
-            expected = clean.evaluate_many(
-                context, clustering, cells, base_seed=1
-            )
-        assert results == expected
-
-    def test_parallel_double_fault_drops_only_that_cell(
-        self, lastfm_small, context, clustering
-    ):
-        cells = [(1.0, (10,), 1), (0.1, (10,), 1)]
-        with SweepEngine(lastfm_small, workers=2) as engine:
-            plan = FaultPlan(
-                [
-                    FaultSpec(site="engine.cell", on_call=1),
-                    FaultSpec(site="engine.repeat", repeat=True),
-                ]
-            )
-            with plan.installed():
-                results = engine.evaluate_many(context, clustering, cells)
-            assert engine.stats.fallback_cells == 1
-            assert engine.stats.legacy_cells == 1
-        assert (1.0, 10) not in results
-        assert (0.1, 10) in results
 
     def test_tradeoff_driver_survives_engine_faults(self, lastfm_small):
         """Cells the engine abandons fall through to evaluate_factory with

@@ -17,7 +17,6 @@ from repro.obs import (
 def _compute_stats():
     stats = ComputeStats(requested="auto", backend="vectorized", measure="cn")
     stats.blocks = 4
-    stats.workers = 2
     stats.fallbacks = 1
     stats.add_stage("adjacency", 0.125)
     stats.add_stage("blocks", 0.5)
@@ -49,12 +48,9 @@ class TestEngineRoundTrip:
     def test_publish_then_view(self):
         reg = Telemetry()
         stats = EngineStats(
-            mode="pooled",
-            workers=3,
             measures=2,
             cells=6,
             repeats=12,
-            fallback_cells=1,
             legacy_cells=1,
             cache_hits=1,
             cache_misses=1,
@@ -62,33 +58,28 @@ class TestEngineRoundTrip:
             wall_seconds=2.5,
             compute=_compute_stats(),
         )
-        stats.record_transition("pool->parent")
-        stats.record_transition("pool->parent")
-        stats.record_transition("parent->legacy")
+        stats.record_transition("sequential->legacy")
         # build_kernel publishes its ComputeStats once, at construction.
         publish_compute_stats(stats.compute, reg)
         publish_engine_stats(stats, reg)
         view = engine_stats_view(reg.snapshot())
         assert view == stats
-        assert view.tier_transitions == {
-            "pool->parent": 2,
-            "parent->legacy": 1,
-        }
+        assert view.tier_transitions == {"sequential->legacy": 1}
 
     def test_counters_accumulate_across_publishes(self):
         reg = Telemetry()
-        publish_engine_stats(EngineStats(mode="sequential", cells=2), reg)
-        publish_engine_stats(EngineStats(mode="sequential", cells=3), reg)
+        publish_engine_stats(EngineStats(cells=2, legacy_cells=1), reg)
+        publish_engine_stats(EngineStats(cells=3, legacy_cells=1), reg)
         snap = reg.snapshot()
         assert snap.counters["engine.cells"] == 5
-        assert snap.counters["engine.mode.sequential"] == 2
+        assert snap.counters["engine.legacy_cells"] == 2
 
 
 class TestBatchRoundTrip:
     def test_publish_then_view(self):
         reg = Telemetry()
         stats = BatchStats(
-            mode="parallel",
+            mode="per-user",
             users_served=50,
             wall_seconds=1.5,
             rows_per_second=33.0,
@@ -99,7 +90,7 @@ class TestBatchRoundTrip:
             kernel_seconds=0.25,
         )
         stats.shard_seconds.extend([0.125, 0.25, 0.5])
-        stats.record_transition("pool->parent")
+        stats.record_transition("kernel->per-user")
         publish_batch_stats(stats, reg)
         view = batch_stats_view(reg.snapshot())
         # Shard times come back aggregated: one entry, the exact total.

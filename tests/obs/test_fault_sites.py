@@ -15,10 +15,8 @@ REPO = Path(__file__).resolve().parents[2]
 DOCS = REPO / "docs" / "robustness.md"
 SRC = REPO / "src"
 
-# Literal first argument of a fault_point call, plus the engine's
-# indirection (the repeat loop passes its site via fault_site=...).
+# Literal first argument of a fault_point call.
 _CALL = re.compile(r'fault_point\(\s*"([^"]+)"')
-_INDIRECT = re.compile(r'fault_site="([^"]+)"')
 
 
 def documented_sites():
@@ -36,7 +34,6 @@ def wired_sites():
             continue
         text = path.read_text()
         sites.update(_CALL.findall(text))
-        sites.update(_INDIRECT.findall(text))
     return sorted(sites)
 
 

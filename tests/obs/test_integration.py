@@ -225,49 +225,20 @@ class TestTierTransitionTelemetry:
 
     pytestmark = pytest.mark.faults
 
-    def test_engine_pool_degradation_counted(
-        self, lastfm_small, context, clustering
-    ):
-        cells = [(1.0, (10,), 1), (0.1, (10,), 1)]
-        with telemetry() as registry:
-            with SweepEngine(lastfm_small, workers=2) as engine:
-                clean = engine.evaluate_many(context, clustering, cells)
-        with telemetry() as registry:
-            with SweepEngine(lastfm_small, workers=2) as engine:
-                plan = FaultPlan([FaultSpec(site="engine.cell", on_call=1)])
-                with plan.installed():
-                    degraded = engine.evaluate_many(context, clustering, cells)
-                stats = engine.stats
-        # The cell was rescored in-parent: results are unchanged...
-        assert degraded == clean
-        # ...but the ladder drop is counted, not silent.
-        assert stats.fallback_cells == 1
-        assert stats.tier_transitions == {"pool->parent": 1}
-        assert registry.counter("engine.tier_transition.pool->parent") == 1
-        assert registry.counter("fault.site.engine.cell") == 2
-
     def test_engine_legacy_degradation_counted(
         self, lastfm_small, context, clustering
     ):
         cells = [(1.0, (10,), 1), (0.1, (10,), 1)]
         with telemetry() as registry:
-            with SweepEngine(lastfm_small, workers=2) as engine:
-                plan = FaultPlan(
-                    [
-                        FaultSpec(site="engine.cell", on_call=1),
-                        FaultSpec(site="engine.repeat", repeat=True),
-                    ]
-                )
+            with SweepEngine(lastfm_small) as engine:
+                plan = FaultPlan([FaultSpec(site="engine.cell", on_call=1)])
                 with plan.installed():
                     results = engine.evaluate_many(context, clustering, cells)
                 stats = engine.stats
         assert (1.0, 10) not in results and (0.1, 10) in results
-        assert stats.tier_transitions == {
-            "pool->parent": 1,
-            "parent->legacy": 1,
-        }
-        assert registry.counter("engine.tier_transition.pool->parent") == 1
-        assert registry.counter("engine.tier_transition.parent->legacy") == 1
+        assert stats.legacy_cells == 1
+        assert stats.tier_transitions == {"sequential->legacy": 1}
+        assert registry.counter("engine.tier_transition.sequential->legacy") == 1
 
     def test_batch_chunk_degradation_counted(self, lastfm_small):
         rec = _fitted(lastfm_small)
@@ -283,16 +254,3 @@ class TestTierTransitionTelemetry:
             registry.counter("batch.tier_transition.vectorized->per-user") == 1
         )
         assert registry.counter("fault.site.batch.chunk") >= 1
-
-    def test_batch_shard_degradation_counted(self, lastfm_small):
-        rec = _fitted(lastfm_small)
-        clean = batch_recommend_all(rec, n=10)
-        plan = FaultPlan([FaultSpec(site="batch.shard", kind="raise", on_call=2)])
-        with telemetry() as registry:
-            with plan.installed():
-                degraded = batch_recommend_all(rec, n=10, workers=2)
-        for user, expected in clean.items():
-            assert degraded[user].item_ids() == expected.item_ids(), user
-        assert degraded.stats.fallback_shards == 1
-        assert degraded.stats.tier_transitions == {"pool->parent": 1}
-        assert registry.counter("batch.tier_transition.pool->parent") == 1

@@ -26,17 +26,12 @@ class TestParser:
     def test_tradeoff_engine_defaults(self):
         args = build_parser().parse_args(["tradeoff"])
         assert args.engine == "vectorized"
-        assert args.workers is None
         assert args.cache_dir is None
         assert args.backend == "auto"
 
     def test_tradeoff_rejects_unknown_engine(self, capsys):
         with pytest.raises(SystemExit):
             build_parser().parse_args(["tradeoff", "--engine", "bogus"])
-
-    def test_tradeoff_rejects_zero_workers(self, capsys):
-        with pytest.raises(SystemExit):
-            build_parser().parse_args(["tradeoff", "--workers", "0"])
 
     def test_attack_epsilon_parsing(self):
         args = build_parser().parse_args(["attack", "--epsilon", "inf"])
@@ -304,7 +299,6 @@ class TestTradeoffEngine:
         assert main(argv) == 0
         out = capsys.readouterr().out
         assert "engine:" in out
-        assert "mode=sequential" in out
         assert "kernel:" in out
         assert "compute:" in out
 
@@ -327,14 +321,13 @@ class TestTradeoffEngine:
         reference = capsys.readouterr().out
         assert vectorized == reference
 
-    def test_workers_and_cache_dir(self, tmp_path, capsys):
+    def test_cache_dir_miss_then_hit(self, tmp_path, capsys):
         cache_dir = str(tmp_path / "kernels")
         argv = ["tradeoff", "--scale", "0.04", "--seed", "1", "--measures",
                 "cn", "--epsilons", "1.0", "0.5", "--ns", "5", "--repeats",
-                "2", "--workers", "2", "--cache-dir", cache_dir]
+                "2", "--cache-dir", cache_dir]
         assert main(argv) == 0
         out = capsys.readouterr().out
-        assert "mode=parallel" in out
         assert "1 miss(es)" in out
         assert f"cache dir:   {cache_dir}" in out
 
@@ -400,14 +393,6 @@ class TestBatchCommand:
         assert main(argv) == 0
         out = capsys.readouterr().out
         assert "1 cache hit(s), 0 miss(es)" in out
-
-    def test_batch_parallel_workers(self, tmp_path, capsys):
-        argv = ["batch", "--scale", "0.04", "--seed", "1", "--n", "5",
-                "--workers", "2", "--shard-size", "16"]
-        assert main(argv) == 0
-        out = capsys.readouterr().out
-        assert "mode=parallel" in out
-        assert "shards:" in out
 
 
 class TestSweepCommands:
