@@ -7,7 +7,8 @@ Every served list is one post-processing of the released averages
     P = S @ C         P[u, c] = sum of sim(u, v) over the v in cluster c
     E = P @ W_hat^T   mu_hat_u = W_hat @ P[u]
 
-then a top-N cut whose ties go to the lower item position, or the
+then a top-N cut (equal estimates inside the cut rank by item
+position; :func:`rank_rows` states what happens at the cut), or the
 degradation ladder for a user whose profile row is zero.  Batch serving,
 the sweep engine, the private recommender, the release server and the
 privacy audit all score through here.
@@ -34,7 +35,7 @@ utilities and the NOU, LRM and GS baselines all read ``mu`` from here.
 
 from __future__ import annotations
 
-from typing import Dict, List, Mapping, Optional, Sequence, Tuple
+from typing import Dict, Iterable, List, Mapping, Optional, Sequence, Tuple
 
 import numpy as np
 import scipy.sparse as sp
@@ -64,6 +65,7 @@ __all__ = [
     "preference_edges",
     "preference_matrix",
     "profile_rows",
+    "rank_cutoffs",
     "rank_rows",
     "ranked_list",
     "top_n_from_vector",
@@ -216,7 +218,12 @@ def rank_rows(estimates: np.ndarray, limit: int) -> np.ndarray:
 
     The one tie-break every served ranking uses: ``argpartition`` picks a
     row's top set, then a stable sort on -estimate over the set in item
-    order ranks it, so equal estimates rank by item position.
+    order ranks it, so equal estimates inside the set rank by item
+    position.  When a tie straddles the cut (the ``limit``-th and
+    ``limit + 1``-th largest estimates are equal), which of the tied
+    items enter the set is ``argpartition``'s choice, not the lowest
+    positions: deterministic for one row and one NumPy, but not a total
+    order, and not :func:`~repro.metrics.ranking.rank_items`' order.
     """
     num_rows, num_items = estimates.shape
     limit = min(limit, num_items)
@@ -236,6 +243,36 @@ def rank_rows(estimates: np.ndarray, limit: int) -> np.ndarray:
         order = np.argsort(negated[rows, candidates], axis=1, kind="stable")
         ranked[start : start + negated.shape[0]] = candidates[rows, order]
     return ranked
+
+
+def rank_cutoffs(
+    estimates: np.ndarray, limits: Iterable[int]
+) -> Dict[int, np.ndarray]:
+    """:func:`rank_rows` at every limit in ``limits``, ranking each row once.
+
+    Every row is ranked at the largest limit, and each smaller cutoff
+    ``n`` is a prefix of that ranking, except on a row where a tie
+    straddles the cut (its ``n``-th and ``n + 1``-th largest estimates
+    are equal): :func:`rank_rows` does not fix which tied items it keeps
+    there, so that row is re-ranked at ``n``.  ``result[n]`` thus
+    equals ``rank_rows(estimates, n)`` bit for bit for every ``n`` on
+    NaN-free estimates; the arrays may share memory.
+    """
+    num_items = estimates.shape[1]
+    cuts = {int(limit): min(int(limit), num_items) for limit in limits}
+    top = max(cuts.values(), default=0)
+    ranked = rank_rows(estimates, top)
+    values = np.take_along_axis(estimates, ranked, axis=1)
+    out: Dict[int, np.ndarray] = {}
+    for limit, cut in cuts.items():
+        prefix = ranked[:, : max(cut, 0)]
+        if 0 < cut < top:
+            straddle = np.flatnonzero(values[:, cut - 1] == values[:, cut])
+            if straddle.size:
+                prefix = prefix.copy()
+                prefix[straddle] = rank_rows(estimates[straddle], cut)
+        out[limit] = prefix
+    return out
 
 
 def top_n_rows(
@@ -266,7 +303,12 @@ def top_n_from_vector(
     n: int,
     tier: str = TIER_PERSONALIZED,
 ) -> RecommendationList:
-    """Top-N of one dense utility vector, with :func:`rank_rows`' tie-break."""
+    """Top-N of one dense utility vector, with :func:`rank_rows`' tie-break.
+
+    Equal estimates inside the top ``n`` rank by item position, but a tie
+    straddling the cut is kept in ``argpartition``'s choice, which may
+    differ from :func:`~repro.metrics.ranking.rank_items`.
+    """
     estimates = np.asarray(estimates)
     order = rank_rows(estimates[np.newaxis, :], n)[0]
     return ranked_list(user, items, order, estimates[order], tier=tier)

@@ -17,8 +17,11 @@ the outermost loop that still needs it:
   the evaluation users' cluster profile ``P = S @ C``, the dense
   ideal-utility matrix, and the cumulative reference DCG at every cutoff;
 - per (epsilon, repeat): *only* one Laplace tensor, one matmul
-  ``E = P @ (A + L)^T``, one vectorised ranking, and one cumulative-DCG
-  pass scoring every N at once.
+  ``E = P @ (A + L)^T``, one vectorised ranking at the largest N whose
+  prefixes serve every smaller N
+  (:func:`~repro.core.scoring.rank_cutoffs`; a row where a tie straddles
+  a smaller N's cut is re-ranked at that N), and one cumulative-DCG pass
+  read at every N.
 
 Equivalence with the per-user reference path is structural, not
 approximate: the noise stream reuses the recommender's exact generator
@@ -54,7 +57,7 @@ from repro.core.scoring import (
     estimate_rows,
     ladder_estimates,
     profile_rows,
-    rank_rows,
+    rank_cutoffs,
 )
 from repro.datasets.dataset import SocialRecDataset
 from repro.exceptions import ExperimentError
@@ -176,57 +179,67 @@ def _rank_repeat(
     columns: np.ndarray,
     ns: Sequence[int],
     chunk_size: int,
-) -> Dict[int, Tuple[np.ndarray, Dict[int, np.ndarray]]]:
-    """Rankings for one noise draw at every cutoff.
+) -> Tuple[Dict[int, np.ndarray], np.ndarray]:
+    """Rankings for one noise draw at every cutoff, each row ranked once.
 
-    Returns, per cutoff ``n``, the ``(users x limit)`` matrix of ranked
-    item positions plus a per-row override map for the zero-signal users
-    served by the degradation ladder (an empty override array means the
-    empty tier's empty ranking).  ``E = P @ (A + L)^T`` is materialised in
-    row chunks so peak memory stays ``chunk_size * num_items`` floats.
+    Returns ``(ranked, empty)``: per cutoff ``n`` the ``(users x limit)``
+    matrix of ranked item positions, and the mask of the zero-signal rows
+    the degradation ladder serves its empty tier (an empty ranking).  A
+    zero-signal row ranks its ladder estimates in place of its all-zero
+    ``E`` row.  Each chunk is ranked by one :func:`rank_cutoffs` call, so
+    a smaller cutoff is a prefix of the largest's ranking except on rows
+    where a tie straddles its cut.  ``E = P @ (A + L)^T`` is materialised
+    in row chunks so peak memory stays ``chunk_size * num_items`` floats.
     """
     num_users = profile.shape[0]
     num_items = noised.shape[0]
     release_t = np.ascontiguousarray(noised.T)
-    limits = {int(n): min(int(n), num_items) for n in ns}
     ranked = {
-        n: np.empty((num_users, limit), dtype=np.intp)
-        for n, limit in limits.items()
+        int(n): np.empty((num_users, min(int(n), num_items)), dtype=np.intp)
+        for n in ns
     }
+    zero_signal = ~profile.any(axis=1)
+    empty = np.zeros(num_users, dtype=bool)
     for start in range(0, num_users, chunk_size):
         stop = min(start + chunk_size, num_users)
         estimates = estimate_rows(profile[start:stop], release_t)
-        for n, limit in limits.items():
-            ranked[n][start:stop] = rank_rows(estimates, limit)
-    overrides: Dict[int, Dict[int, np.ndarray]] = {n: {} for n in limits}
-    for row in np.flatnonzero(~profile.any(axis=1)):
-        estimates, _ = ladder_estimates(noised, int(columns[row]), sizes)
-        for n, limit in limits.items():
-            if estimates is None:
-                overrides[n][int(row)] = np.empty(0, dtype=np.intp)
+        for row in np.flatnonzero(zero_signal[start:stop]):
+            ladder, _ = ladder_estimates(noised, int(columns[start + row]), sizes)
+            if ladder is None:
+                empty[start + row] = True
             else:
-                overrides[n][int(row)] = rank_rows(estimates[np.newaxis, :], limit)[0]
-    return {n: (ranked[n], overrides[n]) for n in limits}
+                estimates[row] = ladder
+        for n, rows in rank_cutoffs(estimates, ns).items():
+            ranked[n][start:stop] = rows
+    return ranked, empty
 
 
 def _private_dcg(
-    utilities: np.ndarray,
-    ranked: np.ndarray,
-    overrides: Dict[int, np.ndarray],
-) -> np.ndarray:
-    """Per-user DCG of the private rankings under the ideal utilities."""
-    num_users = ranked.shape[0]
-    if ranked.shape[1]:
-        gains = np.take_along_axis(utilities, ranked, axis=1)
-        private = dcg_array(gains)[:, -1].copy()
-    else:
-        private = np.zeros(num_users)
-    for row, positions in overrides.items():
-        if positions.size:
-            gains = utilities[row, positions][np.newaxis, :]
-            private[row] = dcg_array(gains)[0, -1]
+    utilities: np.ndarray, ranked: Dict[int, np.ndarray], empty: np.ndarray
+) -> Dict[int, np.ndarray]:
+    """Per-user DCG of the private rankings under the ideal utilities, per cutoff.
+
+    One :func:`dcg_array` pass over the gains of the widest ranking;
+    ``np.cumsum`` adds in rank order, so its column ``limit - 1`` is the
+    DCG of the first ``limit`` positions bit for bit.  Only a row whose
+    ranking at a cutoff is not a prefix of its widest one (a tie
+    straddled that cut) gets a DCG of its own; an empty ranking scores 0.
+    """
+    widest = max(ranked.values(), key=lambda rows: rows.shape[1])
+    cumulative = dcg_array(np.take_along_axis(utilities, widest, axis=1))
+    private: Dict[int, np.ndarray] = {}
+    for n, rows in ranked.items():
+        limit = rows.shape[1]
+        if limit:
+            scores = cumulative[:, limit - 1].copy()
+            own = np.flatnonzero((rows != widest[:, :limit]).any(axis=1))
+            if own.size:
+                gains = np.take_along_axis(utilities[own], rows[own], axis=1)
+                scores[own] = dcg_array(gains)[:, -1]
         else:
-            private[row] = 0.0
+            scores = np.zeros(rows.shape[0])
+        scores[empty] = 0.0
+        private[n] = scores
     return private
 
 
@@ -244,10 +257,13 @@ def _cell_scores(
 ) -> Dict[int, List[float]]:
     """Average NDCG@n per repeat for one (measure, epsilon) cell.
 
-    The scoring accumulation mirrors the scalar chain exactly:
-    ``ndcg_at_n``'s reference-DCG-positive division (1.0 otherwise),
-    ``average_ndcg``'s sequential per-user summation (``np.cumsum``), and
-    the division by the user count.
+    Each repeat is one noise draw (span ``engine.noise``), one ranking of
+    every row at the largest cutoff (``engine.rank``) and one cumulative
+    DCG pass read at every cutoff (``engine.ndcg``).  The scoring
+    accumulation mirrors the scalar chain exactly: ``ndcg_at_n``'s
+    reference-DCG-positive division (1.0 otherwise), ``average_ndcg``'s
+    sequential per-user summation (``np.cumsum``), and the division by
+    the user count.
     """
     num_users = profile.shape[0]
     if num_users == 0:
@@ -256,14 +272,17 @@ def _cell_scores(
     for seed in seeds:
         with span("engine.repeat"):
             fault_point("engine.repeat")
-            noised = _noised(averages_matrix, scales, int(seed))
-            per_n = _rank_repeat(
-                profile, noised, sizes, columns, ns, chunk_size
-            )
-            for n, (ranked, overrides) in per_n.items():
-                private = _private_dcg(utilities, ranked, overrides)
-                scores = _ndcg_scores(private, reference_cum, n)
-                results[n].append(float(np.cumsum(scores)[-1]) / num_users)
+            with span("engine.noise"):
+                noised = _noised(averages_matrix, scales, int(seed))
+            with span("engine.rank"):
+                ranked, empty = _rank_repeat(
+                    profile, noised, sizes, columns, ns, chunk_size
+                )
+            with span("engine.ndcg"):
+                private = _private_dcg(utilities, ranked, empty)
+                for n, dcg in private.items():
+                    scores = _ndcg_scores(dcg, reference_cum, n)
+                    results[n].append(float(np.cumsum(scores)[-1]) / num_users)
     return results
 
 
@@ -658,7 +677,7 @@ class SweepEngine:
                 averages.sensitivity,
                 items=len(averages.items),
             )
-        per_n = _rank_repeat(
+        ranked, empty = _rank_repeat(
             profile,
             noised,
             cluster_arrays.sizes,
@@ -666,7 +685,7 @@ class SweepEngine:
             [int(n) for n in ns],
             self.chunk_size,
         )
-        return evals, cluster_arrays, per_n
+        return evals, cluster_arrays, ranked, empty
 
     def repeat_rankings(
         self,
@@ -683,20 +702,17 @@ class SweepEngine:
         for every evaluation user — the equivalence tests pin this item
         for item.
         """
-        evals, cluster_arrays, per_n = self._repeat_state(
+        _, cluster_arrays, ranked, empty = self._repeat_state(
             context, clustering, epsilon, repeat_seed, ns
         )
         items = cluster_arrays.averages.items
-        out: Dict[int, Dict[UserId, List[ItemId]]] = {}
-        for n, (ranked, overrides) in per_n.items():
-            rankings: Dict[UserId, List[ItemId]] = {}
-            for row, user in enumerate(context.users):
-                positions = overrides.get(row)
-                if positions is None:
-                    positions = ranked[row]
-                rankings[user] = [items[int(p)] for p in positions]
-            out[n] = rankings
-        return out
+        return {
+            n: {
+                user: [] if empty[row] else [items[int(p)] for p in rows[row]]
+                for row, user in enumerate(context.users)
+            }
+            for n, rows in ranked.items()
+        }
 
     def per_user_scores(
         self,
@@ -718,11 +734,10 @@ class SweepEngine:
             raise ExperimentError(
                 f"requested n={n} exceeds the context's max_n={context.max_n}"
             )
-        evals, _, per_n = self._repeat_state(
+        evals, _, ranked, empty = self._repeat_state(
             context, clustering, epsilon, repeat_seed, [n]
         )
-        ranked, overrides = per_n[int(n)]
-        private = _private_dcg(evals.utilities, ranked, overrides)
+        private = _private_dcg(evals.utilities, ranked, empty)[int(n)]
         scores = _ndcg_scores(private, evals.reference_cum, int(n))
         return {
             user: float(scores[row]) for row, user in enumerate(context.users)
