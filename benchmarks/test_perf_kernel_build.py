@@ -1,16 +1,16 @@
-"""Kernel-construction cost: the vectorised backend vs the python rows.
+"""Kernel-construction cost: the vectorised kernels vs the python rows.
 
-Not a paper artifact — this module gates the `repro.compute` backend.  The
+Not a paper artifact — this module gates `repro.compute`.  The
 pytest-benchmark series tracks the absolute cost of building a full
 similarity kernel per measure on the vectorised CSR path (these feed
 ``check_regression.py`` like the serving benchmarks), and the speedup test
-asserts the backend keeps its reason to exist: building the kernel
-vectorised must stay at least 5x faster than looping the measure's own
-``similarity_row`` over every user.
+asserts the kernels keep their reason to exist: building the kernel
+vectorised must stay at least 5x faster than the ``tests/oracles`` loop
+over the measure's own ``similarity_row`` for every user.
 
 Louvain is deliberately absent from the gate: its local-moving scan must
 replay the reference implementation move for move to keep partitions
-identical, so the flat-array backend is parity, not a speedup (see
+identical, so the flat-array Louvain is parity, not a speedup (see
 docs/performance.md).
 """
 
@@ -26,11 +26,12 @@ from repro.similarity.adamic_adar import AdamicAdar
 from repro.similarity.common_neighbors import CommonNeighbors
 from repro.similarity.graph_distance import GraphDistance
 from repro.similarity.katz import Katz
+from tests.oracles.kernels import python_kernel
 
 MEASURES = [CommonNeighbors(), AdamicAdar(), GraphDistance(), Katz()]
 MEASURE_IDS = ["cn", "aa", "gd", "kz"]
 
-#: Contract from the backend's design review: below 5x the extra code path
+#: Contract from the kernels' design review: below 5x the extra code path
 #: is not paying for itself.  Measured headroom at this scale is >7x per
 #: measure (>40x for Katz), so the gate has slack for CI-machine noise.
 MIN_SPEEDUP = 5.0
@@ -54,19 +55,15 @@ def _best_of(runs, fn):
 
 @pytest.fixture(scope="module")
 def build_timings(kernel_graph):
-    """Best-of-N wall clock per (measure, backend), one pass for the module."""
+    """Best-of-N wall clock per (measure, path), one pass for the module."""
     rows = []
     for name, measure in zip(MEASURE_IDS, MEASURES):
         def vectorised(measure=measure):
             clear_adjacency_cache()  # charge the adjacency export every run
-            build_kernel(kernel_graph, measure, backend="vectorized")
+            build_kernel(kernel_graph, measure)
 
         vec_s = _best_of(3, vectorised)
-        py_s = _best_of(
-            2, lambda measure=measure: build_kernel(
-                kernel_graph, measure, backend="python"
-            )
-        )
+        py_s = _best_of(2, lambda measure=measure: python_kernel(kernel_graph, measure))
         rows.append({"measure": name, "vectorized_s": vec_s, "python_s": py_s})
     return rows
 
@@ -82,7 +79,7 @@ class TestKernelBuildCost:
     ):
         def run():
             clear_adjacency_cache()
-            return build_kernel(kernel_graph, measure, backend="vectorized")
+            return build_kernel(kernel_graph, measure)
 
         kernel = benchmark(run)
         assert kernel.num_users == kernel_graph.num_users
@@ -92,12 +89,8 @@ class TestKernelBuildCost:
     ):
         """The serving-path shape: adjacency already exported and shared."""
         clear_adjacency_cache()
-        build_kernel(kernel_graph, CommonNeighbors(), backend="vectorized")
-        benchmark(
-            lambda: build_kernel(
-                kernel_graph, CommonNeighbors(), backend="vectorized"
-            )
-        )
+        build_kernel(kernel_graph, CommonNeighbors())
+        benchmark(lambda: build_kernel(kernel_graph, CommonNeighbors()))
 
 
 class TestKernelSpeedupGate:

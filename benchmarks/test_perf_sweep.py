@@ -1,17 +1,20 @@
-"""Sweep-engine cost: the vectorized Figure 1/2 driver vs the reference.
+"""Sweep-engine cost: the vectorized Figure 1/2 driver vs per-cell scoring.
 
 Not a paper artifact — this module gates ``repro.experiments.engine``.
 The pytest-benchmark series tracks the absolute cost of a vectorized
 ``run_tradeoff`` sweep (it feeds ``check_regression.py`` like the
 kernel-build and serving benchmarks), and the speedup gate asserts the
 engine keeps its reason to exist: scoring the sweep through one matmul
-per noise draw must stay at least 5x faster than refitting the
-recommender and ranking per user.
+per noise draw must stay at least 5x faster than per-cell
+``evaluate_factory``, which refits the recommender and ranks per user.
 
-The Louvain clustering is precomputed and shared so both engines time
-the same work: the per-(epsilon, repeat) scoring loop the engine
-factors onto the batch kernel.  The timing fixture also pins the
-engines' cells equal, so the gate can never pass on divergent numbers.
+The reference run is the same driver with every engine cell abandoned
+(the ``engine.cell`` fault), so each cell falls through to
+``evaluate_factory``.  The Louvain clustering is precomputed and shared
+so both runs time the same work: the per-(epsilon, repeat) scoring loop
+the engine factors onto the batch kernel.  The timing fixture also pins
+the two runs' cells equal, so the gate can never pass on divergent
+numbers.
 """
 
 import time
@@ -21,6 +24,7 @@ import pytest
 from benchmarks.conftest import print_banner
 from repro.community.louvain import best_louvain_clustering
 from repro.experiments.tradeoff import run_tradeoff
+from repro.resilience.faults import FaultPlan, FaultSpec
 from repro.similarity.common_neighbors import CommonNeighbors
 
 #: Same contract as the kernel-build gate: below 5x the engine's extra
@@ -31,7 +35,7 @@ MIN_SPEEDUP = 5.0
 #: The paper's finite-epsilon grid at the paper's 10 repeats.  The sweep
 #: must be deep enough that the repeat loop — the part the engine
 #: vectorizes — dominates the shared fixed costs (reference rankings,
-#: kernel build) both engines pay once per measure; a 2-epsilon,
+#: kernel build) both paths pay once per measure; a 2-epsilon,
 #: 3-repeat toy sweep measures those fixed costs, not the engine.
 SWEEP = dict(
     measures=[CommonNeighbors()],
@@ -58,16 +62,19 @@ def _best_of(runs, fn):
 
 @pytest.fixture(scope="module")
 def sweep_timings(lastfm_bench, clustering):
-    """Best-of-N wall clock per engine, plus the cells for equivalence."""
+    """Best-of-N wall clock per path, plus the cells for equivalence."""
     cells = {}
 
-    def sweep(engine):
-        cells[engine] = run_tradeoff(
-            lastfm_bench, engine=engine, clustering=clustering, **SWEEP
-        )
+    def sweep(key):
+        cells[key] = run_tradeoff(lastfm_bench, clustering=clustering, **SWEEP)
+
+    def per_cell():
+        plan = FaultPlan([FaultSpec(site="engine.cell", repeat=True)])
+        with plan.installed():
+            sweep("reference")
 
     vec_s = _best_of(3, lambda: sweep("vectorized"))
-    ref_s = _best_of(2, lambda: sweep("reference"))
+    ref_s = _best_of(2, per_cell)
     return {"vectorized_s": vec_s, "reference_s": ref_s, "cells": cells}
 
 
@@ -78,12 +85,7 @@ class TestSweepCost:
         self, lastfm_bench, clustering, benchmark
     ):
         cells = benchmark(
-            lambda: run_tradeoff(
-                lastfm_bench,
-                engine="vectorized",
-                clustering=clustering,
-                **SWEEP,
-            )
+            lambda: run_tradeoff(lastfm_bench, clustering=clustering, **SWEEP)
         )
         assert len(cells) == len(SWEEP["epsilons"]) * len(SWEEP["ns"])
         assert cells.stats.legacy_cells == 0
@@ -91,14 +93,15 @@ class TestSweepCost:
 
 class TestSweepSpeedupGate:
     def test_engines_agree(self, sweep_timings):
-        """The ratio is only meaningful if both engines score the same
-        numbers — the tentpole contract, re-pinned where it is gated."""
+        """The ratio is only meaningful if both paths score the same
+        numbers — the engine's contract, re-pinned where it is gated."""
         cells = sweep_timings["cells"]
+        assert cells["reference"].stats.cells == 0  # all scored per cell
         assert list(cells["vectorized"]) == list(cells["reference"])
 
     def test_print_speedup_table(self, sweep_timings, lastfm_bench):
         print_banner(
-            "Tradeoff sweep: vectorized vs reference engine "
+            "Tradeoff sweep: vectorized engine vs per-cell evaluate_factory "
             f"({lastfm_bench.social.num_users} users, "
             f"{len(SWEEP['epsilons'])} epsilons x {SWEEP['repeats']} repeats)"
         )
@@ -113,5 +116,5 @@ class TestSweepSpeedupGate:
         speedup = sweep_timings["reference_s"] / sweep_timings["vectorized_s"]
         assert speedup >= MIN_SPEEDUP, (
             f"vectorized sweep is only {speedup:.1f}x faster than the "
-            f"reference engine (contract: >= {MIN_SPEEDUP}x)"
+            f"per-cell evaluate_factory (contract: >= {MIN_SPEEDUP}x)"
         )

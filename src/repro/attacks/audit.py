@@ -22,11 +22,9 @@ Audit protocol (fixed per run, all derived from the master seed):
    sweep — the same factoring the vectorized sweep engine uses — so a
    membership trial costs one scaled noise draw and a reconstruction
    repeat costs one Laplace tensor.
-4. Per measure, obtain the one kernel (through ``store`` unless the
-   backend is python) and read the observer's cluster-similarity vector
-   as a row of the scoring core's profile ``P = S @ C``
-   (:mod:`repro.core.scoring`), over a column-sorted copy so the python
-   and vectorized backends agree bit for bit.  Derive canonical
+4. Per measure, obtain the one kernel (through ``store``) and read the
+   observer's cluster-similarity vector as a row of the scoring core's
+   profile ``P = S @ C`` (:mod:`repro.core.scoring`).  Derive canonical
    unit-noise streams
    (``SeedSequence(seed)`` -> per-measure children) shared across the
    epsilon sweep: common random numbers make the per-measure bounds
@@ -85,7 +83,6 @@ from repro.obs.registry import incr as obs_incr
 from repro.obs.registry import telemetry as obs_telemetry
 from repro.obs.spans import span
 from repro.similarity.base import get_measure
-from repro.similarity.matrix import SimilarityMatrix
 from repro.types import ItemId, UserId
 
 __all__ = [
@@ -166,7 +163,6 @@ class AuditReport:
     seed: int
     trials: int
     repeats: int
-    backend: str
     sentinel: float
     cells: Tuple[AuditCell, ...]
 
@@ -195,7 +191,6 @@ class AuditReport:
                 "seed": self.seed,
                 "trials": self.trials,
                 "repeats": self.repeats,
-                "backend": self.backend,
                 "sentinel": self.sentinel,
             },
             "cells": [cell.to_jsonable() for cell in self.cells],
@@ -291,19 +286,6 @@ def _choose_attacked_edge(
     if not preferences.has_edge(victim, item):
         raise ExperimentError(f"edge ({victim!r}, {item!r}) not in the dataset")
     return victim, item
-
-
-def _column_sorted(kernel: SimilarityMatrix) -> SimilarityMatrix:
-    """A copy of ``kernel`` with every row's entries in column order.
-
-    Python and vectorized kernels hold bit-identical CN/GD/KZ rows in
-    different stored orders; scoring a column-sorted copy makes the
-    profile's sums — and so the whole report — backend-independent.
-    """
-    matrix = kernel.matrix.copy()
-    matrix.has_sorted_indices = False
-    matrix.sort_indices()
-    return SimilarityMatrix.from_csr(matrix, kernel.users)
 
 
 def _fit_deployed_target(
@@ -444,7 +426,6 @@ def run_privacy_audit(
     trials: int = 1000,
     repeats: int = 3,
     seed: int = 0,
-    backend: str = "auto",
     store=None,
     victim: Optional[UserId] = None,
     item: Optional[ItemId] = None,
@@ -462,8 +443,6 @@ def run_privacy_audit(
         repeats: fresh releases scored by the reconstruction attack
             (private target only; deployed targets are deterministic).
         seed: master seed — the entire report is a pure function of it.
-        backend: similarity/averages compute backend
-            (``auto | vectorized | python``).
         store: optional :class:`~repro.cache.store.SimilarityStore` for
             kernel reuse across audits.
         victim / item: override the attacked edge (default: chosen
@@ -493,18 +472,12 @@ def run_privacy_audit(
 
         with span("attacks.clustering"):
             clustering = covering_clustering(
-                louvain_strategy(runs=louvain_runs, seed=seed, backend=backend)(
-                    attacked_graph
-                ),
+                louvain_strategy(runs=louvain_runs, seed=seed)(attacked_graph),
                 preferences_with,
             )
         with span("attacks.averages"):
-            averages_with = cluster_item_averages(
-                preferences_with, clustering, backend=backend
-            )
-            averages_without = cluster_item_averages(
-                preferences_without, clustering, backend=backend
-            )
+            averages_with = cluster_item_averages(preferences_with, clustering)
+            averages_without = cluster_item_averages(preferences_without, clustering)
         items = averages_with.items
         positives = victim_edge_mask(preferences_with, victim, items)
 
@@ -521,14 +494,9 @@ def run_privacy_audit(
                 unit_laplace_draws(stream_with, trials),
             )
             kernel = load_or_build_kernel(
-                attacked_graph,
-                get_measure(measure_name),
-                None if backend == "python" else store,
-                backend=backend,
+                attacked_graph, get_measure(measure_name), store
             ).matrix
-            sim_vector = ClusterProfile(_column_sorted(kernel), clustering).row(
-                observer
-            )
+            sim_vector = ClusterProfile(kernel, clustering).row(observer)
             repeat_streams = recon_root.spawn(len(epsilons) * repeats)
             for target in targets:
                 for eps_index, epsilon in enumerate(epsilons):
@@ -587,7 +555,6 @@ def run_privacy_audit(
             seed=seed,
             trials=trials,
             repeats=repeats,
-            backend=backend,
             sentinel=EPS_SENTINEL,
             cells=tuple(cells),
         )

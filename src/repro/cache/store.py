@@ -38,7 +38,7 @@ from repro.cache.keys import (
     measure_fingerprint,
     similarity_cache_key,
 )
-from repro.compute.kernels import build_kernel, supports_vectorized_kernel
+from repro.compute.kernels import build_kernel
 from repro.exceptions import CacheIntegrityError
 from repro.graph.protocol import GraphLike
 from repro.obs.registry import incr as obs_incr
@@ -256,24 +256,22 @@ def load_or_build_kernel(
     measure: SimilarityMeasure,
     store: Optional["SimilarityStore"] = None,
     *,
-    backend: str = "auto",
     stats=None,
     build: Optional[Callable[[], SimilarityMatrix]] = None,
 ) -> CacheLookup:
     """The kernel for ``(graph, measure)``: a store hit, else a build.
 
     The one place a kernel is obtained.  The build — ``build()``, by
-    default :func:`~repro.compute.build_kernel` with ``backend`` filling
-    ``stats`` — is persisted to ``store``; without a store, or for a
-    measure with no vectorised kernel (never stored), it is the build
-    alone, reported as a miss with no artifact path.
+    default :func:`~repro.compute.build_kernel` filling ``stats`` — is
+    persisted to ``store``; without a store it is the build alone,
+    reported as a miss with no artifact path.
     """
     if build is None:
 
         def build() -> SimilarityMatrix:
-            return build_kernel(graph, measure, backend=backend, stats=stats)
+            return build_kernel(graph, measure, stats=stats)
 
-    if store is None or not supports_vectorized_kernel(measure):
+    if store is None:
         return CacheLookup(matrix=build(), path=None, hit=False)
     return store.get_or_compute(graph, measure, build)
 

@@ -69,7 +69,6 @@ from repro.exceptions import (
 )
 from repro.experiments.comparison import format_comparison_table, run_comparison
 from repro.experiments.degree_effect import run_degree_effect
-from repro.experiments.engine import ENGINES
 from repro.experiments.tradeoff import format_tradeoff_table, run_tradeoff
 from repro.similarity.base import get_measure
 
@@ -211,24 +210,9 @@ def build_parser() -> argparse.ArgumentParser:
         "rerun, so a killed sweep resumes where it stopped",
     )
     p_trade.add_argument(
-        "--engine",
-        choices=ENGINES,
-        default="vectorized",
-        help="sweep engine: 'vectorized' batches each noise draw into one "
-        "matmul, 'reference' keeps the per-user loop (identical numbers)",
-    )
-    p_trade.add_argument(
         "--cache-dir",
         default=None,
-        help="persist/reuse similarity kernels in this directory "
-        "(vectorized engine only)",
-    )
-    p_trade.add_argument(
-        "--backend",
-        choices=("auto", "vectorized", "python"),
-        default="auto",
-        help="kernel construction backend (default: auto — vectorised "
-        "when supported, python fallback on failure)",
+        help="persist/reuse similarity kernels in this directory",
     )
     _add_profile_argument(p_trade)
 
@@ -283,9 +267,6 @@ def build_parser() -> argparse.ArgumentParser:
         help="reconstruction releases per private cell (default: 3)",
     )
     p_audit.add_argument("--louvain-runs", type=_positive_int, default=5)
-    p_audit.add_argument(
-        "--backend", choices=("auto", "vectorized", "python"), default="auto"
-    )
     p_audit.add_argument(
         "--cache-dir", default=None,
         help="persistent similarity-kernel store directory",
@@ -355,13 +336,6 @@ def build_parser() -> argparse.ArgumentParser:
         default=None,
         help="persist/reuse similarity kernels in this directory",
     )
-    p_batch.add_argument(
-        "--backend",
-        choices=("auto", "vectorized", "python"),
-        default="auto",
-        help="kernel construction backend (default: auto — vectorised "
-        "when supported, python fallback on failure)",
-    )
     _add_profile_argument(p_batch)
 
     p_cache = sub.add_parser(
@@ -393,12 +367,6 @@ def build_parser() -> argparse.ArgumentParser:
     p_cache_warm.add_argument(
         "--measures", nargs="+", default=["cn", "aa", "gd", "kz"],
         help="similarity measures to warm (default: cn aa gd kz)",
-    )
-    p_cache_warm.add_argument(
-        "--backend",
-        choices=("auto", "vectorized", "python"),
-        default="auto",
-        help="kernel construction backend (default: auto)",
     )
     _add_profile_argument(p_cache_warm)
 
@@ -462,16 +430,6 @@ def build_parser() -> argparse.ArgumentParser:
     p_sweep_submit.add_argument("--repeats", type=int, default=5)
     p_sweep_submit.add_argument("--sample-size", type=int, default=None)
     p_sweep_submit.add_argument("--louvain-runs", type=int, default=10)
-    p_sweep_submit.add_argument(
-        "--engine", choices=ENGINES, default="vectorized",
-        help="sweep engine workers run cells with (default: vectorized)",
-    )
-    p_sweep_submit.add_argument(
-        "--backend",
-        choices=("auto", "vectorized", "python"),
-        default="auto",
-        help="kernel construction backend (default: auto)",
-    )
     p_sweep_submit.add_argument(
         "--max-attempts",
         type=_positive_int,
@@ -753,9 +711,7 @@ def _cmd_tradeoff(args: argparse.Namespace) -> int:
         sample_size=args.sample_size,
         seed=args.seed,
         checkpoint=args.checkpoint,
-        engine=args.engine,
         store=store,
-        backend=args.backend,
     )
     for n in args.ns:
         print(format_tradeoff_table(cells, n))
@@ -884,7 +840,6 @@ def _cmd_attack_audit(args: argparse.Namespace) -> int:
         trials=args.trials,
         repeats=args.repeats,
         seed=args.seed,
-        backend=args.backend,
         store=store,
         louvain_runs=args.louvain_runs,
     )
@@ -1103,12 +1058,7 @@ def _cmd_batch(args: argparse.Namespace) -> int:
         get_measure(args.measure), epsilon=args.epsilon, n=args.n, seed=args.seed
     )
     recommender.fit(dataset.social, dataset.preferences)
-    results = batch_recommend_all(
-        recommender,
-        n=args.n,
-        store=store,
-        backend=args.backend,
-    )
+    results = batch_recommend_all(recommender, n=args.n, store=store)
     stats = results.stats
     shard_ms = [f"{s * 1000:.0f}" for s in stats.shard_seconds]
     preview = ", ".join(shard_ms[:8]) + (", ..." if len(shard_ms) > 8 else "")
@@ -1141,14 +1091,11 @@ def _format_compute_stats(compute) -> str:
         for stage, seconds in compute.stage_seconds.items()
     )
     line = (
-        f"compute:     backend={compute.backend} "
-        f"(requested {compute.requested}), "
+        f"compute:     {compute.measure} kernel, "
         f"{compute.rows} rows at {compute.rows_per_second:,.0f} rows/s"
     )
     if compute.blocks:
         line += f", {compute.blocks} block(s)"
-    if compute.fallbacks:
-        line += f", {compute.fallbacks} fallback(s)"
     if stages:
         line += f" [{stages}]"
     return line
@@ -1198,19 +1145,15 @@ def _cmd_cache(args: argparse.Namespace) -> int:
     import time as _time
 
     from repro.cache.store import load_or_build_kernel
-    from repro.compute import ComputeStats, supports_vectorized_kernel
+    from repro.compute import ComputeStats
 
     dataset = _resolve_dataset(args)
-    backend = getattr(args, "backend", "auto")
     for name in args.measures:
         measure = get_measure(name)
-        if not supports_vectorized_kernel(measure):
-            print(f"{name}: skipped (no vectorised kernel)")
-            continue
-        compute_stats = ComputeStats(requested=backend)
+        compute_stats = ComputeStats()
         start = _time.perf_counter()
         lookup = load_or_build_kernel(
-            dataset.social, measure, store, backend=backend, stats=compute_stats
+            dataset.social, measure, store, stats=compute_stats
         )
         elapsed = _time.perf_counter() - start
         state = "hit" if lookup.hit else "computed"
@@ -1219,7 +1162,7 @@ def _cmd_cache(args: argparse.Namespace) -> int:
             f"({lookup.matrix.num_users} users, {lookup.matrix.nnz} nnz) "
             f"-> {lookup.path}"
         )
-        if not lookup.hit and compute_stats.backend:
+        if not lookup.hit and compute_stats.measure:
             print("  " + _format_compute_stats(compute_stats))
     stats = store.stats
     print(
@@ -1303,8 +1246,6 @@ def _cmd_sweep(args: argparse.Namespace) -> int:
             sample_size=args.sample_size,
             louvain_runs=args.louvain_runs,
             seed=args.seed,
-            engine=args.engine,
-            backend=args.backend,
             max_attempts=args.max_attempts,
         )
         queue = submit_tradeoff_sweep(args.queue, spec)

@@ -16,37 +16,28 @@ The paper runs Louvain 10 times with different random node orderings and
 keeps the most modular result; :func:`best_louvain_clustering` packages
 that protocol.
 
-Two interchangeable backends drive the same level loop:
-
-- ``python`` — the original dict-of-dicts implementation below, kept as
-  the semantic reference;
-- ``vectorized`` — the same algorithm on flat numpy arrays (CSR-style
-  ``indptr``/``indices``/``weights``, a node→community vector, community
-  weight accumulators).  Tie-breaking is replicated exactly — candidate
-  communities are visited in first-appearance order and compared with the
-  same ``> best + 1e-12`` rule — and every edge weight in the hierarchy
-  is an integer-valued float (sums of 1.0), so all gain arithmetic is
-  exact and the two backends produce **identical partitions** for the
-  same rng (property-tested).  ``backend="auto"`` (the default) runs
-  vectorized and falls back to python on any failure, replaying the same
-  rng stream.
+The implementation runs on flat numpy arrays (CSR-style
+``indptr``/``indices``/``weights``, a node→community vector, community
+weight accumulators).  Candidate communities are visited in
+first-appearance order and compared with a ``> best + 1e-12`` rule, and
+every edge weight in the hierarchy is an integer-valued float (sums of
+1.0), so all gain arithmetic is exact and the partition is a pure
+function of the graph and the rng.  A dict-based reference
+implementation in ``tests/oracles`` pins it partition for partition.
 """
 
 from __future__ import annotations
 
-import copy
 from dataclasses import dataclass
-from typing import Any, Dict, List, Optional, Tuple
+from typing import Dict, List, Optional, Tuple
 
 import numpy as np
 
 from repro.community.clustering import Clustering
 from repro.community.modularity import modularity
-from repro.compute.stats import validate_backend
 from repro.graph.protocol import GraphLike
 from repro.obs.registry import incr as obs_incr
 from repro.obs.spans import span
-from repro.resilience.faults import fault_point
 from repro.types import UserId
 
 __all__ = ["louvain", "best_louvain_clustering", "LouvainResult"]
@@ -55,203 +46,13 @@ __all__ = ["louvain", "best_louvain_clustering", "LouvainResult"]
 _MIN_LEVEL_GAIN = 1e-7
 
 
-class _AggregateGraph:
-    """Weighted graph used internally across Louvain's aggregation levels.
-
-    Nodes are integers.  ``adjacency[u][v]`` is the weight between distinct
-    nodes; ``loops[u]`` is the self-loop weight (internal weight of a
-    collapsed community).  ``total_weight`` is the sum of all edge weights,
-    counting each undirected edge once and each loop once.
-    """
-
-    __slots__ = ("adjacency", "loops", "total_weight")
-
-    def __init__(self, num_nodes: int) -> None:
-        self.adjacency: List[Dict[int, float]] = [{} for _ in range(num_nodes)]
-        self.loops: List[float] = [0.0] * num_nodes
-        self.total_weight = 0.0
-
-    @property
-    def num_nodes(self) -> int:
-        return len(self.adjacency)
-
-    def add_edge(self, u: int, v: int, weight: float) -> None:
-        if u == v:
-            self.loops[u] += weight
-        else:
-            self.adjacency[u][v] = self.adjacency[u].get(v, 0.0) + weight
-            self.adjacency[v][u] = self.adjacency[v].get(u, 0.0) + weight
-        self.total_weight += weight
-
-    def weighted_degree(self, u: int) -> float:
-        """Degree counting loops twice (standard modularity convention)."""
-        return sum(self.adjacency[u].values()) + 2.0 * self.loops[u]
-
-    @classmethod
-    def from_social_graph(
-        cls, graph: GraphLike
-    ) -> Tuple["_AggregateGraph", List[UserId]]:
-        """Convert a social graph; returns the graph and the node-id order.
-
-        Edges are ingested in *canonical sorted order* regardless of how
-        the input representation iterates them.  The adjacency dicts'
-        insertion order decides modularity tie-breaks during local
-        moving, so without a canonical order the same graph stored as an
-        in-memory ``SocialGraph`` and as an mmap-backed ``BigCSRGraph``
-        could yield different partitions for the same seed.
-        """
-        users = graph.users()
-        if isinstance(users, range) and users == range(len(users)):
-            agg = cls(len(users))
-            pairs = sorted(graph.edges())
-        else:
-            index = {user: i for i, user in enumerate(users)}
-            agg = cls(len(users))
-            pairs = sorted(
-                (index[u], index[v]) if index[u] <= index[v] else (index[v], index[u])
-                for u, v in graph.edges()
-            )
-        for u, v in pairs:
-            agg.add_edge(u, v, 1.0)
-        return agg, users
-
-
-def _one_level(
-    graph: _AggregateGraph,
-    node2com: List[int],
-    rng: np.random.Generator,
-) -> bool:
-    """Run local moving until no node move improves modularity.
-
-    ``node2com`` is modified in place; returns True when at least one move
-    happened.
-    """
-    m = graph.total_weight
-    if m <= 0.0:
-        return False
-
-    # Community totals: sum of weighted degrees, maintained incrementally.
-    com_degree: Dict[int, float] = {}
-    for node in range(graph.num_nodes):
-        com = node2com[node]
-        com_degree[com] = com_degree.get(com, 0.0) + graph.weighted_degree(node)
-
-    order = np.arange(graph.num_nodes)
-    rng.shuffle(order)
-
-    moved_any = False
-    improved = True
-    while improved:
-        improved = False
-        for node in order:
-            node = int(node)
-            com = node2com[node]
-            k_i = graph.weighted_degree(node)
-            k_i_over_2m = k_i / (2.0 * m)
-
-            # Weight from `node` to each neighboring community.
-            links_to_com: Dict[int, float] = {}
-            for nbr, weight in graph.adjacency[node].items():
-                c = node2com[nbr]
-                links_to_com[c] = links_to_com.get(c, 0.0) + weight
-
-            # Remove the node from its community for the comparison.
-            com_degree[com] -= k_i
-            base = links_to_com.get(com, 0.0) - com_degree[com] * k_i_over_2m
-
-            best_com = com
-            best_gain = base
-            for c, dnc in links_to_com.items():
-                if c == com:
-                    continue
-                gain = dnc - com_degree.get(c, 0.0) * k_i_over_2m
-                if gain > best_gain + 1e-12:
-                    best_gain = gain
-                    best_com = c
-
-            com_degree[best_com] = com_degree.get(best_com, 0.0) + k_i
-            if best_com != com:
-                node2com[node] = best_com
-                improved = True
-                moved_any = True
-    return moved_any
-
-
-def _renumber(node2com: List[int]) -> Tuple[List[int], int]:
-    """Map community labels to 0..k-1 in order of first appearance."""
-    mapping: Dict[int, int] = {}
-    renumbered = []
-    for com in node2com:
-        if com not in mapping:
-            mapping[com] = len(mapping)
-        renumbered.append(mapping[com])
-    return renumbered, len(mapping)
-
-
-def _induced_graph(
-    graph: _AggregateGraph, node2com: List[int], num_coms: int
-) -> _AggregateGraph:
-    """Collapse each community into a super-node, summing edge weights."""
-    coarse = _AggregateGraph(num_coms)
-    for node in range(graph.num_nodes):
-        cu = node2com[node]
-        coarse.loops[cu] += graph.loops[node]
-        coarse.total_weight += graph.loops[node]
-        for nbr, weight in graph.adjacency[node].items():
-            if nbr < node:
-                continue  # count each undirected edge once
-            cv = node2com[nbr]
-            if cu == cv:
-                coarse.loops[cu] += weight
-                coarse.total_weight += weight
-            else:
-                coarse.adjacency[cu][cv] = coarse.adjacency[cu].get(cv, 0.0) + weight
-                coarse.adjacency[cv][cu] = coarse.adjacency[cv].get(cu, 0.0) + weight
-                coarse.total_weight += weight
-    return coarse
-
-
-def _flat_partition(levels: List[List[int]], num_base_nodes: int) -> List[int]:
-    """Compose per-level assignments into a base-node -> community map."""
-    assignment = list(range(num_base_nodes))
-    for level in levels:
-        assignment = [level[c] for c in assignment]
-    return assignment
-
-
-def _partition_modularity(base: _AggregateGraph, assignment: List[int]) -> float:
-    """Modularity of a base-node assignment on the internal weighted graph."""
-    m = base.total_weight
-    if m <= 0.0:
-        return 0.0
-    intra: Dict[int, float] = {}
-    deg: Dict[int, float] = {}
-    for node in range(base.num_nodes):
-        c = assignment[node]
-        deg[c] = deg.get(c, 0.0) + base.weighted_degree(node)
-        intra[c] = intra.get(c, 0.0) + base.loops[node]
-        for nbr, weight in base.adjacency[node].items():
-            if nbr < node:
-                continue
-            if assignment[nbr] == c:
-                intra[c] = intra.get(c, 0.0) + weight
-    q = 0.0
-    two_m = 2.0 * m
-    for c in deg:
-        q += intra.get(c, 0.0) / m - (deg[c] / two_m) ** 2
-    return q
-
-
-# ----------------------------------------------------------------------
-# vectorized backend: the same algorithm on flat numpy arrays
-# ----------------------------------------------------------------------
 class _FlatGraph:
-    """CSR-style weighted graph for the vectorized Louvain backend.
+    """CSR-style weighted graph, one per aggregation level.
 
-    Per-node neighbor runs (``indices[indptr[u]:indptr[u+1]]``) keep the
-    exact insertion order of the dict-based :class:`_AggregateGraph`, so
-    first-appearance community iteration — the tie-breaking order — is
-    identical between backends.
+    Per-node neighbor runs (``indices[indptr[u]:indptr[u+1]]``) hold
+    neighbors in edge insertion order, which is the first-appearance
+    order local moving iterates candidate communities in — the
+    tie-breaking order.
     """
 
     __slots__ = ("indptr", "indices", "weights", "loops", "total_weight", "_wdeg")
@@ -308,11 +109,10 @@ class _FlatGraph:
     ) -> Tuple["_FlatGraph", List[UserId]]:
         """Convert a social graph; returns the graph and the node-id order.
 
-        Edges are ingested in canonical sorted order (the same rule as
-        ``_AggregateGraph.from_social_graph``): neighbor-run order is the
-        tie-breaking order of local moving, so it must not depend on
-        whether the graph arrived as a ``SocialGraph`` or a mmap-backed
-        ``BigCSRGraph``.
+        Edges are ingested in canonical sorted order: neighbor-run order
+        is the tie-breaking order of local moving, so it must not depend
+        on whether the graph arrived as a ``SocialGraph`` or a
+        mmap-backed ``BigCSRGraph``.
         """
         users = graph.users()
         if isinstance(users, range) and users == range(len(users)):
@@ -341,21 +141,20 @@ def _one_level_flat(
     node2com: np.ndarray,
     rng: np.random.Generator,
 ) -> bool:
-    """Local moving over flat arrays; mirrors :func:`_one_level` move for move.
+    """Run local moving until no node move improves modularity.
 
-    The weighted-degree vector and the community-degree accumulator are
-    computed vectorised once (the dict version re-sums a node's adjacency
-    on *every* visit of every sweep — the single largest cost in the
-    reference implementation).  The sequential move scan itself runs over
-    builtin-list mirrors of the CSR arrays: local moving is inherently
-    order-dependent, and element reads on lists avoid per-access numpy
-    scalar boxing while holding the exact same float64 values.
+    ``node2com`` is modified in place; returns True when at least one move
+    happened.  The weighted-degree vector and the community-degree
+    accumulator are computed vectorised once.  The sequential move scan
+    itself runs over builtin-list mirrors of the CSR arrays: local moving
+    is inherently order-dependent, and element reads on lists avoid
+    per-access numpy scalar boxing while holding the exact same float64
+    values.
 
     Candidate communities are visited in first-appearance order over the
-    node's neighbor run — the order the dict version iterates
-    ``links_to_com`` — and every link sum and community degree is an
+    node's neighbor run, and every link sum and community degree is an
     integer-valued float, so gains, comparisons, and therefore moves are
-    bit-identical to the python backend.
+    exact.
     """
     m = graph.total_weight
     if m <= 0.0:
@@ -380,7 +179,7 @@ def _one_level_flat(
 
     # Per-node (neighbor, weight) runs, paired once and reused across every
     # sweep — the CSR row slices stay in neighbor order, so links_to_com
-    # fills in the same first-appearance order as the dict backend.
+    # fills in first-appearance order.
     pairs = [
         list(zip(idx[ptr[i] : ptr[i + 1]], wts[ptr[i] : ptr[i + 1]]))
         for i in range(n)
@@ -422,7 +221,7 @@ def _one_level_flat(
 
 
 def _renumber_flat(node2com: np.ndarray) -> Tuple[np.ndarray, int]:
-    """Vectorized first-appearance renumbering (matches :func:`_renumber`)."""
+    """Map community labels to 0..k-1 in order of first appearance."""
     uniq, first, inverse = np.unique(
         node2com, return_index=True, return_inverse=True
     )
@@ -437,10 +236,8 @@ def _induced_flat(
     """Collapse communities into super-nodes on flat arrays.
 
     Coarse neighbor runs are emitted in first appearance order of each
-    inter-community pair over the fine-edge scan — the same insertion
-    order the dict version produces — and all weight sums are integer
-    accumulations, so the coarse graph is indistinguishable from the
-    python backend's.
+    inter-community pair over the fine-edge scan, and all weight sums are
+    integer accumulations, so the coarse graph is exact.
     """
     n = graph.num_nodes
     src = np.repeat(np.arange(n), np.diff(graph.indptr))
@@ -490,12 +287,11 @@ def _flat_partition_flat(
 def _partition_modularity_flat(
     base: _FlatGraph, assignment: np.ndarray
 ) -> float:
-    """Modularity on flat arrays, bit-equal to :func:`_partition_modularity`.
+    """Modularity of a base-node assignment on the internal weighted graph.
 
     The per-community terms use exact integer sums; the final float
-    accumulation visits communities in the same first-appearance order the
-    dict version iterates, so level-gain decisions never diverge between
-    backends.
+    accumulation visits communities in first-appearance order, so
+    level-gain decisions are a pure function of the partition.
     """
     m = base.total_weight
     if m <= 0.0:
@@ -518,62 +314,6 @@ def _partition_modularity_flat(
     return q
 
 
-class _PythonBackend:
-    """Dispatch table for the reference dict-based implementation."""
-
-    name = "python"
-    from_social = staticmethod(_AggregateGraph.from_social_graph)
-    one_level = staticmethod(_one_level)
-    renumber = staticmethod(_renumber)
-    induced = staticmethod(_induced_graph)
-    partition = staticmethod(_flat_partition)
-    partition_modularity = staticmethod(_partition_modularity)
-
-    @staticmethod
-    def num_nodes(graph: _AggregateGraph) -> int:
-        return graph.num_nodes
-
-    @staticmethod
-    def identity(n: int) -> List[int]:
-        return list(range(n))
-
-    @staticmethod
-    def copy_assignment(assignment: List[int]) -> List[int]:
-        return list(assignment)
-
-    @staticmethod
-    def compose(assignment: List[int], upper: List[int]) -> List[int]:
-        return [upper[c] for c in assignment]
-
-
-class _VectorizedBackend:
-    """Dispatch table for the flat-array implementation."""
-
-    name = "vectorized"
-    from_social = staticmethod(_FlatGraph.from_social_graph)
-    one_level = staticmethod(_one_level_flat)
-    renumber = staticmethod(_renumber_flat)
-    induced = staticmethod(_induced_flat)
-    partition = staticmethod(_flat_partition_flat)
-    partition_modularity = staticmethod(_partition_modularity_flat)
-
-    @staticmethod
-    def num_nodes(graph: _FlatGraph) -> int:
-        return graph.num_nodes
-
-    @staticmethod
-    def identity(n: int) -> np.ndarray:
-        return np.arange(n, dtype=np.int64)
-
-    @staticmethod
-    def copy_assignment(assignment: np.ndarray) -> np.ndarray:
-        return assignment.copy()
-
-    @staticmethod
-    def compose(assignment: np.ndarray, upper: np.ndarray) -> np.ndarray:
-        return upper[assignment]
-
-
 @dataclass(frozen=True)
 class LouvainResult:
     """Outcome of one Louvain run.
@@ -583,72 +323,18 @@ class LouvainResult:
         modularity: Q of the clustering on the input graph.
         num_levels: number of aggregation levels the run used.
         refined: whether multi-level refinement ran.
-        backend: which compute backend produced the result (``"python"``
-            or ``"vectorized"``; the partition is identical either way).
     """
 
     clustering: Clustering
     modularity: float
     num_levels: int
     refined: bool
-    backend: str = "python"
-
-
-def _run_louvain(
-    graph: GraphLike,
-    rng: np.random.Generator,
-    refine: bool,
-    ops: Any,
-) -> LouvainResult:
-    """The backend-generic level loop (Blondel et al. + Rotta–Noack)."""
-    base, users = ops.from_social(graph)
-    n = ops.num_nodes(base)
-    if n == 0:
-        return LouvainResult(Clustering([]), 0.0, 0, refined=False, backend=ops.name)
-    if base.total_weight == 0.0:
-        singletons = Clustering([[u] for u in users])
-        return LouvainResult(singletons, 0.0, 0, refined=False, backend=ops.name)
-
-    graphs = [base]
-    levels: List[Any] = []
-    current = base
-    prev_q = -1.0
-    while True:
-        node2com = ops.identity(ops.num_nodes(current))
-        ops.one_level(current, node2com, rng)
-        node2com, num_coms = ops.renumber(node2com)
-        flat = ops.partition(levels + [node2com], n)
-        q = ops.partition_modularity(base, flat)
-        if q - prev_q <= _MIN_LEVEL_GAIN and levels:
-            break
-        prev_q = q
-        levels.append(node2com)
-        if num_coms == ops.num_nodes(current):
-            break
-        current = ops.induced(current, node2com, num_coms)
-        graphs.append(current)
-
-    if refine and len(levels) > 1:
-        _refine_levels(graphs, levels, rng, ops)
-
-    flat = ops.partition(levels, n)
-    assignment = {users[i]: int(flat[i]) for i in range(n)}
-    clustering = Clustering.from_assignment(assignment)
-    obs_incr("louvain.levels", len(levels))
-    return LouvainResult(
-        clustering=clustering,
-        modularity=modularity(graph, clustering),
-        num_levels=len(levels),
-        refined=refine and len(levels) > 1,
-        backend=ops.name,
-    )
 
 
 def louvain(
     graph: GraphLike,
     rng: Optional[np.random.Generator] = None,
     refine: bool = True,
-    backend: str = "auto",
 ) -> LouvainResult:
     """Detect communities in ``graph`` with the Louvain method.
 
@@ -658,47 +344,68 @@ def louvain(
             fresh seeded generator, so pass one for reproducibility).
         refine: run the Rotta–Noack multi-level refinement pass (the paper
             enables it).
-        backend: ``"auto"`` (vectorized, falling back to python on any
-            failure with the same rng stream), ``"vectorized"``, or
-            ``"python"``.  The partition does not depend on the choice.
 
     Returns:
         A :class:`LouvainResult`; for an edgeless graph every node becomes
         its own community.
-
-    Raises:
-        ValueError: for an unknown backend name.
     """
-    validate_backend(backend)
     if rng is None:
         rng = np.random.default_rng(0)
     with span("community.louvain"):
         obs_incr("louvain.runs")
-        if backend == "python":
-            obs_incr("louvain.backend.python")
-            return _run_louvain(graph, rng, refine, _PythonBackend)
-        # Snapshot the generator so a fallback replays the identical
-        # stream — the python rerun then produces the exact partition the
-        # vectorized run would have.
-        rng_snapshot = copy.deepcopy(rng)
-        try:
-            fault_point("compute.louvain")
-            result = _run_louvain(graph, rng, refine, _VectorizedBackend)
-            obs_incr("louvain.backend.vectorized")
-            return result
-        except Exception:
-            if backend == "vectorized":
-                raise
-            obs_incr("louvain.fallbacks")
-            obs_incr("louvain.backend.python")
-            return _run_louvain(graph, rng_snapshot, refine, _PythonBackend)
+        return _run_louvain(graph, rng, refine)
+
+
+def _run_louvain(
+    graph: GraphLike, rng: np.random.Generator, refine: bool
+) -> LouvainResult:
+    """The level loop (Blondel et al. + Rotta–Noack)."""
+    base, users = _FlatGraph.from_social_graph(graph)
+    n = base.num_nodes
+    if n == 0:
+        return LouvainResult(Clustering([]), 0.0, 0, refined=False)
+    if base.total_weight == 0.0:
+        singletons = Clustering([[u] for u in users])
+        return LouvainResult(singletons, 0.0, 0, refined=False)
+
+    graphs = [base]
+    levels: List[np.ndarray] = []
+    current = base
+    prev_q = -1.0
+    while True:
+        node2com = np.arange(current.num_nodes, dtype=np.int64)
+        _one_level_flat(current, node2com, rng)
+        node2com, num_coms = _renumber_flat(node2com)
+        flat = _flat_partition_flat(levels + [node2com], n)
+        q = _partition_modularity_flat(base, flat)
+        if q - prev_q <= _MIN_LEVEL_GAIN and levels:
+            break
+        prev_q = q
+        levels.append(node2com)
+        if num_coms == current.num_nodes:
+            break
+        current = _induced_flat(current, node2com, num_coms)
+        graphs.append(current)
+
+    if refine and len(levels) > 1:
+        _refine_levels(graphs, levels, rng)
+
+    flat = _flat_partition_flat(levels, n)
+    assignment = {users[i]: int(flat[i]) for i in range(n)}
+    clustering = Clustering.from_assignment(assignment)
+    obs_incr("louvain.levels", len(levels))
+    return LouvainResult(
+        clustering=clustering,
+        modularity=modularity(graph, clustering),
+        num_levels=len(levels),
+        refined=refine and len(levels) > 1,
+    )
 
 
 def _refine_levels(
-    graphs: List[Any],
-    levels: List[Any],
+    graphs: List[_FlatGraph],
+    levels: List[np.ndarray],
     rng: np.random.Generator,
-    ops: Any = _PythonBackend,
 ) -> None:
     """Multi-level refinement: re-run local moving from coarse to fine.
 
@@ -709,11 +416,11 @@ def _refine_levels(
     """
     for li in range(len(levels) - 2, -1, -1):
         # Assignment of level-li nodes implied by the coarser levels.
-        node2com = ops.copy_assignment(levels[li])
+        node2com = levels[li].copy()
         for upper in levels[li + 1 :]:
-            node2com = ops.compose(node2com, upper)
-        ops.one_level(graphs[li], node2com, rng)
-        node2com, _num = ops.renumber(node2com)
+            node2com = upper[node2com]
+        _one_level_flat(graphs[li], node2com, rng)
+        node2com, _num = _renumber_flat(node2com)
         # Collapse everything above level li into this single refined level.
         del levels[li + 1 :]
         levels[li] = node2com
@@ -724,26 +431,22 @@ def best_louvain_clustering(
     runs: int = 10,
     seed: int = 0,
     refine: bool = True,
-    backend: str = "auto",
 ) -> LouvainResult:
     """The paper's clustering protocol: best of ``runs`` Louvain restarts.
 
     Each run uses an independent random node ordering; the run with the
     highest modularity wins (ties keep the earliest run, so results are
-    deterministic in ``seed`` — and independent of ``backend``).
+    deterministic in ``seed``).
 
     Raises:
-        ValueError: if ``runs`` < 1 or the backend name is unknown.
+        ValueError: if ``runs`` < 1.
     """
     if runs < 1:
         raise ValueError(f"runs must be >= 1, got {runs}")
-    validate_backend(backend)
     seeds = np.random.SeedSequence(seed).spawn(runs)
     best: Optional[LouvainResult] = None
     for child in seeds:
-        result = louvain(
-            graph, rng=np.random.default_rng(child), refine=refine, backend=backend
-        )
+        result = louvain(graph, rng=np.random.default_rng(child), refine=refine)
         if best is None or result.modularity > best.modularity:
             best = result
     assert best is not None

@@ -1,13 +1,11 @@
-"""Vectorised sparse compute backends for kernels and clustering.
+"""Vectorised sparse compute for similarity kernels.
 
-``repro.compute`` is the construction-speed layer: it builds the same
-similarity kernels and Louvain partitions as the pure-python reference
-implementations, but on scipy CSR algebra and flat numpy arrays, with a
-``auto | vectorized | python`` backend switch threaded through
+``repro.compute`` is the construction-speed layer: :func:`build_kernel`
+builds every registered measure's all-pairs similarity kernel on scipy
+CSR algebra, one row block at a time, for
 :class:`~repro.similarity.base.SimilarityCache`, the recommenders,
-:func:`~repro.core.batch.batch_recommend_all`, and the CLI.  ``auto``
-degrades to the python path on any vectorised failure — the same
-never-wrong-only-slower ladder as the serving degradation machinery.
+:func:`~repro.core.batch.batch_recommend_all`, the sweep engine, and the
+CLI.
 """
 
 from repro.compute.adjacency import (
@@ -15,25 +13,14 @@ from repro.compute.adjacency import (
     adjacency_csr,
     clear_adjacency_cache,
 )
-from repro.compute.kernels import (
-    DEFAULT_BLOCK_SIZE,
-    build_kernel,
-    python_kernel,
-    resolve_backend,
-    supports_vectorized_kernel,
-)
-from repro.compute.stats import BACKENDS, ComputeStats, validate_backend
+from repro.compute.kernels import DEFAULT_BLOCK_SIZE, build_kernel
+from repro.compute.stats import ComputeStats
 
 __all__ = [
-    "BACKENDS",
     "CSRAdjacency",
     "ComputeStats",
     "DEFAULT_BLOCK_SIZE",
     "adjacency_csr",
     "build_kernel",
     "clear_adjacency_cache",
-    "python_kernel",
-    "resolve_backend",
-    "supports_vectorized_kernel",
-    "validate_backend",
 ]

@@ -1,14 +1,16 @@
 """Blocked, vectorised construction of all-pairs similarity kernels.
 
-The per-user ``similarity_row`` implementations are the semantic ground
-truth but run at Python speed — one BFS/DP sweep per user.  This module
-builds the same kernels with scipy CSR algebra, **one row block at a
-time** so peak memory stays bounded by
-``block_size * avg_row_density`` instead of the full |U|² product:
+Every registered measure has exactly one kernel builder here, built with
+scipy CSR algebra **one row block at a time** so peak memory stays
+bounded by ``block_size * avg_row_density`` instead of the full |U|²
+product:
 
 - Common Neighbors:    ``A[B] @ A`` off the diagonal
 - Adamic/Adar:         ``A[B] @ diag(1/log deg) @ A``
 - Resource Allocation: ``A[B] @ diag(1/deg) @ A``
+- Jaccard / cosine:    element-wise functions of the CN block and the
+  degrees, ``cn / (d_u + d_v - cn)`` and ``cn / sqrt(d_u d_v)``
+- Preferential Attachment: ``d_u d_v`` on the pattern of ``A + A²``
 - Katz (l <= 3):       simple-path closed forms, evaluated per block
 - Graph Distance:      multi-source blocked BFS by boolean sparse
   algebra — ``frontier @ A`` per level, minus already-visited pairs,
@@ -20,9 +22,9 @@ another in-process; the assembled kernel streams into
 :class:`~repro.similarity.matrix.SimilarityMatrix` without a dense
 intermediate.
 
-Equivalence is the contract: each block builder reproduces the python
-rows within 1e-9 (Katz and Graph Distance bit-exactly — integer path
-counts and exact ``1/d`` scores), property-tested in
+Each block builder reproduces the measures' own ``similarity_row``
+(within 1e-9 for Adamic/Adar and Resource Allocation, bit-exactly for
+the rest), property-tested in
 ``tests/property/test_compute_properties.py``.
 """
 
@@ -37,20 +39,15 @@ import numpy as np
 import scipy.sparse as sp
 
 from repro.compute.adjacency import CSRAdjacency, adjacency_csr
-from repro.compute.stats import ComputeStats, validate_backend
-from repro.exceptions import ReproError
+from repro.compute.stats import ComputeStats
+from repro.exceptions import SimilarityError
 from repro.graph.protocol import GraphLike
 from repro.obs.adapters import publish_compute_stats
 from repro.obs.spans import span
 from repro.resilience.faults import fault_point
 from repro.similarity.matrix import SimilarityMatrix
 
-__all__ = [
-    "build_kernel",
-    "python_kernel",
-    "resolve_backend",
-    "supports_vectorized_kernel",
-]
+__all__ = ["build_kernel"]
 
 #: Rows per construction block; at lastfm scale one block of the densest
 #: kernel (Katz l=3) stays in the tens of megabytes.
@@ -61,58 +58,28 @@ DEFAULT_BLOCK_SIZE = 2048
 #: doubled for scipy's product temporaries.
 _BUDGET_BYTES_PER_ENTRY = 32
 
+#: Measures whose kernel is a function of the two-hop product alone.
+_TWO_HOP_KINDS = ("cn", "aa", "ra", "jc", "cos", "pa")
 
-# ----------------------------------------------------------------------
-# capability / backend resolution
-# ----------------------------------------------------------------------
-def _kernel_params(measure: Any) -> Optional[Dict[str, Any]]:
-    """The block-builder parameters for ``measure``, or None if unsupported.
+
+def _kernel_params(measure: Any) -> Dict[str, Any]:
+    """The block-builder parameters for ``measure``.
 
     Dispatch is duck-typed on the registry ``name`` plus the public
     parameters, so custom subclasses that change the semantics without
     changing the name should override ``name`` as well.
-    """
-    name = getattr(measure, "name", "")
-    if name in ("cn", "aa", "ra"):
-        return {"kind": name}
-    if name == "gd":
-        max_distance = getattr(measure, "max_distance", None)
-        if isinstance(max_distance, int) and max_distance >= 1:
-            return {"kind": "gd", "max_distance": max_distance}
-        return None
-    if name == "kz":
-        max_length = getattr(measure, "max_length", None)
-        alpha = getattr(measure, "alpha", None)
-        if isinstance(max_length, int) and 1 <= max_length <= 3:
-            return {"kind": "kz", "max_length": max_length, "alpha": alpha}
-        return None
-    return None
-
-
-def supports_vectorized_kernel(measure: Any) -> bool:
-    """Whether ``measure`` has a blocked vectorised builder as configured.
-
-    Covers cn/aa/ra, Graph Distance at *any* cutoff, and Katz up to the
-    paper's l <= 3 (longer simple paths have no sparse closed form).
-    """
-    return _kernel_params(measure) is not None
-
-
-def resolve_backend(backend: str, measure: Any = None) -> str:
-    """Map a backend request to the concrete backend that should run.
-
-    ``auto`` resolves to ``vectorized`` when the measure supports it
-    (always, when no measure is given) and ``python`` otherwise.
 
     Raises:
-        ValueError: for an unknown backend name.
+        SimilarityError: for a measure whose name has no kernel.
     """
-    validate_backend(backend)
-    if backend != "auto":
-        return backend
-    if measure is None or supports_vectorized_kernel(measure):
-        return "vectorized"
-    return "python"
+    name = getattr(measure, "name", "")
+    if name in _TWO_HOP_KINDS:
+        return {"kind": name}
+    if name == "gd":
+        return {"kind": "gd", "max_distance": measure.max_distance}
+    if name == "kz":
+        return {"kind": "kz", "max_length": measure.max_length, "alpha": measure.alpha}
+    raise SimilarityError(f"measure {measure!r} has no similarity kernel")
 
 
 # ----------------------------------------------------------------------
@@ -154,11 +121,29 @@ def _two_hop_block(
     kind: str,
 ) -> sp.csr_matrix:
     block = adjacency[start:stop, :]
-    if kind == "cn":
-        scores = block @ adjacency
-    else:
+    if kind in ("aa", "ra"):
         scores = (block @ sp.diags(_degree_weights(kind, degrees))) @ adjacency
-    return _zero_own_column(scores, start)
+        return _zero_own_column(scores, start)
+    if kind == "pa":
+        scores = _zero_own_column(block @ adjacency + block, start)
+    else:
+        scores = _zero_own_column(block @ adjacency, start)
+    if kind == "cn":
+        return scores
+    # Element-wise functions of the common-neighbor counts and the two
+    # endpoint degrees, in the product's stored order.  Counts and
+    # degrees are exact integers in float64, so each score rounds once,
+    # exactly as the measures' own integer arithmetic does.
+    row_degree = np.repeat(degrees[start:stop], np.diff(scores.indptr))
+    col_degree = degrees[scores.indices]
+    common = scores.data
+    if kind == "jc":
+        scores.data = common / (row_degree + col_degree - common)
+    elif kind == "cos":
+        scores.data = common / np.sqrt(row_degree * col_degree)
+    else:
+        scores.data = row_degree * col_degree
+    return scores
 
 
 def _katz_block(
@@ -171,9 +156,12 @@ def _katz_block(
 ) -> sp.csr_matrix:
     """Damped simple-path counts for one row block (closed forms, l <= 3).
 
-    Mirrors :func:`repro.similarity.matrix.katz_matrix` restricted to rows
-    ``start:stop``; every term is a row slice of the full-matrix identity,
-    so blocks concatenate to exactly the unblocked kernel.
+    Path-count closed forms (``A2 = A @ A``): length 1 is ``A``; length
+    2 is ``A2`` off the diagonal; length 3 is
+    ``A3 - A @ diag(deg) - diag(deg) @ A + A`` off the diagonal, which
+    subtracts the walks that revisit an endpoint.  Every term is a row
+    slice of the full-matrix identity, so blocks concatenate to exactly
+    the unblocked kernel.
     """
     block = adjacency[start:stop, :]
     total = sp.csr_matrix(block * alpha)
@@ -356,7 +344,7 @@ def _build_block(
     params: Dict[str, Any],
 ) -> sp.csr_matrix:
     kind = params["kind"]
-    if kind in ("cn", "aa", "ra"):
+    if kind in _TWO_HOP_KINDS:
         return _two_hop_block(adjacency, degrees, start, stop, kind)
     if kind == "gd":
         return _graph_distance_block(adjacency, start, stop, params["max_distance"])
@@ -364,45 +352,14 @@ def _build_block(
         return _katz_block(
             adjacency, degrees, start, stop, params["max_length"], params["alpha"]
         )
-    raise ReproError(f"unknown kernel kind {kind!r}")  # pragma: no cover
+    raise SimilarityError(f"unknown kernel kind {kind!r}")  # pragma: no cover
 
 
 # ----------------------------------------------------------------------
 # kernel construction
 # ----------------------------------------------------------------------
-def python_kernel(
+def _blocked_kernel(
     graph: GraphLike,
-    measure: Any,
-    adjacency: Optional[CSRAdjacency] = None,
-) -> SimilarityMatrix:
-    """The reference kernel: one ``similarity_row`` call per user.
-
-    Rows follow the same stable user order as the vectorised path, so the
-    two backends produce directly comparable (and identically cacheable)
-    matrices.
-    """
-    adj = adjacency if adjacency is not None else adjacency_csr(graph)
-    index = adj.index
-    rows: List[int] = []
-    cols: List[int] = []
-    vals: List[float] = []
-    for i, user in enumerate(adj.users):
-        for other, score in measure.similarity_row(graph, user).items():
-            j = index.get(other)
-            if j is not None and score != 0.0:
-                rows.append(i)
-                cols.append(j)
-                vals.append(score)
-    n = adj.num_users
-    matrix = sp.csr_matrix(
-        (np.asarray(vals), (rows, cols)), shape=(n, n)
-    )
-    return SimilarityMatrix.from_csr(matrix, adj.users)
-
-
-def _vectorized_kernel(
-    graph: GraphLike,
-    measure: Any,
     params: Dict[str, Any],
     block_size: int,
     memory_budget_bytes: Optional[int],
@@ -463,7 +420,6 @@ def build_kernel(
     graph: GraphLike,
     measure: Any,
     *,
-    backend: str = "auto",
     block_size: int = DEFAULT_BLOCK_SIZE,
     memory_budget_bytes: Optional[int] = None,
     stats: Optional[ComputeStats] = None,
@@ -476,31 +432,26 @@ def build_kernel(
             :class:`~repro.graph.bigcsr.BigCSRGraph`; any
             :class:`~repro.graph.protocol.GraphLike` works.
         measure: any registered similarity measure.
-        backend: ``"auto"`` (vectorised when supported, python fallback on
-            any vectorised failure), ``"vectorized"`` (fail rather than
-            fall back), or ``"python"`` (reference row loop).
         block_size: kernel rows per construction block; bounds peak
-            memory on the vectorised path.
+            memory.
         memory_budget_bytes: hard target for the construction working
-            set (vectorised path).  When set, block bounds are derived
-            adaptively from a per-row cost estimate so each block's
-            product stays within the budget, and finished blocks spill
-            to ``.npy`` scratch files instead of accumulating in memory
-            (``compute.spill.*`` counters record the traffic).  The
-            *result* kernel still materialises — the budget governs
-            construction overhead, not output size.
+            set.  When set, block bounds are derived adaptively from a
+            per-row cost estimate so each block's product stays within
+            the budget, and finished blocks spill to ``.npy`` scratch
+            files instead of accumulating in memory (``compute.spill.*``
+            counters record the traffic).  The *result* kernel still
+            materialises — the budget governs construction overhead, not
+            output size.
         stats: optional :class:`ComputeStats` to fill with per-stage wall
-            times, throughput, and the backend actually used.
+            times and throughput.
 
     Returns:
         A :class:`~repro.similarity.matrix.SimilarityMatrix` whose rows
-        follow the graph's stable user order under either backend.
+        follow the graph's stable user order.
 
     Raises:
-        ValueError: for an unknown backend or invalid ``block_size`` /
-            ``memory_budget_bytes``.
-        ReproError: when ``backend="vectorized"`` and the measure has no
-            vectorised builder as configured.
+        ValueError: for invalid ``block_size`` / ``memory_budget_bytes``.
+        SimilarityError: for a measure whose name has no kernel.
     """
     if block_size < 1:
         raise ValueError(f"block_size must be >= 1, got {block_size}")
@@ -512,63 +463,17 @@ def build_kernel(
         stats = ComputeStats()
     if memory_budget_bytes is not None:
         stats.memory_budget_bytes = memory_budget_bytes
+    params = _kernel_params(measure)
     with span("compute.build_kernel"):
-        try:
-            return _build_kernel(
-                graph,
-                measure,
-                backend=backend,
-                block_size=block_size,
-                memory_budget_bytes=memory_budget_bytes,
-                stats=stats,
-            )
-        finally:
-            # Mirror the construction counters into the active telemetry
-            # registry (no-op when disabled or nothing ran).
-            publish_compute_stats(stats)
-
-
-def _build_kernel(
-    graph: GraphLike,
-    measure: Any,
-    *,
-    backend: str,
-    block_size: int,
-    memory_budget_bytes: Optional[int],
-    stats: ComputeStats,
-) -> SimilarityMatrix:
-    stats.requested = backend
-    stats.measure = getattr(measure, "name", type(measure).__name__)
-    resolved = resolve_backend(backend, measure)
-    total_start = time.perf_counter()
-
-    if resolved == "vectorized":
-        params = _kernel_params(measure)
-        if params is None:
-            raise ReproError(
-                f"measure {measure!r} has no vectorised similarity kernel; "
-                f"use backend='python' or 'auto'"
-            )
-        try:
-            fault_point("compute.kernel")
-            result = _vectorized_kernel(
-                graph, measure, params, block_size, memory_budget_bytes, stats
-            )
-            stats.backend = "vectorized"
-            stats.finish(
-                result.num_users, result.nnz, time.perf_counter() - total_start
-            )
-            return result
-        except Exception:
-            if backend == "vectorized":
-                raise
-            # auto: degrade to the reference implementation — slower,
-            # never wrong (same ladder shape as serving degradation).
-            stats.fallbacks += 1
-
-    stage_start = time.perf_counter()
-    result = python_kernel(graph, measure)
-    stats.add_stage("rows", time.perf_counter() - stage_start)
-    stats.backend = "python"
-    stats.finish(result.num_users, result.nnz, time.perf_counter() - total_start)
-    return result
+        total_start = time.perf_counter()
+        result = _blocked_kernel(graph, params, block_size, memory_budget_bytes, stats)
+        stats.finish(
+            measure.name,
+            result.num_users,
+            result.nnz,
+            time.perf_counter() - total_start,
+        )
+        # Mirror the construction counters into the active telemetry
+        # registry (no-op when disabled).
+        publish_compute_stats(stats)
+        return result

@@ -72,35 +72,16 @@ class BaseRecommender(abc.ABC):
     Args:
         measure: the social similarity measure to personalise with.
         n: default recommendation-list length.
-        compute_backend: how the similarity cache materialises rows —
-            ``"auto"`` (default: vectorised when the measure supports it,
-            python on failure), ``"vectorized"`` (build the whole kernel
-            on the :mod:`repro.compute` CSR path), or ``"python"``
-            (bit-exact reference rows).  Pass
-            ``compute_backend="python"`` to force the reference path —
-            e.g. when auditing the one-ulp row differences the weighted
-            measures can exhibit on the vectorised path (those could flip
-            exact ties); every other consumer (batch, cache, experiments)
-            resolves ``"auto"`` the same way, so the default is uniform
-            across the framework.
 
     Raises:
-        ValueError: if ``n`` < 1 or the backend name is unknown.
+        ValueError: if ``n`` < 1.
     """
 
-    def __init__(
-        self,
-        measure: SimilarityMeasure,
-        n: int = 10,
-        compute_backend: str = "auto",
-    ) -> None:
-        from repro.compute.stats import validate_backend
-
+    def __init__(self, measure: SimilarityMeasure, n: int = 10) -> None:
         if n < 1:
             raise ValueError(f"n must be >= 1, got {n}")
         self.measure = measure
         self.n = n
-        self.compute_backend = validate_backend(compute_backend)
         self._state: Optional[FittedState] = None
 
     # ------------------------------------------------------------------
@@ -121,9 +102,7 @@ class BaseRecommender(abc.ABC):
         self._state = FittedState(
             social=social,
             preferences=preferences,
-            similarity=SimilarityCache(
-                self.measure, social, backend=self.compute_backend
-            ),
+            similarity=SimilarityCache(self.measure, social),
             items=items,
             item_index={item: i for i, item in enumerate(items)},
         )

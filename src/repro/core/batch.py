@@ -20,9 +20,8 @@ runs and processes at zero privacy cost.  Pass a
 :class:`~repro.cache.store.SimilarityStore` to skip recomputation
 entirely on a warm cache.
 
-Measures without a vectorised kernel (or with non-default cutoffs the
-kernels do not cover) fall back to the per-user path transparently, as
-does a chunk whose scoring fails.  Every call returns a
+A failing kernel falls back to the per-user path, as does a chunk whose
+scoring fails.  Every call returns a
 :class:`BatchResult` — a plain dict of
 user -> :class:`~repro.types.RecommendationList` carrying a
 :class:`BatchStats` with cache hit/miss counters, per-chunk wall times,
@@ -38,8 +37,7 @@ from typing import Dict, Iterable, List, Optional, Sequence
 import numpy as np
 
 from repro.cache.store import SimilarityStore
-from repro.compute.kernels import supports_vectorized_kernel
-from repro.compute.stats import ComputeStats, validate_backend
+from repro.compute.stats import ComputeStats
 from repro.core.private import PrivateSocialRecommender
 from repro.core.scoring import ClusterProfile, ranked_list, top_n_rows
 from repro.exceptions import ReproError
@@ -60,8 +58,8 @@ class BatchStats:
     """Perf counters for one :func:`batch_recommend_all` call.
 
     Attributes:
-        mode: ``"sequential"``, or ``"per-user"`` (no vectorised
-            kernel, or the kernel failed outright).
+        mode: ``"sequential"``, or ``"per-user"`` (the kernel failed
+            outright).
         users_served: number of recommendation lists produced.
         wall_seconds: end-to-end wall time of the call.
         rows_per_second: ``users_served / wall_seconds``.
@@ -123,7 +121,6 @@ def batch_recommend_all(
     chunk_size: int = 512,
     *,
     store: Optional[SimilarityStore] = None,
-    backend: str = "auto",
 ) -> BatchResult:
     """Top-N recommendations for many users at once.
 
@@ -136,11 +133,7 @@ def batch_recommend_all(
         store: optional persistent similarity cache; the kernel is
             loaded from (or written to) it instead of being recomputed,
             and hit/miss counters are reported on the result's stats.
-        backend: kernel construction backend
-            (``auto | vectorized | python``; see
-            :func:`repro.compute.build_kernel`).  Affects construction
-            speed only — scoring happens on the assembled kernel either
-            way.  Construction counters land on ``stats.compute``.
+            Construction counters land on ``stats.compute``.
 
     Returns:
         :class:`BatchResult` — user -> :class:`RecommendationList`,
@@ -159,7 +152,6 @@ def batch_recommend_all(
             n,
             chunk_size,
             store=store,
-            backend=backend,
         )
 
 
@@ -170,7 +162,6 @@ def _batch_recommend_all(
     chunk_size: int = 512,
     *,
     store: Optional[SimilarityStore] = None,
-    backend: str = "auto",
 ) -> BatchResult:
     start_time = time.perf_counter()
     state = recommender.state
@@ -183,37 +174,35 @@ def _batch_recommend_all(
         raise ValueError(f"n must be >= 1, got {limit}")
     if chunk_size < 1:
         raise ValueError(f"chunk_size must be >= 1, got {chunk_size}")
-    validate_backend(backend)
 
     target_users = list(users) if users is not None else state.social.users()
     results = BatchResult()
     stats = results.stats
-    compute_stats = ComputeStats(requested=backend)
+    compute_stats = ComputeStats()
 
     profile: Optional[ClusterProfile] = None
     kernel_start = time.perf_counter()
     try:
         fault_point("batch.kernel")
-        if supports_vectorized_kernel(recommender.measure):
-            before = store.stats.snapshot() if store is not None else None
-            # The recommender's own cache: its per-user queries (the
-            # zero-signal users below) reuse this kernel and profile.
-            state.similarity.ensure_kernel(store, backend=backend, stats=compute_stats)
-            if before is not None:
-                stats.cache_hits = store.stats.hits - before.hits
-                stats.cache_misses = store.stats.misses - before.misses
-            profile = recommender.scorer_.profile()
+        before = store.stats.snapshot() if store is not None else None
+        # The recommender's own cache: its per-user queries (the
+        # zero-signal users below) reuse this kernel and profile.
+        state.similarity.ensure_kernel(store, stats=compute_stats)
+        if before is not None:
+            stats.cache_hits = store.stats.hits - before.hits
+            stats.cache_misses = store.stats.misses - before.misses
+        profile = recommender.scorer_.profile()
     except Exception:
         # A failing kernel degrades the whole batch to the (slower but
         # independent) per-user path rather than killing the run.
         profile = None
         stats.record_transition("kernel->per-user")
     stats.kernel_seconds = time.perf_counter() - kernel_start
-    if compute_stats.backend:  # a construction actually ran
+    if compute_stats.measure:  # a construction actually ran
         stats.compute = compute_stats
 
     if profile is None:
-        # No vectorised kernel: fall back to the per-user path.
+        # The kernel failed: fall back to the per-user path.
         stats.mode = "per-user"
         _per_user(recommender, results, target_users, limit)
         _finalise_stats(stats, len(results), start_time)

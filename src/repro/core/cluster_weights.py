@@ -177,8 +177,7 @@ def _clamped_user_items(
 
     Applies the user-level clamp (keep each user's first ``user_clamp``
     edges in the fixed item order) and validates cluster coverage —
-    shared by both accumulation backends so they agree on exactly which
-    edges count.
+    the one place that decides which edges count.
     """
     for user in preferences.users():
         owned = preferences.items_of(user)
@@ -195,25 +194,7 @@ def _clamped_user_items(
         yield column, owned
 
 
-def _exact_sums_python(
-    preferences: PreferenceGraph,
-    clustering: Clustering,
-    item_index: Dict[ItemId, int],
-    max_weight: float,
-    protection: str,
-    user_clamp: int,
-) -> np.ndarray:
-    """The reference accumulation: one Python pass over users and edges."""
-    sums = np.zeros((len(item_index), clustering.num_clusters))
-    for column, owned in _clamped_user_items(
-        preferences, clustering, item_index, max_weight, protection, user_clamp
-    ):
-        for item, weight in owned.items():
-            sums[item_index[item], column] += min(weight, max_weight)
-    return sums
-
-
-def _exact_sums_vectorized(
+def _exact_sums(
     preferences: PreferenceGraph,
     clustering: Clustering,
     item_index: Dict[ItemId, int],
@@ -226,7 +207,7 @@ def _exact_sums_vectorized(
     Builds the (edges,) COO triplets in one pass, then reduces
     ``W_pref^T @ C`` in scipy.  For the paper's unweighted model (and any
     weight grid exactly representable in binary) the per-cell sums are
-    bit-identical to the python reference; the tests pin this.
+    exact; the tests pin them against a per-edge loop.
     """
     num_items = len(item_index)
     num_clusters = clustering.num_clusters
@@ -256,7 +237,6 @@ def cluster_item_averages(
     max_weight: float = 1.0,
     protection: str = "edge",
     user_clamp: int = 50,
-    backend: str = "auto",
 ) -> ClusterItemAverages:
     """Exact per-cluster average weights (lines 2–5 of Algorithm 1).
 
@@ -271,32 +251,19 @@ def cluster_item_averages(
         max_weight: the weight cap ``W`` (edges are clipped to it).
         protection: ``"edge"`` or ``"user"`` (see module docstring).
         user_clamp: per-user edge bound under ``protection="user"``.
-        backend: how the exact sums are accumulated — ``"python"`` (the
-            reference loop), ``"vectorized"`` (a CSR product of the
-            clipped preference matrix with the cluster indicator), or
-            ``"auto"`` (vectorized; scipy is a hard dependency).  Both
-            backends count exactly the same edges; the tests pin their
-            equality.
 
     Raises:
         ClusteringError: if a user with preference edges is not clustered.
         PrivacyError: for a non-positive ``max_weight`` or ``user_clamp``,
             or an unknown protection level.
-        ValueError: for an unknown backend name.
     """
-    from repro.compute.stats import validate_backend
-
-    validate_backend(backend)
     _validate_parameters(max_weight, protection, user_clamp)
 
     items = preferences.items()
     item_index = {item: i for i, item in enumerate(items)}
     num_clusters = clustering.num_clusters
 
-    accumulate = (
-        _exact_sums_python if backend == "python" else _exact_sums_vectorized
-    )
-    sums = accumulate(
+    sums = _exact_sums(
         preferences, clustering, item_index, max_weight, protection, user_clamp
     )
 
@@ -360,7 +327,6 @@ def noisy_cluster_item_weights(
     max_weight: float = 1.0,
     protection: str = "edge",
     user_clamp: int = 50,
-    backend: str = "auto",
 ) -> NoisyClusterWeights:
     """Run module A_w end to end: release all noisy cluster-average weights.
 
@@ -388,8 +354,6 @@ def noisy_cluster_item_weights(
         user_clamp: under ``protection="user"``, only each user's first
             ``user_clamp`` edges (in the graph's fixed item order)
             contribute; this bounds the per-user sensitivity.
-        backend: exact-sum accumulation backend
-            (see :func:`cluster_item_averages`).
 
     Raises:
         ClusteringError: if a user with preference edges is not clustered.
@@ -404,7 +368,6 @@ def noisy_cluster_item_weights(
         max_weight=max_weight,
         protection=protection,
         user_clamp=user_clamp,
-        backend=backend,
     )
     matrix = apply_laplace_noise(averages, epsilon, rng=rng)
     return NoisyClusterWeights(

@@ -62,21 +62,12 @@ def covering_clustering(clustering: Clustering, preferences) -> Clustering:
     return Clustering(list(clustering.clusters()) + [[u] for u in uncovered])
 
 
-def louvain_strategy(
-    runs: int = 10, seed: int = 0, backend: str = "auto"
-) -> ClusteringStrategy:
-    """The paper's default strategy: best-of-``runs`` Louvain restarts.
-
-    ``backend`` selects the Louvain implementation
-    (``auto | vectorized | python``); both produce identical partitions,
-    so the choice affects wall time only.
-    """
+def louvain_strategy(runs: int = 10, seed: int = 0) -> ClusteringStrategy:
+    """The paper's default strategy: best-of-``runs`` Louvain restarts."""
 
     def strategy(graph: GraphLike) -> Clustering:
         fault_point("clustering.strategy")
-        return best_louvain_clustering(
-            graph, runs=runs, seed=seed, backend=backend
-        ).clustering
+        return best_louvain_clustering(graph, runs=runs, seed=seed).clustering
 
     return strategy
 
@@ -102,9 +93,6 @@ class PrivateSocialRecommender(BaseRecommender):
             edge set; noise scales by ``user_clamp``).
         user_clamp: per-user contribution bound under user-level
             protection.
-        compute_backend: backend for the similarity cache
-            (``auto | vectorized | python``; see
-            :class:`~repro.core.base.BaseRecommender`).
 
     After :meth:`fit`, the attributes :attr:`clustering_`,
     :attr:`noisy_weights_` and :attr:`ledger_` expose the fitted clustering,
@@ -124,9 +112,8 @@ class PrivateSocialRecommender(BaseRecommender):
         max_weight: float = 1.0,
         protection: str = "edge",
         user_clamp: int = 50,
-        compute_backend: str = "auto",
     ) -> None:
-        super().__init__(measure, n=n, compute_backend=compute_backend)
+        super().__init__(measure, n=n)
         self.epsilon = validate_epsilon(epsilon)
         self.clustering_strategy = (
             clustering_strategy

@@ -29,7 +29,6 @@ from typing import Callable, List, Optional, Sequence, Union
 
 from repro.cache.store import SimilarityStore
 from repro.datasets.dataset import SocialRecDataset
-from repro.experiments.engine import validate_engine
 from repro.experiments.tradeoff import TradeoffResult, run_tradeoff
 from repro.obs.registry import incr
 from repro.obs.spans import span
@@ -70,7 +69,6 @@ def submit_tradeoff_sweep(
     progress; a different spec at the same directory raises
     :class:`~repro.exceptions.SweepQueueError` rather than mixing sweeps.
     """
-    validate_engine(spec.engine)
     with span("dist.submit"):
         queue = SweepQueue.create(
             queue_dir, spec.to_dict(), _build_tasks(spec), clock=clock
@@ -89,8 +87,6 @@ def run_distributed_tradeoff(
     sample_size: Optional[int] = None,
     louvain_runs: int = 10,
     seed: int = 0,
-    engine: str = "vectorized",
-    backend: str = "auto",
     max_attempts: int = 3,
     grace_s: float = 5.0,
     poll_s: float = 0.2,
@@ -132,8 +128,6 @@ def run_distributed_tradeoff(
         sample_size=sample_size,
         louvain_runs=louvain_runs,
         seed=seed,
-        engine=engine,
-        backend=backend,
         max_attempts=max_attempts,
     )
     queue = submit_tradeoff_sweep(queue_dir, spec, clock=clock)
@@ -215,9 +209,7 @@ def collect_results(
             louvain_runs=spec.louvain_runs,
             seed=spec.seed,
             checkpoint=queue.checkpoint_path,
-            engine=spec.engine,
             store=store if store is not None else SimilarityStore(queue.cache_dir),
-            backend=spec.backend,
         )
 
 

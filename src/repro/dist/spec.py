@@ -88,8 +88,6 @@ class SweepSpec:
     sample_size: Optional[int] = None
     louvain_runs: int = 10
     seed: int = 0
-    engine: str = "vectorized"
-    backend: str = "auto"
     max_attempts: int = 3
     version: int = field(default=_SPEC_VERSION)
 
@@ -138,8 +136,6 @@ class SweepSpec:
             "sample_size": self.sample_size,
             "louvain_runs": self.louvain_runs,
             "seed": self.seed,
-            "engine": self.engine,
-            "backend": self.backend,
             "max_attempts": self.max_attempts,
         }
 
@@ -165,8 +161,6 @@ class SweepSpec:
                 ),
                 louvain_runs=int(payload.get("louvain_runs", 10)),  # type: ignore[arg-type]
                 seed=int(payload.get("seed", 0)),  # type: ignore[arg-type]
-                engine=str(payload.get("engine", "vectorized")),
-                backend=str(payload.get("backend", "auto")),
                 max_attempts=int(payload.get("max_attempts", 3)),  # type: ignore[arg-type]
                 version=version,
             )

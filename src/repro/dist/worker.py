@@ -326,7 +326,5 @@ class SweepWorker:
             clustering=self._shared_clustering(),
             seed=self.spec.seed,
             checkpoint=self.queue.checkpoint_path,
-            engine=self.spec.engine,
             store=self._shared_store(),
-            backend=self.spec.backend,
         )

@@ -6,8 +6,8 @@
 - :mod:`repro.experiments.engine` — the vectorised sweep engine: hoists
   every epsilon/repeat-invariant quantity out of the sweep loops and
   scores each noise draw as one matmul + one vectorised ranking/NDCG
-  pass.  The drivers use it by default (``engine="vectorized"``) and
-  fall back per cell to the per-user reference path.
+  pass.  The drivers score through it and fall back per cell to the
+  per-user reference path.
 - :mod:`repro.experiments.tradeoff` — Figures 1 and 2 (NDCG@N vs epsilon
   for the four similarity measures).
 - :mod:`repro.experiments.degree_effect` — Figure 3 (per-user NDCG@50 at
@@ -21,12 +21,7 @@
 from repro.experiments.checkpoint import SweepCheckpoint
 from repro.experiments.comparison import ComparisonCell, run_comparison
 from repro.experiments.degree_effect import DegreeEffectResult, run_degree_effect
-from repro.experiments.engine import (
-    ENGINES,
-    EngineStats,
-    SweepEngine,
-    validate_engine,
-)
+from repro.experiments.engine import EngineStats, SweepEngine
 from repro.experiments.evaluation import (
     EvaluationContext,
     evaluate_factory,
@@ -44,10 +39,8 @@ __all__ = [
     "EvaluationContext",
     "evaluate_recommender",
     "evaluate_factory",
-    "ENGINES",
     "EngineStats",
     "SweepEngine",
-    "validate_engine",
     "TradeoffCell",
     "TradeoffResult",
     "run_tradeoff",

@@ -32,7 +32,7 @@ from repro.community.strategies import (
 from repro.core.private import PrivateSocialRecommender, louvain_strategy
 from repro.datasets.dataset import SocialRecDataset
 from repro.exceptions import ExperimentError
-from repro.experiments.engine import SweepEngine, validate_engine
+from repro.experiments.engine import SweepEngine
 from repro.experiments.evaluation import EvaluationContext, evaluate_factory
 from repro.graph.social_graph import SocialGraph
 from repro.metrics.errors import approximation_error, expected_perturbation_error
@@ -103,26 +103,21 @@ def run_clustering_ablation(
     sample_size: Optional[int] = None,
     strategies: Optional[Dict[str, Clustering]] = None,
     seed: int = 0,
-    engine: str = "vectorized",
-    backend: str = "auto",
 ) -> List[ClusteringAblationCell]:
     """Compare clustering strategies at fixed epsilon (ablation 1).
 
-    With ``engine="vectorized"`` (default) one
-    :class:`~repro.experiments.engine.SweepEngine` scores every strategy:
-    the similarity kernel and reference arrays are built once and only
-    the per-strategy cluster release changes.  ``engine="reference"``
-    refits the recommender per (strategy, repeat); the numbers match.
+    One :class:`~repro.experiments.engine.SweepEngine` scores every
+    strategy: the similarity kernel and reference arrays are built once
+    and only the per-strategy cluster release changes.  A cell the engine
+    abandons is refitted per repeat with ``evaluate_factory``; the
+    numbers match.
     """
-    validate_engine(engine)
     if strategies is None:
         strategies = build_strategy_clusterings(dataset.social, seed=seed)
     context = EvaluationContext.build(
         dataset, measure, max_n=n, sample_size=sample_size, seed=seed
     )
-    sweep_engine: Optional[SweepEngine] = None
-    if engine == "vectorized":
-        sweep_engine = SweepEngine(dataset, backend=backend)
+    sweep_engine = SweepEngine(dataset)
     cells: List[ClusteringAblationCell] = []
     try:
         for name, clustering in strategies.items():
@@ -133,16 +128,14 @@ def run_clustering_ablation(
             factory = lambda s, c=fixed: PrivateSocialRecommender(  # noqa: E731
                 measure, epsilon=epsilon, n=n, clustering_strategy=c, seed=s
             )
-            scored = None
-            if sweep_engine is not None:
-                scored = sweep_engine.evaluate(
-                    context,
-                    clustering,
-                    epsilon,
-                    [n],
-                    repeats,
-                    base_seed=seed * 1000 + 13,
-                ).get(n)
+            scored = sweep_engine.evaluate(
+                context,
+                clustering,
+                epsilon,
+                [n],
+                repeats,
+                base_seed=seed * 1000 + 13,
+            ).get(n)
             if scored is not None:
                 mean, std = scored
             else:
@@ -163,8 +156,7 @@ def run_clustering_ablation(
                 )
             )
     finally:
-        if sweep_engine is not None:
-            sweep_engine.close()
+        sweep_engine.close()
     return cells
 
 

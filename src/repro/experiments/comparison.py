@@ -19,7 +19,7 @@ from repro.core.baselines import NoiseOnEdges, NoiseOnUtility
 from repro.core.private import PrivateSocialRecommender, louvain_strategy
 from repro.datasets.dataset import SocialRecDataset
 from repro.exceptions import ExperimentError
-from repro.experiments.engine import SweepEngine, validate_engine
+from repro.experiments.engine import SweepEngine
 from repro.experiments.evaluation import EvaluationContext, evaluate_factory
 from repro.graph.social_graph import SocialGraph
 from repro.similarity.base import SimilarityMeasure
@@ -86,9 +86,7 @@ def run_comparison(
     gs_group_size: int = 8,
     louvain_runs: int = 10,
     seed: int = 0,
-    engine: str = "vectorized",
     store: Optional[SimilarityStore] = None,
-    backend: str = "auto",
 ) -> List[ComparisonCell]:
     """Run the Figure 4 comparison on one dataset.
 
@@ -104,20 +102,16 @@ def run_comparison(
             dataset; see :func:`repro.competitors.gs.select_group_size`).
         louvain_runs: restarts for the cluster framework's clustering.
         seed: master seed.
-        engine: ``"vectorized"`` (default) scores the ``cluster``
-            mechanism's cells with the batched sweep engine (the other
-            mechanisms have no batched factorisation and always take the
-            reference path); ``"reference"`` scores everything per user.
-        store: optional persistent similarity cache (vectorized engine).
-        backend: kernel construction backend (vectorized engine).
+        store: optional persistent similarity cache for the sweep engine
+            that scores the ``cluster`` mechanism's cells (the other
+            mechanisms have no batched factorisation and score per user).
     """
-    validate_engine(engine)
     if not measures:
         raise ExperimentError("measures must be non-empty")
     clustering = louvain_strategy(runs=louvain_runs, seed=seed)(dataset.social)
     sweep_engine: Optional[SweepEngine] = None
-    if engine == "vectorized" and "cluster" in mechanisms:
-        sweep_engine = SweepEngine(dataset, store=store, backend=backend)
+    if "cluster" in mechanisms:
+        sweep_engine = SweepEngine(dataset, store=store)
     cells: List[ComparisonCell] = []
     try:
         for measure in measures:

@@ -19,7 +19,7 @@ from repro.cache.store import SimilarityStore
 from repro.community.clustering import Clustering
 from repro.core.private import PrivateSocialRecommender, louvain_strategy
 from repro.datasets.dataset import SocialRecDataset
-from repro.experiments.engine import SweepEngine, validate_engine
+from repro.experiments.engine import SweepEngine
 from repro.experiments.evaluation import EvaluationContext
 from repro.graph.social_graph import SocialGraph
 from repro.similarity.base import SimilarityMeasure
@@ -60,9 +60,7 @@ def run_degree_effect(
     clustering: Optional[Clustering] = None,
     louvain_runs: int = 10,
     seed: int = 0,
-    engine: str = "vectorized",
     store: Optional[SimilarityStore] = None,
-    backend: str = "auto",
 ) -> DegreeEffectResult:
     """Run the Figure 3 analysis: approximation error only (eps = inf).
 
@@ -75,13 +73,9 @@ def run_degree_effect(
         clustering: reuse a precomputed clustering.
         louvain_runs: restarts for the default clustering protocol.
         seed: master seed.
-        engine: ``"vectorized"`` (default) scores every user in one
-            batched pass; ``"reference"`` fits the recommender and ranks
-            per user.  Identical per-user scores either way.
-        store: optional persistent similarity cache (vectorized engine).
-        backend: kernel construction backend (vectorized engine).
+        store: optional persistent similarity cache for the sweep engine,
+            which scores every user in one batched pass.
     """
-    validate_engine(engine)
     if clustering is None:
         clustering = louvain_strategy(runs=louvain_runs, seed=seed)(dataset.social)
 
@@ -92,18 +86,15 @@ def run_degree_effect(
         dataset, measure, max_n=n, sample_size=sample_size, seed=seed
     )
     per_user: Optional[Dict[UserId, float]] = None
-    if engine == "vectorized":
-        sweep_engine = SweepEngine(dataset, store=store, backend=backend)
-        try:
-            per_user = sweep_engine.per_user_scores(
-                context, clustering, math.inf, seed, n
-            )
-        except Exception:
-            # Anything that breaks the batched path degrades to the
-            # reference per-user loop below — same scores, slower.
-            per_user = None
-        finally:
-            sweep_engine.close()
+    sweep_engine = SweepEngine(dataset, store=store)
+    try:
+        per_user = sweep_engine.per_user_scores(context, clustering, math.inf, seed, n)
+    except Exception:
+        # Anything that breaks the batched path degrades to the
+        # reference per-user loop below — same scores, slower.
+        per_user = None
+    finally:
+        sweep_engine.close()
     if per_user is None:
         recommender = PrivateSocialRecommender(
             measure,

@@ -29,7 +29,7 @@ discipline (one ``default_rng(SeedSequence(seed))`` laplace draw over the
 full matrix), ``C``, ``P``, ``E``, the ranking and the zero-signal
 ladder are the scoring core's (:mod:`repro.core.scoring`), and the NDCG
 accumulation follows the scalar summation order.  The test suite pins
-rankings and scores against the reference engine.
+rankings and scores against per-cell ``evaluate_factory``.
 
 Cells are scored one after another in-process.  A cell that fails is
 abandoned to the caller's per-user reference path (fault sites
@@ -49,7 +49,7 @@ import scipy.sparse as sp
 from repro.cache.keys import measure_fingerprint
 from repro.cache.store import SimilarityStore
 from repro.community.clustering import Clustering
-from repro.compute.stats import ComputeStats, validate_backend
+from repro.compute.stats import ComputeStats
 from repro.core.cluster_weights import ClusterItemAverages, cluster_item_averages
 from repro.core.private import covering_clustering
 from repro.core.scoring import (
@@ -72,27 +72,10 @@ from repro.similarity.base import SimilarityCache
 from repro.similarity.matrix import SimilarityMatrix
 from repro.types import ItemId, UserId
 
-__all__ = ["ENGINES", "EngineStats", "SweepEngine", "validate_engine"]
-
-# The sweep engines the experiment drivers accept: "vectorized" is this
-# module; "reference" is the original per-user evaluate_factory loop.
-ENGINES = ("vectorized", "reference")
+__all__ = ["EngineStats", "SweepEngine"]
 
 # One cell of work: (epsilon, cutoffs, repeats).
 CellSpec = Tuple[float, Sequence[int], int]
-
-
-def validate_engine(engine: str) -> str:
-    """Validate an engine name, returning it unchanged.
-
-    Raises:
-        ValueError: for anything outside :data:`ENGINES`.
-    """
-    if engine not in ENGINES:
-        raise ValueError(
-            f"unknown engine {engine!r}; expected one of {', '.join(ENGINES)}"
-        )
-    return engine
 
 
 @dataclass
@@ -310,10 +293,6 @@ class SweepEngine:
         dataset: the evaluation dataset.
         store: optional persistent similarity cache for the kernels;
             hit/miss counters land on :attr:`stats`.
-        backend: kernel construction backend
-            (``auto | vectorized | python``); measures without a
-            vectorised kernel transparently use the per-user reference
-            builder either way.
         chunk_size: evaluation users per dense scoring chunk; bounds peak
             memory at roughly ``chunk_size * num_items`` floats.
         max_weight / protection / user_clamp: release parameters,
@@ -326,18 +305,15 @@ class SweepEngine:
         dataset: SocialRecDataset,
         *,
         store: Optional[SimilarityStore] = None,
-        backend: str = "auto",
         chunk_size: int = 1024,
         max_weight: float = 1.0,
         protection: str = "edge",
         user_clamp: int = 50,
     ) -> None:
-        validate_backend(backend)
         if chunk_size < 1:
             raise ValueError(f"chunk_size must be >= 1, got {chunk_size}")
         self.dataset = dataset
         self.store = store
-        self.backend = backend
         self.chunk_size = chunk_size
         self.max_weight = max_weight
         self.protection = protection
@@ -381,18 +357,12 @@ class SweepEngine:
         if kernel is not None:
             return kernel
         started = time.perf_counter()
-        # The context's reference pass already holds this graph's kernel
-        # when it was built with the engine's backend: share it.
+        # The context's reference pass already holds this graph's kernel:
+        # share it.
         cache = context.similarity
-        if (
-            cache is None
-            or cache.graph is not self.dataset.social
-            or cache.backend != self.backend
-        ):
-            cache = SimilarityCache(
-                context.measure, self.dataset.social, backend=self.backend
-            )
-        compute_stats = ComputeStats(requested=self.backend)
+        if cache is None or cache.graph is not self.dataset.social:
+            cache = SimilarityCache(context.measure, self.dataset.social)
+        compute_stats = ComputeStats()
         before = self.store.stats.snapshot() if self.store is not None else None
         lookup = cache.ensure_kernel(self.store, stats=compute_stats)
         if before is not None:
@@ -403,7 +373,7 @@ class SweepEngine:
         self.stats.kernel_seconds += time.perf_counter() - started
         # The construction behind the kernel scored with: just now, or in
         # the shared context's reference pass.
-        if compute_stats.backend:
+        if compute_stats.measure:
             self.stats.compute = compute_stats
         elif cache.last_compute_stats is not None:
             self.stats.compute = cache.last_compute_stats
@@ -464,7 +434,6 @@ class SweepEngine:
             max_weight=self.max_weight,
             protection=self.protection,
             user_clamp=self.user_clamp,
-            backend=self.backend,
         )
         arrays = _ClusterArrays(
             clustering=clustering,
@@ -527,8 +496,8 @@ class SweepEngine:
 
         Repeat ``r`` of every cell draws its noise from seed
         ``base_seed + r`` — the same stream ``evaluate_factory`` hands the
-        recommender factory, so results are interchangeable with the
-        reference engine.  Cells that fail are *omitted* from the result
+        recommender factory, so results are interchangeable with
+        per-cell ``evaluate_factory``.  Cells that fail are *omitted* from the result
         (and counted in ``stats.legacy_cells``); callers rescore them with
         the per-user reference path.
 

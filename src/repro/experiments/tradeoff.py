@@ -6,14 +6,13 @@ averaged over repeated noise draws.  Epsilon = inf isolates the
 approximation error, exactly as in the leftmost points of the paper's
 figures.
 
-Two sweep engines produce identical numbers: ``engine="vectorized"`` (the
-default) factors the whole sweep onto the batch kernel via
+The sweep factors onto the batch kernel via
 :class:`~repro.experiments.engine.SweepEngine` — one kernel, one cluster
 release, and one reference pass per measure, then one noise tensor + one
-matmul per repeat; ``engine="reference"`` is the original per-user
-``evaluate_factory`` loop.  Checkpoint keys and cell values do not depend
-on the engine, so a sweep checkpointed under one engine resumes under the
-other.
+matmul per repeat.  A cell the engine abandons is rescored with the
+per-user ``evaluate_factory`` loop, which produces the same numbers, so
+checkpoint keys and cell values do not depend on which path scored a
+cell.
 """
 
 from __future__ import annotations
@@ -28,7 +27,7 @@ from repro.core.private import PrivateSocialRecommender, louvain_strategy
 from repro.datasets.dataset import SocialRecDataset
 from repro.exceptions import ExperimentError
 from repro.experiments.checkpoint import SweepCheckpoint, encode_epsilon
-from repro.experiments.engine import EngineStats, SweepEngine, validate_engine
+from repro.experiments.engine import EngineStats, SweepEngine
 from repro.experiments.evaluation import EvaluationContext, evaluate_factory
 from repro.graph.social_graph import SocialGraph
 from repro.resilience.faults import fault_point
@@ -110,9 +109,9 @@ class TradeoffResult(List[TradeoffCell]):
     """A list of :class:`TradeoffCell` with a ``stats`` attribute.
 
     Behaves exactly like the plain list previous versions returned;
-    ``stats`` carries the vectorized engine's
-    :class:`~repro.experiments.engine.EngineStats` counters (None when the
-    reference engine ran).
+    ``stats`` carries the sweep engine's
+    :class:`~repro.experiments.engine.EngineStats` counters (None when
+    no sweep ran).
     """
 
     def __init__(self, *args) -> None:
@@ -131,9 +130,7 @@ def run_tradeoff(
     louvain_runs: int = 10,
     seed: int = 0,
     checkpoint: Optional[Union[str, SweepCheckpoint]] = None,
-    engine: str = "vectorized",
     store: Optional[SimilarityStore] = None,
-    backend: str = "auto",
 ) -> TradeoffResult:
     """Run the Figure 1/2 sweep on one dataset.
 
@@ -156,20 +153,13 @@ def run_tradeoff(
             skipped on rerun.  Each cell's noise streams derive from the
             master seed alone, so a resumed sweep is bit-identical to an
             uninterrupted one.
-        engine: ``"vectorized"`` (default) scores cells with the batched
-            :class:`~repro.experiments.engine.SweepEngine`;
-            ``"reference"`` keeps the original per-user loop.  Both
-            produce the same numbers and checkpoint keys.
-        store: optional persistent similarity cache for the vectorized
+        store: optional persistent similarity cache for the sweep
             engine's kernels.
-        backend: kernel construction backend for the vectorized engine
-            (``auto | vectorized | python``).
 
     Returns:
         A :class:`TradeoffResult` — one :class:`TradeoffCell` per
         (measure, epsilon, n), engine counters on ``.stats``.
     """
-    validate_engine(engine)
     if not measures:
         raise ExperimentError("measures must be non-empty")
     if not epsilons or not ns:
@@ -195,14 +185,10 @@ def run_tradeoff(
     def fixed_clustering(_graph: SocialGraph) -> Clustering:
         return clustering
 
-    sweep_engine: Optional[SweepEngine] = None
-    if engine == "vectorized":
-        sweep_engine = SweepEngine(dataset, store=store, backend=backend)
-
+    sweep_engine = SweepEngine(dataset, store=store)
     max_n = max(ns)
     cells = TradeoffResult()
-    if sweep_engine is not None:
-        cells.stats = sweep_engine.stats
+    cells.stats = sweep_engine.stats
     try:
         for measure in measures:
             context: Optional[EvaluationContext] = None
@@ -210,11 +196,11 @@ def run_tradeoff(
                 context = EvaluationContext.build(
                     dataset, measure, max_n=max_n, sample_size=sample_size, seed=seed
                 )
-            # The vectorized engine scores every uncached (epsilon, n) of
-            # this measure in one batch; cells it abandons (or everything,
-            # under engine="reference") fall through to the per-user path.
+            # The engine scores every uncached (epsilon, n) of this measure
+            # in one batch; cells it abandons fall through to the per-user
+            # path.
             engine_results: Dict[Tuple[float, int], Tuple[float, float]] = {}
-            if sweep_engine is not None and context is not None:
+            if context is not None:
                 cell_specs = []
                 for epsilon in epsilons:
                     needed = tuple(
@@ -285,8 +271,7 @@ def run_tradeoff(
                         )
                     )
     finally:
-        if sweep_engine is not None:
-            sweep_engine.close()
+        sweep_engine.close()
     return cells
 
 

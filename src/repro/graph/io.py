@@ -14,6 +14,7 @@ converted — this keeps synthetic integer graphs round-trippable.
 
 from __future__ import annotations
 
+import io
 import os
 from typing import Iterator, List, Optional, TextIO, Tuple, Union
 
@@ -41,13 +42,41 @@ def _coerce_id(token: str):
         return token
 
 
-def _iter_data_lines(handle: TextIO) -> Iterator[Tuple[int, List[str]]]:
+def _lines(handle, path: Optional[str]) -> Iterator[Tuple[int, str]]:
+    """Yield ``(file_line_number, text)`` for every line of ``handle``.
+
+    A path source is read as bytes and decoded one line at a time, so a
+    byte that is not UTF-8 is reported on its own line (a text layer
+    decodes whole chunks ahead of the line being parsed).  Lines split on
+    ``\n``, ``\r\n`` and ``\r``, as text mode's universal newlines do.
+
+    Raises:
+        DatasetError: for a line that is not valid UTF-8.
+    """
+    if not isinstance(handle, io.BufferedIOBase):
+        yield from enumerate(handle, start=1)
+        return
+    lineno = 0
+    for chunk in handle:
+        for raw in chunk.splitlines():
+            lineno += 1
+            try:
+                yield lineno, raw.decode("utf-8")
+            except UnicodeDecodeError as exc:
+                raise DatasetError(
+                    f"line is not valid UTF-8 (byte {exc.start}: {exc.reason})",
+                    path=path,
+                    line=lineno,
+                ) from None
+
+
+def _iter_data_lines(handle, path: Optional[str]) -> Iterator[Tuple[int, List[str]]]:
     """Yield ``(file_line_number, fields)`` for every data line.
 
     Line numbers are 1-based positions in the *file* (comments and blank
     lines included), so error messages point at the real offending line.
     """
-    for lineno, raw in enumerate(handle, start=1):
+    for lineno, raw in _lines(handle, path):
         line = raw.strip()
         if not line or line.startswith("#"):
             continue
@@ -57,7 +86,7 @@ def _iter_data_lines(handle: TextIO) -> Iterator[Tuple[int, List[str]]]:
 def _open_for_read(source: PathOrFile):
     if hasattr(source, "read"):
         return source, False
-    return open(source, "r", encoding="utf-8"), True
+    return open(source, "rb"), True
 
 
 def _source_path(source: PathOrFile) -> Optional[str]:
@@ -89,8 +118,9 @@ def read_social_graph(
             (path sources only — a consumed handle cannot be re-read).
 
     Raises:
-        DatasetError: on malformed lines, carrying the source path and
-            the 1-based file line number on ``.path`` / ``.line``.
+        DatasetError: on malformed or non-UTF-8 lines, carrying the
+            source path and the 1-based file line number on ``.path`` /
+            ``.line``.
         RetryExhaustedError: when ``retry`` was given and every attempt
             failed with a transient IO error.
     """
@@ -105,7 +135,7 @@ def _read_social_graph_once(source: PathOrFile, skip_header: bool) -> SocialGrap
     handle, should_close = _open_for_read(source)
     try:
         graph = SocialGraph()
-        rows = _iter_data_lines(handle)
+        rows = _iter_data_lines(handle, path)
         if skip_header:
             next(rows, None)
         for lineno, fields in rows:
@@ -162,9 +192,10 @@ def read_preference_graph(
             (path sources only).
 
     Raises:
-        DatasetError: on malformed lines, non-numeric weights, or invalid
-            edges, carrying the source path and 1-based file line number
-            on ``.path`` / ``.line``.
+        DatasetError: on malformed or non-UTF-8 lines, non-numeric
+            weights, or invalid edges (a weight must be finite and
+            positive), carrying the source path and 1-based file line
+            number on ``.path`` / ``.line``.
         RetryExhaustedError: when ``retry`` was given and every attempt
             failed with a transient IO error.
     """
@@ -183,7 +214,7 @@ def _read_preference_graph_once(
     handle, should_close = _open_for_read(source)
     try:
         graph = PreferenceGraph()
-        rows = _iter_data_lines(handle)
+        rows = _iter_data_lines(handle, path)
         if skip_header:
             next(rows, None)
         for lineno, fields in rows:

@@ -13,6 +13,7 @@ go through a differentially private mechanism (see :mod:`repro.privacy`).
 
 from __future__ import annotations
 
+import math
 from typing import Dict, FrozenSet, Iterable, Iterator, List, Set, Tuple
 
 from repro.exceptions import EdgeError, ItemNotFoundError, NodeNotFoundError
@@ -67,14 +68,16 @@ class PreferenceGraph:
         """Add (or overwrite) the preference edge ``(user, item)``.
 
         Raises:
-            EdgeError: if the weight is negative or zero.  A zero weight is
-                indistinguishable from an absent edge in the paper's model;
-                use :meth:`remove_edge` to delete a preference instead.
+            EdgeError: unless ``0 < weight < inf``.  A zero weight is
+                indistinguishable from an absent edge in the paper's model
+                (use :meth:`remove_edge` to delete a preference instead),
+                and a NaN would survive the weight cap into the released
+                averages, where no noise can hide it.
         """
-        if weight <= 0:
+        if not 0 < weight < math.inf:
             raise EdgeError(
-                f"preference weight must be positive, got {weight!r} "
-                f"for edge ({user!r}, {item!r})"
+                f"preference weight must be finite and positive, got "
+                f"{weight!r} for edge ({user!r}, {item!r})"
             )
         items = self._user_items.setdefault(user, {})
         if item not in items:

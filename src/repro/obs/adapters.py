@@ -51,17 +51,13 @@ def _registry(registry: Optional[Telemetry]) -> Optional[Telemetry]:
 def publish_compute_stats(stats, registry: Optional[Telemetry] = None) -> None:
     """Mirror one :class:`ComputeStats` into ``compute.*`` counters/gauges."""
     registry = _registry(registry)
-    if registry is None or not stats.backend:
+    if registry is None or not stats.measure:
         return
     registry.incr("compute.builds")
-    registry.incr(f"compute.backend.{stats.backend}")
-    registry.incr(f"compute.requested.{stats.requested}")
-    if stats.measure:
-        registry.incr(f"compute.measure.{stats.measure}")
+    registry.incr(f"compute.measure.{stats.measure}")
     registry.incr("compute.rows", stats.rows)
     registry.incr("compute.nnz", stats.nnz)
     registry.incr("compute.blocks", stats.blocks)
-    registry.incr("compute.fallbacks", stats.fallbacks)
     registry.incr("compute.spill.blocks", stats.spill_blocks)
     registry.incr("compute.spill.bytes", stats.spill_bytes)
     if stats.memory_budget_bytes:
@@ -138,21 +134,18 @@ def compute_stats_view(snapshot: TelemetrySnapshot):
     """Reconstruct a :class:`ComputeStats` from a snapshot's ``compute.*``.
 
     Returns None when the snapshot records no kernel construction.
-    Aggregates across builds: rows/nnz/blocks/fallbacks and stage seconds
-    are the published totals.
+    Aggregates across builds: rows/nnz/blocks and stage seconds are the
+    published totals.
     """
     from repro.compute.stats import ComputeStats
 
     if not snapshot.counters.get("compute.builds"):
         return None
     stats = ComputeStats(
-        requested=_mode_from(snapshot, "compute.requested."),
-        backend=_mode_from(snapshot, "compute.backend."),
         measure=_mode_from(snapshot, "compute.measure."),
         rows=snapshot.counters.get("compute.rows", 0),
         nnz=snapshot.counters.get("compute.nnz", 0),
         blocks=snapshot.counters.get("compute.blocks", 0),
-        fallbacks=snapshot.counters.get("compute.fallbacks", 0),
         memory_budget_bytes=int(
             snapshot.gauges.get("compute.memory_budget_bytes", 0)
         ),

@@ -47,6 +47,7 @@ from __future__ import annotations
 
 import asyncio
 import json
+import math
 import os
 import socket
 import time
@@ -151,9 +152,9 @@ class ServerConfig:
             raise ValueError(
                 f"max_requests must be >= 1, got {self.max_requests}"
             )
-        if self.deadline_ms is not None and self.deadline_ms <= 0:
+        if self.deadline_ms is not None and not 0 < self.deadline_ms < math.inf:
             raise ValueError(
-                f"deadline_ms must be > 0, got {self.deadline_ms}"
+                f"deadline_ms must be finite and > 0, got {self.deadline_ms}"
             )
         if self.response_cache_size < 0:
             raise ValueError(
@@ -363,9 +364,9 @@ class RecommendationServer:
                 deadline_ms = float(query["deadline_ms"][0])
             except ValueError:
                 return 400, {"error": "deadline_ms must be a number"}
-            if deadline_ms <= 0:
+            if not 0 < deadline_ms < math.inf:
                 return 400, {
-                    "error": f"deadline_ms must be > 0, got {deadline_ms}"
+                    "error": f"deadline_ms must be finite and > 0, got {deadline_ms}"
                 }
         fresh = query.get("fresh", ["0"])[0] not in ("", "0")
 

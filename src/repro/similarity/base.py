@@ -16,10 +16,9 @@ from __future__ import annotations
 import abc
 from typing import Callable, Dict, FrozenSet, List, Optional, Sequence
 
-import numpy as np
 import scipy.sparse as sp
 
-from repro.exceptions import SimilarityError
+from repro.exceptions import NodeNotFoundError, SimilarityError
 from repro.graph.protocol import GraphLike
 from repro.types import UserId
 
@@ -82,39 +81,20 @@ class SimilarityCache:
     """Serves similarity rows for one (measure, graph) pair.
 
     Several consumers (recommender, error decomposition, sensitivity)
-    want the same rows.  The cache keeps the
-    :class:`~repro.similarity.matrix.SimilarityMatrix` it builds or
-    loads and serves dict rows from it on demand, so one kernel serves
-    every holder of the cache — a fitted recommender and its batch, or a
-    whole sweep; rows computed one at a time (the python backend, users
-    the kernel lacks) are memoised.  The cache assumes the graph is not
-    mutated after wrapping — mutating it invalidates the cache silently,
-    so wrap a finished snapshot.
-
-    ``backend`` picks how rows are materialised: ``"auto"`` (the default)
-    tries vectorised when the measure supports it and silently degrades to
-    python on failure (counted in :attr:`last_compute_stats`);
-    ``"vectorized"`` builds the whole kernel at once on the
-    :mod:`repro.compute` CSR path (rows agree with the python backend
-    within 1e-9; CN / Graph Distance / Katz are bit-identical);
-    ``"python"`` computes each row with the measure's own
-    ``similarity_row`` — pass it explicitly to force the bit-exact
-    reference path.
+    want the same rows.  The cache builds or loads the measure's one
+    :class:`~repro.similarity.matrix.SimilarityMatrix` kernel
+    (:func:`repro.compute.build_kernel`) on first use and serves every
+    row from it, so one kernel serves every holder of the cache — a
+    fitted recommender and its batch, or a whole sweep.  The cache
+    assumes the graph is not mutated after wrapping — mutating it
+    invalidates the cache silently, so wrap a finished snapshot.
     """
 
-    def __init__(
-        self,
-        measure: SimilarityMeasure,
-        graph: GraphLike,
-        backend: str = "auto",
-    ) -> None:
-        from repro.compute.stats import ComputeStats, validate_backend
+    def __init__(self, measure: SimilarityMeasure, graph: GraphLike) -> None:
+        from repro.compute.stats import ComputeStats
 
-        validate_backend(backend)
         self._measure = measure
         self._graph = graph
-        self._backend = backend
-        self._rows: Dict[UserId, Dict[UserId, float]] = {}
         self._kernel = None
         self._last_stats: Optional[ComputeStats] = None
 
@@ -127,32 +107,21 @@ class SimilarityCache:
         return self._graph
 
     @property
-    def backend(self) -> str:
-        """The backend requested at construction (``auto|vectorized|python``)."""
-        return self._backend
-
-    @property
     def last_compute_stats(self):
         """The :class:`~repro.compute.stats.ComputeStats` of the kernel this
         cache built, or None when it built none."""
         return self._last_stats
 
-    def _resolved_backend(self, backend: Optional[str] = None) -> str:
-        from repro.compute.kernels import resolve_backend
-
-        requested = self._backend if backend is None else backend
-        return resolve_backend(requested, self._measure)
-
-    def ensure_kernel(self, store=None, *, backend: Optional[str] = None, stats=None):
+    def ensure_kernel(self, store=None, *, stats=None):
         """The kernel this cache serves from: held, else obtained and kept.
 
         A kernel comes from :func:`repro.cache.store.load_or_build_kernel`
-        (a ``store`` hit, else a build with ``backend`` filling ``stats``,
-        persisted to ``store``).  With a ``store`` the lookup runs even
-        when a kernel is held, so its hit/miss counters stay per call.
-        Returns a :class:`~repro.cache.store.CacheLookup` of the held
-        kernel; its ``path`` names a store artifact only when that
-        artifact holds this very matrix.
+        (a ``store`` hit, else a build filling ``stats``, persisted to
+        ``store``).  With a ``store`` the lookup runs even when a kernel
+        is held, so its hit/miss counters stay per call.  Returns a
+        :class:`~repro.cache.store.CacheLookup` of the held kernel; its
+        ``path`` names a store artifact only when that artifact holds
+        this very matrix.
         """
         from repro.cache.store import CacheLookup, load_or_build_kernel
         from repro.compute.stats import ComputeStats
@@ -166,33 +135,34 @@ class SimilarityCache:
             self._graph,
             self._measure,
             store,
-            backend=self._backend if backend is None else backend,
             stats=stats,
             build=None if held is None else (lambda: held),
         )
         if held is None:
             self._kernel = lookup.matrix
-            if stats.backend:  # a construction actually ran
+            if stats.measure:  # a construction actually ran
                 self._last_stats = stats
             return lookup
         if lookup.matrix is held:
             return lookup
         return CacheLookup(matrix=held, path=None, hit=lookup.hit)
 
-    def row(self, user: UserId) -> Dict[UserId, float]:
-        """``sim(u, .)`` (the returned mapping must not be mutated)."""
-        cached = self._rows.get(user)
-        if cached is not None:
-            return cached
-        if self._kernel is None and self._resolved_backend() == "vectorized":
+    def _held_kernel(self):
+        """The held kernel, obtained first when none is held yet."""
+        if self._kernel is None:
             self.ensure_kernel()
-        if self._kernel is not None and user in self._kernel.index:
-            return self._kernel.row(user)
-        # Python backend, or a user absent from the kernel (e.g. added
-        # after wrapping): compute the row on its own.
-        cached = self._measure.similarity_row(self._graph, user)
-        self._rows[user] = cached
-        return cached
+        return self._kernel
+
+    def row(self, user: UserId) -> Dict[UserId, float]:
+        """``sim(u, .)`` (the returned mapping must not be mutated).
+
+        Raises:
+            NodeNotFoundError: for a user outside the graph.
+        """
+        kernel = self._held_kernel()
+        if user not in kernel.index:
+            raise NodeNotFoundError(user)
+        return kernel.row(user)
 
     def _column_order(self):
         """The held kernel, else the graph's adjacency export: both carry
@@ -214,29 +184,21 @@ class SimilarityCache:
     def row_matrix(self, users: Sequence[UserId]) -> sp.csr_matrix:
         """``row(u)`` of each of ``users`` as one CSR row over :meth:`column_users`.
 
-        Each row holds its entries in the order :meth:`row` iterates
-        them (a kernel row's stored order, a python row's dict order),
-        so a product over the result sums exactly as a loop over
-        ``row(u)`` does.
+        Each row holds its entries in the kernel row's stored order, so a
+        product over the result sums exactly as a loop over ``row(u)``
+        does.
 
         Raises:
             NodeNotFoundError: for a user outside the graph.
         """
-        if self._kernel is None and self._resolved_backend() == "vectorized":
-            self.ensure_kernel()
-        kernel, memoised = self._kernel, self._rows
-        if kernel is not None and all(
-            user in kernel.index and user not in memoised for user in users
-        ):
-            rows = kernel.matrix[[kernel.index[user] for user in users]]
-            rows.eliminate_zeros()  # row() skips stored zeros
-            return rows
-        rows = [self.row(user) for user in users]
-        columns = self._column_order().index
-        indptr = np.cumsum([0] + [len(row) for row in rows])
-        indices = [columns[other] for row in rows for other in row]
-        data = [score for row in rows for score in row.values()]
-        return sp.csr_matrix((data, indices, indptr), shape=(len(rows), len(columns)))
+        kernel = self._held_kernel()
+        try:
+            positions = [kernel.index[user] for user in users]
+        except KeyError as exc:
+            raise NodeNotFoundError(exc.args[0]) from None
+        rows = kernel.matrix[positions]
+        rows.eliminate_zeros()  # row() skips stored zeros
+        return rows
 
     def similarity(self, u: UserId, v: UserId) -> float:
         """Cached ``sim(u, v)``."""
@@ -248,28 +210,13 @@ class SimilarityCache:
         """``sim(u)``: users with positive similarity, from the cached row."""
         return frozenset(v for v, s in self.row(user).items() if s > 0.0)
 
-    def precompute(self, users=None, backend: Optional[str] = None) -> None:
-        """Warm the cache for ``users`` (default: the whole graph).
-
-        Args:
-            users: the users to warm (a vectorised build always covers
-                the whole graph).
-            backend: override the cache's construction-time backend for
-                this warm-up only.
-        """
-        if self._kernel is None and self._resolved_backend(backend) == "vectorized":
-            self.ensure_kernel(backend=backend)
-        held = self._kernel.index if self._kernel is not None else {}
-        for user in self._graph.users() if users is None else users:
-            if user not in held:
-                self.row(user)
+    def precompute(self) -> None:
+        """Warm the cache: build (or load) the whole-graph kernel now."""
+        self.ensure_kernel()
 
     def __len__(self) -> int:
-        """How many users the cache can answer without computing a row."""
-        if self._kernel is None:
-            return len(self._rows)
-        index = self._kernel.index
-        return len(index) + sum(1 for user in self._rows if user not in index)
+        """How many users the cache can answer without a kernel build."""
+        return 0 if self._kernel is None else len(self._kernel.index)
 
 
 _REGISTRY: Dict[str, Callable[[], SimilarityMeasure]] = {}

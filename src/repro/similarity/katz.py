@@ -24,15 +24,21 @@ class Katz(SimilarityMeasure):
     """Damped bounded-path-count similarity.
 
     Args:
-        max_length: the path-length cutoff ``k`` (paper uses 3).
+        max_length: the path-length cutoff ``k``, 1 to 3 (paper uses 3;
+            longer simple paths have no sparse closed form to build a
+            kernel from).
         alpha: the damping factor (paper uses 0.05; 0.005 is also common).
+
+    Raises:
+        ValueError: for ``max_length`` outside 1..3 or ``alpha`` outside
+            (0, 1).
     """
 
     name = "kz"
 
     def __init__(self, max_length: int = 3, alpha: float = 0.05) -> None:
-        if max_length < 1:
-            raise ValueError(f"max_length must be >= 1, got {max_length}")
+        if not 1 <= max_length <= 3:
+            raise ValueError(f"max_length must be in 1..3, got {max_length}")
         if not 0.0 < alpha < 1.0:
             raise ValueError(f"alpha must be in (0, 1), got {alpha}")
         self.max_length = max_length

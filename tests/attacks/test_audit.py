@@ -4,7 +4,8 @@ The acceptance pins live here: every cell's empirical bound stays under
 the ledger's analytical claim, the private bounds are monotone in
 epsilon, the non-private baselines are flagged at the sentinel, and the
 whole report is a bit-reproducible pure function of the master seed —
-across compute backends and under injected faults.
+against the reference Louvain and kernel oracles and under injected
+faults.
 """
 
 import json
@@ -12,11 +13,16 @@ import math
 
 import pytest
 
+import repro.cache.store as store_module
+import repro.core.private as private_module
 from repro.attacks.audit import format_audit_table, run_privacy_audit
 from repro.attacks.estimator import EPS_SENTINEL
 from repro.exceptions import ExperimentError
 from repro.obs.registry import Telemetry, telemetry
 from repro.resilience.faults import FaultPlan, FaultSpec
+
+from tests.oracles import louvain as oracle_louvain
+from tests.oracles.kernels import python_kernel
 
 from .conftest import AUDIT_EPSILONS, AUDIT_SEED
 
@@ -113,18 +119,24 @@ class TestReproducibility:
             audit_report.to_jsonable(), sort_keys=True
         )
 
-    def test_python_and_auto_backends_agree_bit_for_bit(self, lastfm_small):
-        reports = {
-            backend: run_privacy_audit(
-                lastfm_small, backend=backend, **SMALL_PARAMS
-            ).to_jsonable()
-            for backend in ("python", "auto")
-        }
-        for payload in reports.values():
-            payload["config"].pop("backend")
-        assert json.dumps(reports["python"], sort_keys=True) == json.dumps(
-            reports["auto"], sort_keys=True
+    def test_python_and_auto_backends_agree_bit_for_bit(
+        self, lastfm_small, monkeypatch
+    ):
+        """The report is the same when the reference oracles cluster and
+        build every kernel in place of production."""
+        auto = run_privacy_audit(lastfm_small, **SMALL_PARAMS).to_jsonable()
+        monkeypatch.setattr(
+            private_module,
+            "best_louvain_clustering",
+            oracle_louvain.best_louvain_clustering,
         )
+        monkeypatch.setattr(
+            store_module,
+            "build_kernel",
+            lambda graph, measure, stats=None: python_kernel(graph, measure),
+        )
+        python = run_privacy_audit(lastfm_small, **SMALL_PARAMS).to_jsonable()
+        assert json.dumps(python, sort_keys=True) == json.dumps(auto, sort_keys=True)
 
 
 class TestTelemetry:

@@ -10,12 +10,12 @@ from repro.cache.store import (
     load_kernel_artifact,
     save_kernel_artifact,
 )
+from repro.compute import build_kernel
 from repro.exceptions import CacheIntegrityError
 from repro.graph.social_graph import SocialGraph
 from repro.resilience.faults import truncate_file
 from repro.similarity.adamic_adar import AdamicAdar
 from repro.similarity.common_neighbors import CommonNeighbors
-from repro.similarity.matrix import adamic_adar_matrix, common_neighbors_matrix
 
 EDGES = [(1, 2), (2, 3), (1, 3), (3, 4), (4, 5), (2, 5)]
 
@@ -33,14 +33,14 @@ def store(tmp_path):
 def counted_kernel(graph, calls):
     def compute():
         calls.append(1)
-        return common_neighbors_matrix(graph)
+        return build_kernel(graph, CommonNeighbors())
 
     return compute
 
 
 class TestArtifactRoundtrip:
     def test_save_load_roundtrip(self, graph, tmp_path):
-        matrix = common_neighbors_matrix(graph)
+        matrix = build_kernel(graph, CommonNeighbors())
         path = str(tmp_path / "kernel.npz")
         save_kernel_artifact(path, matrix, "k" * 64, CommonNeighbors())
         loaded, metadata = load_kernel_artifact(path)
@@ -50,7 +50,7 @@ class TestArtifactRoundtrip:
         assert metadata["kind"] == "similarity-kernel"
 
     def test_no_tmp_file_left_behind(self, graph, tmp_path):
-        matrix = common_neighbors_matrix(graph)
+        matrix = build_kernel(graph, CommonNeighbors())
         path = str(tmp_path / "kernel.npz")
         save_kernel_artifact(path, matrix, "k" * 64, CommonNeighbors())
         assert os.listdir(tmp_path) == ["kernel.npz"]
@@ -102,10 +102,10 @@ class TestStoreLookup:
 
     def test_different_measures_get_different_artifacts(self, graph, store):
         cn = store.get_or_compute(
-            graph, CommonNeighbors(), lambda: common_neighbors_matrix(graph)
+            graph, CommonNeighbors(), lambda: build_kernel(graph, CommonNeighbors())
         )
         aa = store.get_or_compute(
-            graph, AdamicAdar(), lambda: adamic_adar_matrix(graph)
+            graph, AdamicAdar(), lambda: build_kernel(graph, AdamicAdar())
         )
         assert cn.path != aa.path
         assert len(store.info()) == 2
@@ -113,13 +113,15 @@ class TestStoreLookup:
     def test_lru_eviction_is_counted(self, graph, store):
         store.max_memory_entries = 1
         store.get_or_compute(
-            graph, CommonNeighbors(), lambda: common_neighbors_matrix(graph)
+            graph, CommonNeighbors(), lambda: build_kernel(graph, CommonNeighbors())
         )
-        store.get_or_compute(graph, AdamicAdar(), lambda: adamic_adar_matrix(graph))
+        store.get_or_compute(
+            graph, AdamicAdar(), lambda: build_kernel(graph, AdamicAdar())
+        )
         assert store.stats.evictions == 1
         # Evicted kernel still hits from disk.
         lookup = store.get_or_compute(
-            graph, CommonNeighbors(), lambda: common_neighbors_matrix(graph)
+            graph, CommonNeighbors(), lambda: build_kernel(graph, CommonNeighbors())
         )
         assert lookup.hit and store.stats.disk_hits == 1
 
@@ -127,7 +129,7 @@ class TestStoreLookup:
 class TestMaintenance:
     def test_info_reports_dimensions(self, graph, store):
         store.get_or_compute(
-            graph, CommonNeighbors(), lambda: common_neighbors_matrix(graph)
+            graph, CommonNeighbors(), lambda: build_kernel(graph, CommonNeighbors())
         )
         (entry,) = store.info()
         assert entry.ok
@@ -140,18 +142,22 @@ class TestMaintenance:
 
     def test_prune_empties_by_default(self, graph, store):
         store.get_or_compute(
-            graph, CommonNeighbors(), lambda: common_neighbors_matrix(graph)
+            graph, CommonNeighbors(), lambda: build_kernel(graph, CommonNeighbors())
         )
-        store.get_or_compute(graph, AdamicAdar(), lambda: adamic_adar_matrix(graph))
+        store.get_or_compute(
+            graph, AdamicAdar(), lambda: build_kernel(graph, AdamicAdar())
+        )
         removed, freed = store.prune()
         assert removed == 2 and freed > 0
         assert store.info() == []
 
     def test_prune_respects_byte_budget(self, graph, store):
         store.get_or_compute(
-            graph, CommonNeighbors(), lambda: common_neighbors_matrix(graph)
+            graph, CommonNeighbors(), lambda: build_kernel(graph, CommonNeighbors())
         )
-        store.get_or_compute(graph, AdamicAdar(), lambda: adamic_adar_matrix(graph))
+        store.get_or_compute(
+            graph, AdamicAdar(), lambda: build_kernel(graph, AdamicAdar())
+        )
         total = sum(entry.size_bytes for entry in store.info())
         removed, _ = store.prune(max_bytes=total)
         assert removed == 0
@@ -208,7 +214,7 @@ class TestCorruption:
 
     def test_garbage_file_is_reported_not_raised_by_info(self, graph, store):
         store.get_or_compute(
-            graph, CommonNeighbors(), lambda: common_neighbors_matrix(graph)
+            graph, CommonNeighbors(), lambda: build_kernel(graph, CommonNeighbors())
         )
         garbage = os.path.join(store.directory, "f" * 64 + ".npz")
         with open(garbage, "wb") as handle:

@@ -1,23 +1,25 @@
-"""Equivalence and behaviour tests for the vectorised kernel builder."""
+"""Equivalence and behaviour tests for the blocked kernel builder."""
 
-import numpy as np
 import pytest
 
-from repro.compute.kernels import (
-    build_kernel,
-    python_kernel,
-    resolve_backend,
-    supports_vectorized_kernel,
-)
-from repro.compute.stats import ComputeStats, validate_backend
-from repro.exceptions import ReproError
+from repro.compute.kernels import build_kernel
+from repro.compute.stats import ComputeStats
+from repro.exceptions import SimilarityError
 from repro.graph.social_graph import SocialGraph
 from repro.resilience.faults import FaultPlan, FaultSpec
 from repro.similarity.adamic_adar import AdamicAdar
+from repro.similarity.base import get_measure, list_measures
 from repro.similarity.common_neighbors import CommonNeighbors
 from repro.similarity.graph_distance import GraphDistance
 from repro.similarity.katz import Katz
-from repro.similarity.neighborhood import Jaccard, ResourceAllocation
+from repro.similarity.neighborhood import (
+    CosineSimilarity,
+    Jaccard,
+    PreferentialAttachment,
+    ResourceAllocation,
+)
+
+from tests.oracles.kernels import python_kernel
 
 MEASURES = [
     CommonNeighbors(),
@@ -27,8 +29,15 @@ MEASURES = [
     GraphDistance(max_distance=4),
     Katz(),
     Katz(max_length=2, alpha=0.2),
+    Jaccard(),
+    CosineSimilarity(),
+    PreferentialAttachment(),
 ]
-MEASURE_IDS = ["cn", "aa", "ra", "gd2", "gd4", "kz3", "kz2"]
+MEASURE_IDS = ["cn", "aa", "ra", "gd2", "gd4", "kz3", "kz2", "jc", "cos", "pa"]
+
+#: Measures whose kernel rows differ from ``similarity_row`` by float
+#: summation order (within 1e-9); every other kernel equals it exactly.
+INEXACT = ("aa", "ra")
 
 
 @pytest.fixture(scope="module")
@@ -48,6 +57,9 @@ def _rows_close(kernel, measure, graph, tol=1e-9):
     for user in graph.users():
         expected = measure.similarity_row(graph, user)
         actual = kernel.row(user)
+        if measure.name not in INEXACT:
+            assert actual == expected, user
+            continue
         assert set(actual) == set(expected), user
         for other, score in expected.items():
             assert actual[other] == pytest.approx(score, abs=tol), (user, other)
@@ -56,7 +68,7 @@ def _rows_close(kernel, measure, graph, tol=1e-9):
 class TestEquivalence:
     @pytest.mark.parametrize("measure", MEASURES, ids=MEASURE_IDS)
     def test_vectorized_rows_match_python(self, graph, measure):
-        kernel = build_kernel(graph, measure, backend="vectorized")
+        kernel = build_kernel(graph, measure)
         _rows_close(kernel, measure, graph)
 
     @pytest.mark.parametrize("measure", MEASURES, ids=MEASURE_IDS)
@@ -65,8 +77,8 @@ class TestEquivalence:
         # weighted measures (aa/ra) can differ by one ulp from a different
         # float summation order, which must never reorder anything at the
         # contract's tolerance.
-        vec = build_kernel(graph, measure, backend="vectorized")
-        ref = build_kernel(graph, measure, backend="python")
+        vec = build_kernel(graph, measure)
+        ref = python_kernel(graph, measure)
         for user in graph.users():
             rank = sorted(
                 ref.row(user).items(),
@@ -79,15 +91,11 @@ class TestEquivalence:
             assert [k for k, _ in vrank] == [k for k, _ in rank], user
 
     def test_block_size_invariance(self, graph):
-        full = build_kernel(graph, CommonNeighbors(), backend="vectorized")
-        for block_size in (1, 7, 64):
-            blocked = build_kernel(
-                graph,
-                CommonNeighbors(),
-                backend="vectorized",
-                block_size=block_size,
-            )
-            assert (blocked.matrix != full.matrix).nnz == 0
+        for measure in (CommonNeighbors(), Jaccard(), PreferentialAttachment()):
+            full = build_kernel(graph, measure)
+            for block_size in (1, 7, 64):
+                blocked = build_kernel(graph, measure, block_size=block_size)
+                assert (blocked.matrix != full.matrix).nnz == 0
 
     def test_python_kernel_rows_are_exact(self, graph):
         measure = AdamicAdar()
@@ -101,32 +109,37 @@ class TestEquivalence:
 
 
 class TestBackendResolution:
-    def test_validate_rejects_unknown(self):
-        with pytest.raises(ValueError):
-            validate_backend("gpu")
+    """How a measure resolves to its one kernel builder."""
 
-    def test_auto_resolves_by_support(self):
-        assert resolve_backend("auto", CommonNeighbors()) == "vectorized"
-        assert resolve_backend("auto", Jaccard()) == "python"
-        assert resolve_backend("python", CommonNeighbors()) == "python"
-        assert resolve_backend("vectorized", Jaccard()) == "vectorized"
+    def test_validate_rejects_unknown(self, graph):
+        # One kernel per measure: build_kernel takes no backend selector.
+        with pytest.raises(TypeError):
+            build_kernel(graph, CommonNeighbors(), backend="python")
 
-    def test_support_predicate(self):
-        assert supports_vectorized_kernel(GraphDistance(max_distance=7))
-        assert supports_vectorized_kernel(Katz(max_length=1))
-        assert not supports_vectorized_kernel(Katz(max_length=4))
-        assert not supports_vectorized_kernel(Jaccard())
+    def test_auto_resolves_by_support(self, graph):
+        # Every registered measure has a kernel, so the measure alone
+        # decides the builder.
+        for name in list_measures():
+            measure = get_measure(name)
+            stats = ComputeStats()
+            kernel = build_kernel(graph, measure, stats=stats)
+            assert stats.measure == name
+            _rows_close(kernel, measure, graph)
+
+    def test_support_predicate(self, graph):
+        build_kernel(graph, GraphDistance(max_distance=7))
+        build_kernel(graph, Katz(max_length=1))
+        with pytest.raises(ValueError, match="max_length"):
+            Katz(max_length=4)
 
     def test_explicit_vectorized_unsupported_raises(self, graph):
-        with pytest.raises(ReproError):
-            build_kernel(graph, Jaccard(), backend="vectorized")
+        class Unregistered(CommonNeighbors):
+            name = "no-such-kernel"
 
-    def test_auto_unsupported_runs_python(self, graph):
         stats = ComputeStats()
-        kernel = build_kernel(graph, Jaccard(), backend="auto", stats=stats)
-        assert stats.backend == "python"
-        assert stats.fallbacks == 0
-        _rows_close(kernel, Jaccard(), graph, tol=0.0)
+        with pytest.raises(SimilarityError, match="no similarity kernel"):
+            build_kernel(graph, Unregistered(), stats=stats)
+        assert stats.measure == ""
 
     def test_bad_block_size_rejected(self, graph):
         with pytest.raises(ValueError):
@@ -136,41 +149,22 @@ class TestBackendResolution:
 class TestStats:
     def test_stats_populated(self, graph):
         stats = ComputeStats()
-        build_kernel(
-            graph, CommonNeighbors(), backend="vectorized", stats=stats,
-            block_size=16,
-        )
-        assert stats.backend == "vectorized"
+        build_kernel(graph, CommonNeighbors(), stats=stats, block_size=16)
+        assert stats.measure == "cn"
         assert stats.rows == graph.num_users
         assert stats.blocks >= 2
         assert stats.rows_per_second > 0
         assert set(stats.stage_seconds) == {"adjacency", "blocks", "assemble"}
 
-    def test_python_stats(self, graph):
-        stats = ComputeStats()
-        build_kernel(graph, CommonNeighbors(), backend="python", stats=stats)
-        assert stats.backend == "python"
-        assert "rows" in stats.stage_seconds
-
 
 class TestFaultDegradation:
     pytestmark = pytest.mark.faults
 
-    def test_auto_falls_back_to_python(self, graph):
-        stats = ComputeStats()
-        plan = FaultPlan(
-            [FaultSpec(site="compute.kernel.block", on_call=1)]
-        )
-        with plan.installed():
-            kernel = build_kernel(
-                graph, CommonNeighbors(), backend="auto", stats=stats
-            )
-        assert stats.backend == "python"
-        assert stats.fallbacks == 1
-        _rows_close(kernel, CommonNeighbors(), graph, tol=0.0)
-
     def test_explicit_vectorized_propagates_fault(self, graph):
+        # No second implementation catches a failing block.
+        stats = ComputeStats()
         plan = FaultPlan([FaultSpec(site="compute.kernel.block", on_call=1)])
         with plan.installed():
             with pytest.raises(OSError):
-                build_kernel(graph, CommonNeighbors(), backend="vectorized")
+                build_kernel(graph, CommonNeighbors(), stats=stats)
+        assert stats.measure == ""

@@ -1,5 +1,6 @@
-"""Backend-equivalence tests for the flat-array Louvain implementation."""
+"""The flat-array Louvain against the dict-based reference oracle."""
 
+import importlib
 import random
 
 import numpy as np
@@ -8,7 +9,8 @@ import pytest
 from repro.community.louvain import best_louvain_clustering, louvain
 from repro.community.modularity import modularity
 from repro.graph.social_graph import SocialGraph
-from repro.resilience.faults import FaultPlan, FaultSpec
+
+from tests.oracles import louvain as oracle
 
 
 def _random_graph(seed, n=40, extra=80):
@@ -26,42 +28,27 @@ class TestBackendEquivalence:
     @pytest.mark.parametrize("refine", [True, False])
     def test_identical_partitions(self, seed, refine):
         graph = _random_graph(seed)
-        ref = louvain(
-            graph, np.random.default_rng(seed), refine=refine, backend="python"
-        )
-        vec = louvain(
-            graph,
-            np.random.default_rng(seed),
-            refine=refine,
-            backend="vectorized",
-        )
-        assert vec.clustering.assignment() == ref.clustering.assignment()
-        assert vec.modularity == ref.modularity
-        assert vec.num_levels == ref.num_levels
-        assert ref.backend == "python"
-        assert vec.backend == "vectorized"
-
-    def test_auto_reports_vectorized(self):
-        graph = _random_graph(1)
-        result = louvain(graph, backend="auto")
-        assert result.backend == "vectorized"
+        ref = oracle.louvain(graph, np.random.default_rng(seed), refine=refine)
+        vec = louvain(graph, np.random.default_rng(seed), refine=refine)
+        assert vec == ref
 
     def test_best_of_runs_identical(self):
         graph = _random_graph(5, n=80, extra=200)
-        ref = best_louvain_clustering(graph, runs=4, seed=0, backend="python")
-        vec = best_louvain_clustering(
-            graph, runs=4, seed=0, backend="vectorized"
-        )
+        ref = oracle.best_louvain_clustering(graph, runs=4, seed=0)
+        vec = best_louvain_clustering(graph, runs=4, seed=0)
         assert vec.clustering.assignment() == ref.clustering.assignment()
         assert vec.modularity == ref.modularity
 
     def test_unknown_backend_rejected(self):
-        with pytest.raises(ValueError):
-            louvain(_random_graph(0), backend="gpu")
+        # One implementation: Louvain takes no backend selector.
+        with pytest.raises(TypeError):
+            louvain(_random_graph(0), backend="python")
+        with pytest.raises(TypeError):
+            best_louvain_clustering(_random_graph(0), backend="python")
 
     def test_modularity_matches_reported(self):
         graph = _random_graph(7)
-        result = louvain(graph, backend="vectorized")
+        result = louvain(graph)
         assert modularity(graph, result.clustering) == pytest.approx(
             result.modularity, abs=1e-12
         )
@@ -70,24 +57,13 @@ class TestBackendEquivalence:
 class TestFaultDegradation:
     pytestmark = pytest.mark.faults
 
-    def test_auto_falls_back_with_identical_partition(self):
-        graph = _random_graph(2)
-        expected = louvain(graph, np.random.default_rng(0), backend="python")
-        plan = FaultPlan(
-            [FaultSpec(site="compute.louvain", on_call=1, repeat=True)]
-        )
-        with plan.installed():
-            degraded = louvain(graph, np.random.default_rng(0), backend="auto")
-        assert degraded.backend == "python"
-        assert (
-            degraded.clustering.assignment()
-            == expected.clustering.assignment()
-        )
-        assert degraded.modularity == expected.modularity
+    def test_explicit_vectorized_propagates(self, monkeypatch):
+        # No second implementation catches a failing local-move pass.
+        louvain_module = importlib.import_module("repro.community.louvain")
 
-    def test_explicit_vectorized_propagates(self):
-        graph = _random_graph(2)
-        plan = FaultPlan([FaultSpec(site="compute.louvain", on_call=1)])
-        with plan.installed():
-            with pytest.raises(OSError):
-                louvain(graph, backend="vectorized")
+        def failing(*_args, **_kwargs):
+            raise MemoryError("injected")
+
+        monkeypatch.setattr(louvain_module, "_one_level_flat", failing)
+        with pytest.raises(MemoryError):
+            louvain(_random_graph(2))

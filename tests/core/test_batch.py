@@ -5,9 +5,10 @@ import math
 import pytest
 
 from repro.cache import SimilarityStore
-from repro.compute import supports_vectorized_kernel
+from repro.compute import build_kernel
 from repro.core.batch import BatchResult, batch_recommend_all
 from repro.core.private import PrivateSocialRecommender
+from repro.exceptions import SimilarityError
 from repro.resilience.faults import FaultPlan, FaultSpec
 from repro.similarity.adamic_adar import AdamicAdar
 from repro.similarity.common_neighbors import CommonNeighbors
@@ -51,10 +52,12 @@ class TestEquivalenceWithSequentialPath:
         assert set(results) == set(subset)
 
     def test_fallback_for_unsupported_measure(self, lastfm_small):
+        # Jaccard, once served per user, now scores through its kernel.
         rec = _fitted(lastfm_small, Jaccard())
         batch = batch_recommend_all(rec, n=5)
-        user = lastfm_small.social.users()[0]
-        assert batch[user].item_ids() == rec.recommend(user, n=5).item_ids()
+        assert batch.stats.mode == "sequential"
+        for user in lastfm_small.social.users()[:10]:
+            assert batch[user].item_ids() == rec.recommend(user, n=5).item_ids()
 
     def test_nondefault_gd_cutoff_vectorises(self, lastfm_small):
         # The blocked BFS kernel covers any cutoff, not just the paper's
@@ -73,18 +76,27 @@ class TestEquivalenceWithSequentialPath:
 
 
 class TestSupportPredicate:
-    def test_supported_measures(self):
-        assert supports_vectorized_kernel(CommonNeighbors())
-        assert supports_vectorized_kernel(AdamicAdar())
-        assert supports_vectorized_kernel(ResourceAllocation())
-        assert supports_vectorized_kernel(GraphDistance(max_distance=2))
-        # The blocked BFS kernel supports any cutoff.
-        assert supports_vectorized_kernel(GraphDistance(max_distance=3))
-        assert supports_vectorized_kernel(Katz(max_length=3))
+    def test_supported_measures(self, triangle_graph):
+        for measure in (
+            CommonNeighbors(),
+            AdamicAdar(),
+            ResourceAllocation(),
+            GraphDistance(max_distance=2),
+            # The blocked BFS kernel supports any cutoff.
+            GraphDistance(max_distance=3),
+            Katz(max_length=3),
+            Jaccard(),
+        ):
+            assert build_kernel(triangle_graph, measure).num_users == 3
 
-    def test_unsupported_configurations(self):
-        assert not supports_vectorized_kernel(Katz(max_length=4))
-        assert not supports_vectorized_kernel(Jaccard())
+    def test_unsupported_configurations(self, triangle_graph):
+        class Unregistered(CommonNeighbors):
+            name = "no-such-kernel"
+
+        with pytest.raises(ValueError):
+            Katz(max_length=4)
+        with pytest.raises(SimilarityError):
+            build_kernel(triangle_graph, Unregistered())
 
 
 class TestValidation:
@@ -162,11 +174,21 @@ class TestSimilarityCacheIntegration:
         assert fresh.stats.disk_hits == 1
 
     def test_unsupported_measure_bypasses_the_store(self, lastfm_small, tmp_path):
+        class Unregistered(CommonNeighbors):
+            name = "no-such-kernel"
+
+        rec = _fitted(lastfm_small, Unregistered())
+        store = SimilarityStore(str(tmp_path / "kernels"))
+        with pytest.raises(SimilarityError):
+            batch_recommend_all(rec, n=5, store=store)
+        assert store.info() == []
+
+    def test_every_measure_goes_through_the_store(self, lastfm_small, tmp_path):
         rec = _fitted(lastfm_small, Jaccard())
         store = SimilarityStore(str(tmp_path / "kernels"))
         result = batch_recommend_all(rec, n=5, store=store)
-        assert result.stats.mode == "per-user"
-        assert store.stats.misses == 0 and store.info() == []
+        assert result.stats.mode == "sequential"
+        assert result.stats.cache_misses == 1 and len(store.info()) == 1
 
 
 class TestBatchStats:
@@ -183,7 +205,9 @@ class TestBatchStats:
         assert stats.kernel_seconds >= 0
 
     def test_per_user_fallback_counts_everyone(self, lastfm_small):
-        rec = _fitted(lastfm_small, Jaccard())
-        result = batch_recommend_all(rec, n=5)
+        rec = _fitted(lastfm_small, CommonNeighbors())
+        plan = FaultPlan([FaultSpec(site="batch.kernel", kind="raise")])
+        with plan.installed():
+            result = batch_recommend_all(rec, n=5)
         assert result.stats.mode == "per-user"
         assert result.stats.fallback_users == len(result)

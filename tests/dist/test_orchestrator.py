@@ -1,10 +1,13 @@
 """Orchestrator tests: submit, supervise, degrade, collect."""
 
+import json
+import os
 import threading
 
 import pytest
 
 from repro.dist import (
+    SweepSpec,
     SweepWorker,
     collect_results,
     queue_status,
@@ -117,6 +120,24 @@ class TestCollect:
         full sweep (computed in-parent) — the ladder's last rung."""
         queue_dir = str(tmp_path / "queue")
         submit_tradeoff_sweep(queue_dir, tiny_spec(tiny_dataset))
+        result = collect_results(queue_dir, dataset=tiny_dataset)
+        assert as_tuples(result) == baseline
+
+    def test_collect_loads_a_spec_with_engine_and_backend_keys(
+        self, tiny_dataset, baseline, tmp_path
+    ):
+        """Queues written before the sweep had one engine and one kernel
+        path record ``engine`` and ``backend``; they still load and
+        collect."""
+        queue_dir = str(tmp_path / "queue")
+        submit_tradeoff_sweep(queue_dir, tiny_spec(tiny_dataset))
+        spec_path = os.path.join(queue_dir, "spec.json")
+        with open(spec_path, encoding="utf-8") as handle:
+            payload = json.load(handle)
+        payload.update(engine="reference", backend="python")
+        with open(spec_path, "w", encoding="utf-8") as handle:
+            json.dump(payload, handle)
+        assert SweepSpec.from_dict(payload) == tiny_spec(tiny_dataset)
         result = collect_results(queue_dir, dataset=tiny_dataset)
         assert as_tuples(result) == baseline
 

@@ -2,11 +2,13 @@
 
 The contract under test is *exact* equivalence: every number the
 vectorized engine produces — cell means/stds, per-user scores, the item
-order of each ranking — must equal the reference per-user path
-bit-for-bit, because checkpoints and figures are engine-interchangeable.
+order of each ranking — must equal the per-user reference path
+(per-cell ``evaluate_factory``) bit-for-bit, because a cell the engine
+abandons is rescored on that path and checkpoints mix both.
 """
 
 import math
+from contextlib import contextmanager
 
 import pytest
 
@@ -14,11 +16,8 @@ from repro.core.private import PrivateSocialRecommender, louvain_strategy
 from repro.exceptions import ExperimentError
 from repro.experiments.comparison import run_comparison
 from repro.experiments.degree_effect import run_degree_effect
-from repro.experiments.engine import (
-    ENGINES,
-    SweepEngine,
-    validate_engine,
-)
+from repro.experiments.ablation import run_clustering_ablation
+from repro.experiments.engine import SweepEngine
 from repro.experiments.evaluation import EvaluationContext, evaluate_factory
 from repro.experiments.tradeoff import run_tradeoff
 from repro.resilience.faults import FaultPlan, FaultSpec
@@ -65,26 +64,43 @@ def reference_scores(context, clustering, epsilon, n, repeats, base_seed):
     )
 
 
-class TestValidation:
-    def test_known_engines(self):
-        for engine in ENGINES:
-            validate_engine(engine)
+@contextmanager
+def per_cell_reference():
+    """Run a driver with every engine cell and repeat abandoned, so each
+    cell is scored by the per-user reference path instead."""
+    plan = FaultPlan(
+        [
+            FaultSpec(site="engine.cell", repeat=True),
+            FaultSpec(site="engine.repeat", repeat=True),
+        ]
+    )
+    with plan.installed():
+        yield
 
-    def test_unknown_engine_rejected(self):
-        with pytest.raises(ValueError, match="unknown engine"):
-            validate_engine("bogus")
+
+class TestValidation:
+    def test_unknown_engine_rejected(self, lastfm_small):
+        # One sweep path: no driver takes an engine selector.
+        drivers = [
+            lambda: run_comparison(lastfm_small, [MEASURE], engine="reference"),
+            lambda: run_degree_effect(lastfm_small, MEASURE, engine="reference"),
+            lambda: run_clustering_ablation(lastfm_small, MEASURE, engine="reference"),
+        ]
+        for driver in drivers:
+            with pytest.raises(TypeError):
+                driver()
 
     def test_run_tradeoff_rejects_unknown_engine(self, lastfm_small):
-        with pytest.raises(ValueError, match="unknown engine"):
-            run_tradeoff(lastfm_small, [MEASURE], engine="bogus")
+        with pytest.raises(TypeError):
+            run_tradeoff(lastfm_small, [MEASURE], engine="reference")
 
     def test_bad_chunk_size_rejected(self, lastfm_small):
         with pytest.raises(ValueError, match="chunk_size"):
             SweepEngine(lastfm_small, chunk_size=0)
 
     def test_bad_backend_rejected(self, lastfm_small):
-        with pytest.raises(ValueError):
-            SweepEngine(lastfm_small, backend="gpu")
+        with pytest.raises(TypeError):
+            SweepEngine(lastfm_small, backend="python")
 
     def test_hand_assembled_context_rejected(self, engine, context, clustering):
         assembled = EvaluationContext(
@@ -164,18 +180,17 @@ class TestEquivalence:
             repeats=2,
             seed=0,
         )
-        vectorized = run_tradeoff(lastfm_small, engine="vectorized", **kwargs)
-        reference = run_tradeoff(lastfm_small, engine="reference", **kwargs)
+        vectorized = run_tradeoff(lastfm_small, **kwargs)
+        with per_cell_reference():
+            reference = run_tradeoff(lastfm_small, **kwargs)
+        assert reference.stats.legacy_cells == 6
         assert list(vectorized) == list(reference)
 
     def test_run_degree_effect_engines_identical(self, lastfm_small):
         kwargs = dict(n=20, threshold=10, louvain_runs=2, seed=0)
-        vectorized = run_degree_effect(
-            lastfm_small, MEASURE, engine="vectorized", **kwargs
-        )
-        reference = run_degree_effect(
-            lastfm_small, MEASURE, engine="reference", **kwargs
-        )
+        vectorized = run_degree_effect(lastfm_small, MEASURE, **kwargs)
+        with per_cell_reference():
+            reference = run_degree_effect(lastfm_small, MEASURE, **kwargs)
         assert vectorized == reference
 
     def test_run_comparison_cluster_engines_identical(self, lastfm_small):
@@ -187,12 +202,9 @@ class TestEquivalence:
             louvain_runs=2,
             seed=0,
         )
-        vectorized = run_comparison(
-            lastfm_small, [MEASURE], engine="vectorized", **kwargs
-        )
-        reference = run_comparison(
-            lastfm_small, [MEASURE], engine="reference", **kwargs
-        )
+        vectorized = run_comparison(lastfm_small, [MEASURE], **kwargs)
+        with per_cell_reference():
+            reference = run_comparison(lastfm_small, [MEASURE], **kwargs)
         assert vectorized == reference
 
     def test_clustering_ablation_engines_identical(self, lastfm_small):
@@ -200,7 +212,6 @@ class TestEquivalence:
             single_cluster_clustering,
             singleton_clustering,
         )
-        from repro.experiments.ablation import run_clustering_ablation
 
         users = lastfm_small.social.users()
         strategies = {
@@ -210,18 +221,15 @@ class TestEquivalence:
         kwargs = dict(
             epsilon=1.0, n=10, repeats=2, strategies=strategies, seed=0
         )
-        vectorized = run_clustering_ablation(
-            lastfm_small, MEASURE, engine="vectorized", **kwargs
-        )
-        reference = run_clustering_ablation(
-            lastfm_small, MEASURE, engine="reference", **kwargs
-        )
+        vectorized = run_clustering_ablation(lastfm_small, MEASURE, **kwargs)
+        with per_cell_reference():
+            reference = run_clustering_ablation(lastfm_small, MEASURE, **kwargs)
         assert vectorized == reference
 
     def test_checkpoint_interchangeable_across_engines(
         self, lastfm_small, tmp_path
     ):
-        """A sweep checkpointed under one engine resumes under the other."""
+        """A sweep checkpointed on the per-user path resumes on the engine."""
         path = str(tmp_path / "sweep.jsonl")
         kwargs = dict(
             measures=[MEASURE],
@@ -231,12 +239,13 @@ class TestEquivalence:
             seed=0,
             checkpoint=path,
         )
-        first = run_tradeoff(lastfm_small, engine="vectorized", **kwargs)
-        resumed = run_tradeoff(lastfm_small, engine="reference", **kwargs)
+        with per_cell_reference():
+            first = run_tradeoff(lastfm_small, **kwargs)
+        resumed = run_tradeoff(lastfm_small, **kwargs)
         assert list(first) == list(resumed)
         # The resumed run read every cell from the checkpoint: its engine
         # never scored anything.
-        assert resumed.stats is None
+        assert resumed.stats.cells == 0
 
 
 class TestStats:
@@ -248,7 +257,6 @@ class TestStats:
             ns=(10,),
             repeats=2,
             seed=0,
-            engine="vectorized",
         )
         assert cells.stats is not None
         assert cells.stats.cells == 1
@@ -257,16 +265,19 @@ class TestStats:
         assert cells.stats.wall_seconds > 0.0
 
     def test_reference_result_has_no_stats(self, lastfm_small):
-        cells = run_tradeoff(
-            lastfm_small,
-            measures=[MEASURE],
-            epsilons=(1.0,),
-            ns=(10,),
-            repeats=1,
-            seed=0,
-            engine="reference",
-        )
-        assert cells.stats is None
+        # Every cell scored on the per-user reference path: the engine's
+        # counters record the abandoned cell and no scoring work.
+        with per_cell_reference():
+            cells = run_tradeoff(
+                lastfm_small,
+                measures=[MEASURE],
+                epsilons=(1.0,),
+                ns=(10,),
+                repeats=1,
+                seed=0,
+            )
+        assert (cells.stats.cells, cells.stats.repeats) == (0, 0)
+        assert cells.stats.legacy_cells == 1
 
 
 class TestKernelCache:
@@ -329,7 +340,7 @@ class TestFaultLadder:
         )
         plan = FaultPlan([FaultSpec(site="engine.cell", repeat=True)])
         with plan.installed():
-            degraded = run_tradeoff(lastfm_small, engine="vectorized", **kwargs)
+            degraded = run_tradeoff(lastfm_small, **kwargs)
         assert degraded.stats.legacy_cells == 2
-        clean = run_tradeoff(lastfm_small, engine="vectorized", **kwargs)
+        clean = run_tradeoff(lastfm_small, **kwargs)
         assert list(degraded) == list(clean)

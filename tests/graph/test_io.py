@@ -115,6 +115,32 @@ class TestErrorContext:
             read_preference_graph(str(path))
         assert excinfo.value.line == 4
 
+    def test_nan_weight_line_reports_path_and_line(self, tmp_path):
+        path = tmp_path / "artists.dat"
+        path.write_text("1\t10\t1.0\n2\t20\tnan\n")
+        with pytest.raises(DatasetError) as excinfo:
+            read_preference_graph(str(path))
+        assert excinfo.value.path == str(path)
+        assert excinfo.value.line == 2
+
+    @pytest.mark.parametrize("newline", [b"\n", b"\r\n", b"\r"])
+    def test_non_utf8_byte_reports_its_own_line(self, tmp_path, newline):
+        # Far enough into the file that a chunked text decoder would fail
+        # while an earlier line is still being parsed.
+        lines = [b"%d\t%d" % (i, i + 1) for i in range(2000)]
+        lines[1500] = b"1500\t\xff1501"
+        path = tmp_path / "user_friends.dat"
+        path.write_bytes(newline.join(lines) + newline)
+        with pytest.raises(DatasetError) as excinfo:
+            read_social_graph(str(path))
+        assert excinfo.value.path == str(path)
+        assert excinfo.value.line == 1501
+        path = tmp_path / "user_artists.dat"
+        path.write_bytes(b"1\t10\n\xc3\t11\n")
+        with pytest.raises(DatasetError) as excinfo:
+            read_preference_graph(str(path))
+        assert excinfo.value.line == 2
+
     def test_stream_source_has_no_path(self):
         with pytest.raises(DatasetError) as excinfo:
             read_preference_graph(io.StringIO("1\t10\tbadweight\n"))

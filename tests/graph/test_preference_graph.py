@@ -1,5 +1,7 @@
 """Unit tests for the bipartite PreferenceGraph substrate."""
 
+import math
+
 import pytest
 
 from repro.exceptions import EdgeError, ItemNotFoundError, NodeNotFoundError
@@ -39,6 +41,13 @@ class TestConstruction:
         g = PreferenceGraph()
         with pytest.raises(EdgeError):
             g.add_edge(1, "a", weight=0.0)
+
+    @pytest.mark.parametrize("weight", [math.nan, math.inf, -math.inf, -0.0])
+    def test_non_finite_weight_rejected(self, weight):
+        g = PreferenceGraph()
+        with pytest.raises(EdgeError, match="finite and positive"):
+            g.add_edge(1, "a", weight=weight)
+        assert g.num_edges == 0
 
     def test_negative_weight_rejected(self):
         g = PreferenceGraph()

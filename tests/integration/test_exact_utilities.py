@@ -8,6 +8,11 @@ live on here as oracles, each fitted on its own similarity cache, and
 every comparison is ``==``: the product, the vectorized GS draws and the
 identifier-ranked reference lists must reproduce them bit for bit.
 
+Each comparison runs over two kernel sources, keeping their historical
+ids: ``auto`` is production :func:`repro.compute.build_kernel`, and
+``python`` serves every kernel from the per-user row loop in
+``tests/oracles`` instead, with its own stored order.
+
 The datasets insert users, friendships, items and preference edges in
 shuffled order, so graph order, kernel order and identifier order all
 differ; they include a social user with no preferences, a
@@ -20,6 +25,7 @@ import math
 import numpy as np
 import pytest
 
+import repro.cache.store as store_module
 from repro.competitors.gs import GroupAndSmooth
 from repro.competitors.lrm import LowRankMechanism
 from repro.core.baselines import NoiseOnUtility
@@ -27,7 +33,6 @@ from repro.core.recommender import SocialRecommender
 from repro.core.scoring import top_n_from_vector
 from repro.datasets.dataset import SocialRecDataset
 from repro.exceptions import NodeNotFoundError
-from repro.experiments import evaluation
 from repro.experiments.engine import SweepEngine
 from repro.experiments.evaluation import EvaluationContext
 from repro.graph.preference_graph import PreferenceGraph
@@ -36,6 +41,8 @@ from repro.metrics.ndcg import dcg_array
 from repro.metrics.ranking import rank_items
 from repro.privacy.sensitivity import similarity_column_sums
 from repro.similarity.base import get_measure
+
+from tests.oracles.kernels import python_kernel
 
 MEASURES = ["cn", "aa", "gd", "kz"]
 BACKENDS = ["auto", "python"]
@@ -103,8 +110,17 @@ def datasets(lastfm_small):
 DATASETS = ["shuffled", "ties", "mixed"]
 
 
-def _fitted(recommender, backend, dataset):
-    recommender.compute_backend = backend
+def _use_kernels(monkeypatch, backend):
+    """Serve every kernel from ``backend``'s source (see module doc)."""
+    if backend == "python":
+        monkeypatch.setattr(
+            store_module,
+            "build_kernel",
+            lambda graph, measure, stats=None: python_kernel(graph, measure),
+        )
+
+
+def _fitted(recommender, dataset):
     return recommender.fit(dataset.social, dataset.preferences)
 
 
@@ -228,9 +244,9 @@ def loop_lrm_factors(state, epsilon, seed):
     return factor_b, compressed + rng.laplace(0.0, scale, size=compressed.shape)
 
 
-def _oracle_state(measure, backend, dataset):
+def _oracle_state(measure, dataset):
     """A fitted state on a cache of its own, for the loops to read."""
-    return _fitted(SocialRecommender(get_measure(measure)), backend, dataset).state
+    return _fitted(SocialRecommender(get_measure(measure)), dataset).state
 
 
 # ----------------------------------------------------------------------
@@ -239,10 +255,11 @@ def _oracle_state(measure, backend, dataset):
 @pytest.mark.parametrize("backend", BACKENDS)
 @pytest.mark.parametrize("measure", MEASURES)
 @pytest.mark.parametrize("name", DATASETS)
-def test_exact_recommender(datasets, name, measure, backend):
+def test_exact_recommender(datasets, monkeypatch, name, measure, backend):
+    _use_kernels(monkeypatch, backend)
     dataset = datasets[name]
-    oracle = _oracle_state(measure, backend, dataset)
-    recommender = _fitted(SocialRecommender(get_measure(measure)), backend, dataset)
+    oracle = _oracle_state(measure, dataset)
+    recommender = _fitted(SocialRecommender(get_measure(measure)), dataset)
     for user in dataset.social.users():
         expected = loop_utilities(oracle, user)
         assert recommender.utilities(user) == expected, user
@@ -258,13 +275,9 @@ def test_exact_recommender(datasets, name, measure, backend):
 @pytest.mark.parametrize("measure", MEASURES)
 @pytest.mark.parametrize("name", DATASETS)
 def test_evaluation_reference(datasets, monkeypatch, name, measure, backend):
+    _use_kernels(monkeypatch, backend)
     dataset = datasets[name]
-    oracle = _oracle_state(measure, backend, dataset)
-    monkeypatch.setattr(
-        evaluation,
-        "SocialRecommender",
-        lambda m, n: SocialRecommender(m, n=n, compute_backend=backend),
-    )
+    oracle = _oracle_state(measure, dataset)
     context = EvaluationContext.build(dataset, get_measure(measure), max_n=MAX_N)
     users = dataset.social.users()
     ideal = {u: loop_utilities(oracle, u) for u in users}
@@ -283,7 +296,7 @@ def test_evaluation_reference(datasets, monkeypatch, name, measure, backend):
             dense[row, column[item]] = value
         for position, item in enumerate(context.reference_rankings[user]):
             gains[row, position] = ideal[user][item]
-    with SweepEngine(dataset, backend=backend) as engine:
+    with SweepEngine(dataset) as engine:
         arrays = engine._eval_for(context, engine._kernel_for(context))
     assert np.array_equal(arrays.utilities, dense)
     assert np.array_equal(arrays.reference_cum, dcg_array(gains))
@@ -292,10 +305,11 @@ def test_evaluation_reference(datasets, monkeypatch, name, measure, backend):
 @pytest.mark.parametrize("backend", BACKENDS)
 @pytest.mark.parametrize("measure", MEASURES)
 @pytest.mark.parametrize("name", DATASETS)
-def test_column_sums(datasets, name, measure, backend):
+def test_column_sums(datasets, monkeypatch, name, measure, backend):
+    _use_kernels(monkeypatch, backend)
     dataset = datasets[name]
-    oracle = _oracle_state(measure, backend, dataset)
-    recommender = _fitted(SocialRecommender(get_measure(measure)), backend, dataset)
+    oracle = _oracle_state(measure, dataset)
+    recommender = _fitted(SocialRecommender(get_measure(measure)), dataset)
     state = recommender.state
     sums = similarity_column_sums(
         state.social, state.similarity.measure, state.similarity
@@ -308,11 +322,12 @@ def test_column_sums(datasets, name, measure, backend):
 @pytest.mark.parametrize("backend", BACKENDS)
 @pytest.mark.parametrize("measure", MEASURES)
 @pytest.mark.parametrize("name", DATASETS)
-def test_noise_on_utility(datasets, name, measure, backend, epsilon):
+def test_noise_on_utility(datasets, monkeypatch, name, measure, backend, epsilon):
+    _use_kernels(monkeypatch, backend)
     dataset = datasets[name]
-    oracle = _oracle_state(measure, backend, dataset)
+    oracle = _oracle_state(measure, dataset)
     recommender = _fitted(
-        NoiseOnUtility(get_measure(measure), epsilon, seed=11), backend, dataset
+        NoiseOnUtility(get_measure(measure), epsilon, seed=11), dataset
     )
     delta = max(loop_column_sums(oracle).values(), default=0.0)
     assert recommender.sensitivity_ == delta
@@ -334,12 +349,14 @@ def test_noise_on_utility(datasets, name, measure, backend, epsilon):
 @pytest.mark.parametrize("backend", BACKENDS)
 @pytest.mark.parametrize("measure", MEASURES)
 @pytest.mark.parametrize("name", DATASETS)
-def test_group_and_smooth(datasets, name, measure, backend, epsilon, group_size):
+def test_group_and_smooth(
+    datasets, monkeypatch, name, measure, backend, epsilon, group_size
+):
+    _use_kernels(monkeypatch, backend)
     dataset = datasets[name]
-    oracle = _oracle_state(measure, backend, dataset)
+    oracle = _oracle_state(measure, dataset)
     recommender = _fitted(
         GroupAndSmooth(get_measure(measure), epsilon, group_size=group_size, seed=13),
-        backend,
         dataset,
     )
     expected = loop_gs_estimates(oracle, epsilon, group_size, 13)
@@ -350,11 +367,12 @@ def test_group_and_smooth(datasets, name, measure, backend, epsilon, group_size)
 @pytest.mark.parametrize("backend", BACKENDS)
 @pytest.mark.parametrize("measure", MEASURES)
 @pytest.mark.parametrize("name", DATASETS)
-def test_low_rank_mechanism(datasets, name, measure, backend, epsilon):
+def test_low_rank_mechanism(datasets, monkeypatch, name, measure, backend, epsilon):
+    _use_kernels(monkeypatch, backend)
     dataset = datasets[name]
-    oracle = _oracle_state(measure, backend, dataset)
+    oracle = _oracle_state(measure, dataset)
     recommender = _fitted(
-        LowRankMechanism(get_measure(measure), epsilon, seed=17), backend, dataset
+        LowRankMechanism(get_measure(measure), epsilon, seed=17), dataset
     )
     factor_b, noisy = loop_lrm_factors(oracle, epsilon, 17)
     assert np.array_equal(recommender._B, factor_b)

@@ -15,12 +15,11 @@ from repro.obs import (
 
 
 def _compute_stats():
-    stats = ComputeStats(requested="auto", backend="vectorized", measure="cn")
+    stats = ComputeStats()
     stats.blocks = 4
-    stats.fallbacks = 1
     stats.add_stage("adjacency", 0.125)
     stats.add_stage("blocks", 0.5)
-    stats.finish(rows=100, nnz=4321, total_seconds=0.25)
+    stats.finish(measure="cn", rows=100, nnz=4321, total_seconds=0.25)
     return stats
 
 
@@ -37,7 +36,7 @@ class TestComputeRoundTrip:
 
     def test_unbuilt_stats_not_published(self):
         reg = Telemetry()
-        publish_compute_stats(ComputeStats(), reg)  # backend still empty
+        publish_compute_stats(ComputeStats(), reg)  # no build completed
         assert reg.snapshot().counters == {}
 
     def test_noop_when_disabled(self):

@@ -9,16 +9,11 @@ near-complete, stars within stars, ...).
 import pytest
 from hypothesis import given, settings
 
+from repro.compute import build_kernel
 from repro.similarity.adamic_adar import AdamicAdar
 from repro.similarity.common_neighbors import CommonNeighbors
 from repro.similarity.graph_distance import GraphDistance
 from repro.similarity.katz import Katz
-from repro.similarity.matrix import (
-    adamic_adar_matrix,
-    common_neighbors_matrix,
-    graph_distance_matrix,
-    katz_matrix,
-)
 
 from tests.property.strategies import social_graphs
 
@@ -36,33 +31,29 @@ class TestCrossImplementationAgreement:
     @given(graph=social_graphs(max_users=10, max_extra_edges=25))
     @settings(max_examples=40, deadline=None)
     def test_common_neighbors(self, graph):
-        _assert_agree(common_neighbors_matrix(graph), CommonNeighbors(), graph)
+        _assert_agree(build_kernel(graph, CommonNeighbors()), CommonNeighbors(), graph)
 
     @given(graph=social_graphs(max_users=10, max_extra_edges=25))
     @settings(max_examples=40, deadline=None)
     def test_adamic_adar(self, graph):
-        _assert_agree(adamic_adar_matrix(graph), AdamicAdar(), graph)
+        _assert_agree(build_kernel(graph, AdamicAdar()), AdamicAdar(), graph)
 
     @given(graph=social_graphs(max_users=10, max_extra_edges=25))
     @settings(max_examples=40, deadline=None)
     def test_graph_distance(self, graph):
-        _assert_agree(
-            graph_distance_matrix(graph), GraphDistance(max_distance=2), graph
-        )
+        measure = GraphDistance(max_distance=2)
+        _assert_agree(build_kernel(graph, measure), measure, graph)
 
     @given(graph=social_graphs(max_users=9, max_extra_edges=20))
     @settings(max_examples=40, deadline=None)
     def test_katz_three_hops(self, graph):
-        _assert_agree(
-            katz_matrix(graph, max_length=3, alpha=0.05),
-            Katz(max_length=3, alpha=0.05),
-            graph,
-        )
+        measure = Katz(max_length=3, alpha=0.05)
+        _assert_agree(build_kernel(graph, measure), measure, graph)
 
     @given(graph=social_graphs(max_users=10, max_extra_edges=25))
     @settings(max_examples=30, deadline=None)
     def test_matrices_symmetric(self, graph):
-        matrix = common_neighbors_matrix(graph).matrix
+        matrix = build_kernel(graph, CommonNeighbors()).matrix
         difference = matrix - matrix.T
         worst = abs(difference).max() if difference.nnz else 0.0
         assert worst == 0.0

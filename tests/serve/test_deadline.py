@@ -132,3 +132,17 @@ class TestValidation:
     def test_bad_config_deadline_rejected(self):
         with pytest.raises(ValueError, match="deadline_ms"):
             ServerConfig(deadline_ms=0)
+
+    @pytest.mark.parametrize("raw", ["nan", "inf", "-inf"])
+    def test_non_finite_query_deadline_is_400(self, make_server, popular_user, raw):
+        harness = make_server()
+        status, payload = harness.get(
+            f"/recommend?user={popular_user}&deadline_ms={raw}"
+        )
+        assert status == 400
+        assert "finite" in payload["error"]
+
+    @pytest.mark.parametrize("value", [float("nan"), float("inf")])
+    def test_non_finite_config_deadline_rejected(self, value):
+        with pytest.raises(ValueError, match="finite"):
+            ServerConfig(deadline_ms=value)

@@ -2,7 +2,7 @@
 
 import pytest
 
-from repro.exceptions import SimilarityError
+from repro.exceptions import NodeNotFoundError, SimilarityError
 from repro.similarity.adamic_adar import AdamicAdar
 from repro.similarity.base import (
     SimilarityCache,
@@ -58,10 +58,13 @@ class TestSimilarityCache:
                 calls.append(user)
                 return super().similarity_row(graph, user)
 
-        cache = SimilarityCache(Counting(), triangle_graph, backend="python")
+        # Rows come from the one kernel, built once on the first query.
+        cache = SimilarityCache(Counting(), triangle_graph)
         cache.row(1)
+        stats = cache.last_compute_stats
         cache.row(1)
-        assert calls == [1]
+        assert calls == []
+        assert cache.last_compute_stats is stats
 
     def test_cached_values_correct(self, triangle_graph):
         cache = SimilarityCache(CommonNeighbors(), triangle_graph)
@@ -74,9 +77,11 @@ class TestSimilarityCache:
         assert len(cache) == 3
 
     def test_precompute_subset(self, triangle_graph):
-        cache = SimilarityCache(CommonNeighbors(), triangle_graph, backend="python")
-        cache.precompute([1])
-        assert len(cache) == 1
+        # A one-user query builds the kernel for the whole graph.
+        cache = SimilarityCache(CommonNeighbors(), triangle_graph)
+        assert len(cache) == 0
+        cache.row(1)
+        assert len(cache) == 3
 
     def test_exposes_measure_and_graph(self, triangle_graph):
         measure = CommonNeighbors()
@@ -84,20 +89,29 @@ class TestSimilarityCache:
         assert cache.measure is measure
         assert cache.graph is triangle_graph
 
+    def test_user_outside_the_kernel_raises(self, triangle_graph):
+        cache = SimilarityCache(CommonNeighbors(), triangle_graph)
+        with pytest.raises(NodeNotFoundError):
+            cache.row(99)
+        with pytest.raises(NodeNotFoundError):
+            cache.row_matrix([1, 99])
+
 
 class TestCacheBackends:
     def test_unknown_backend_rejected(self, triangle_graph):
-        with pytest.raises(ValueError):
-            SimilarityCache(CommonNeighbors(), triangle_graph, backend="gpu")
+        # Rows have one source, the kernel: the cache takes no backend.
+        with pytest.raises(TypeError):
+            SimilarityCache(CommonNeighbors(), triangle_graph, backend="python")
+        cache = SimilarityCache(CommonNeighbors(), triangle_graph)
+        with pytest.raises(TypeError):
+            cache.precompute(backend="python")
 
     def test_vectorized_rows_match_python(self, two_communities_graph):
-        python = SimilarityCache(AdamicAdar(), two_communities_graph)
-        vectorized = SimilarityCache(
-            AdamicAdar(), two_communities_graph, backend="vectorized"
-        )
+        measure = AdamicAdar()
+        cache = SimilarityCache(measure, two_communities_graph)
         for user in two_communities_graph.users():
-            expected = python.row(user)
-            actual = vectorized.row(user)
+            expected = measure.similarity_row(two_communities_graph, user)
+            actual = cache.row(user)
             assert set(actual) == set(expected)
             for other, score in expected.items():
                 assert actual[other] == pytest.approx(score, abs=1e-9)
@@ -110,51 +124,36 @@ class TestCacheBackends:
                 calls.append(user)
                 return super().similarity_row(graph, user)
 
-        cache = SimilarityCache(Counting(), triangle_graph, backend="vectorized")
+        cache = SimilarityCache(Counting(), triangle_graph)
         cache.row(1)
         assert calls == []
         assert len(cache) == 3
 
     def test_precompute_records_compute_stats(self, triangle_graph):
-        cache = SimilarityCache(
-            CommonNeighbors(), triangle_graph, backend="vectorized"
-        )
+        cache = SimilarityCache(CommonNeighbors(), triangle_graph)
         assert cache.last_compute_stats is None
         cache.precompute()
         stats = cache.last_compute_stats
         assert stats is not None
-        assert stats.backend == "vectorized"
+        assert stats.measure == "cn"
         assert stats.rows == 3
 
-    def test_default_backend_is_auto(self, triangle_graph):
-        cache = SimilarityCache(CommonNeighbors(), triangle_graph)
-        assert cache.backend == "auto"
-
-    def test_precompute_backend_override(self, triangle_graph):
-        cache = SimilarityCache(CommonNeighbors(), triangle_graph, backend="python")
-        assert cache.backend == "python"
-        cache.precompute(backend="vectorized")
-        assert cache.last_compute_stats.backend == "vectorized"
-        assert len(cache) == 3
-
     def test_auto_backend_degrades_for_unsupported_measure(self, triangle_graph):
+        # Jaccard once had no kernel and ran per-user rows; it now builds
+        # one like every registered measure, with the same rows.
         from repro.similarity.neighborhood import Jaccard
 
-        cache = SimilarityCache(Jaccard(), triangle_graph, backend="auto")
+        cache = SimilarityCache(Jaccard(), triangle_graph)
         assert cache.row(1) == Jaccard().similarity_row(triangle_graph, 1)
+        assert cache.last_compute_stats.measure == "jc"
 
     def test_similarity_set_drops_zero_scores(self, triangle_graph):
-        class WithZeros(CommonNeighbors):
-            def similarity_row(self, graph, user):
-                row = dict(super().similarity_row(graph, user))
-                row["phantom"] = 0.0
-                return row
-
-        # Force the python path: the custom row override keeps the "cn"
-        # registry name, so "auto" would legitimately vectorise past it.
-        cache = SimilarityCache(WithZeros(), triangle_graph, backend="python")
-        assert "phantom" in cache.row(1)
-        assert cache.similarity_set(1) == frozenset({2, 3})
+        cache = SimilarityCache(CommonNeighbors(), triangle_graph)
+        kernel = cache.ensure_kernel().matrix
+        # A kernel carrying an explicit stored zero, e.g. one loaded from
+        # an artifact written without eliminate_zeros.
+        kernel.matrix.data[kernel.matrix.indices == kernel.index[3]] = 0.0
+        assert cache.similarity_set(1) == frozenset({2})
 
     def test_similarity_set_matches_measure(self, triangle_graph):
         cache = SimilarityCache(CommonNeighbors(), triangle_graph)

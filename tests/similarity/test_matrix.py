@@ -1,20 +1,15 @@
-"""Cross-validation of the vectorised similarity engine against the
-per-user measure classes — two independent implementations of the same
-math guarding each other."""
+"""Cross-validation of the kernels :func:`repro.compute.build_kernel`
+builds against the per-user measure classes — two independent
+implementations of the same math guarding each other — and the
+:class:`~repro.similarity.matrix.SimilarityMatrix` API they return."""
 
 import pytest
 
+from repro.compute import build_kernel
 from repro.similarity.adamic_adar import AdamicAdar
 from repro.similarity.common_neighbors import CommonNeighbors
 from repro.similarity.graph_distance import GraphDistance
 from repro.similarity.katz import Katz
-from repro.similarity.matrix import (
-    adamic_adar_matrix,
-    common_neighbors_matrix,
-    graph_distance_matrix,
-    katz_matrix,
-    resource_allocation_matrix,
-)
 from repro.similarity.neighborhood import ResourceAllocation
 
 
@@ -30,49 +25,49 @@ def _assert_matches_measure(matrix, measure, graph, users=None):
 class TestAgainstMeasureClasses:
     def test_common_neighbors(self, lastfm_small):
         _assert_matches_measure(
-            common_neighbors_matrix(lastfm_small.social),
+            build_kernel(lastfm_small.social, CommonNeighbors()),
             CommonNeighbors(),
             lastfm_small.social,
         )
 
     def test_adamic_adar(self, lastfm_small):
         _assert_matches_measure(
-            adamic_adar_matrix(lastfm_small.social),
+            build_kernel(lastfm_small.social, AdamicAdar()),
             AdamicAdar(),
             lastfm_small.social,
         )
 
     def test_resource_allocation(self, lastfm_small):
         _assert_matches_measure(
-            resource_allocation_matrix(lastfm_small.social),
+            build_kernel(lastfm_small.social, ResourceAllocation()),
             ResourceAllocation(),
             lastfm_small.social,
         )
 
     def test_graph_distance(self, lastfm_small):
         _assert_matches_measure(
-            graph_distance_matrix(lastfm_small.social),
+            build_kernel(lastfm_small.social, GraphDistance(max_distance=2)),
             GraphDistance(max_distance=2),
             lastfm_small.social,
         )
 
     def test_katz_length_3(self, lastfm_small):
         _assert_matches_measure(
-            katz_matrix(lastfm_small.social, max_length=3, alpha=0.05),
+            build_kernel(lastfm_small.social, Katz(max_length=3, alpha=0.05)),
             Katz(max_length=3, alpha=0.05),
             lastfm_small.social,
         )
 
     def test_katz_length_2(self, two_communities_graph):
         _assert_matches_measure(
-            katz_matrix(two_communities_graph, max_length=2, alpha=0.1),
+            build_kernel(two_communities_graph, Katz(max_length=2, alpha=0.1)),
             Katz(max_length=2, alpha=0.1),
             two_communities_graph,
         )
 
     def test_katz_length_1(self, triangle_graph):
         _assert_matches_measure(
-            katz_matrix(triangle_graph, max_length=1, alpha=0.1),
+            build_kernel(triangle_graph, Katz(max_length=1, alpha=0.1)),
             Katz(max_length=1, alpha=0.1),
             triangle_graph,
         )
@@ -80,7 +75,7 @@ class TestAgainstMeasureClasses:
 
 class TestMatrixApi:
     def test_similarity_lookup(self, triangle_graph):
-        matrix = common_neighbors_matrix(triangle_graph)
+        matrix = build_kernel(triangle_graph, CommonNeighbors())
         assert matrix.similarity(1, 2) == 1.0
         assert matrix.similarity(1, 1) == 0.0
         assert matrix.similarity(1, 99) == 0.0
@@ -88,24 +83,24 @@ class TestMatrixApi:
     def test_column_sums_match_sensitivity_module(self, lastfm_small):
         from repro.privacy.sensitivity import similarity_column_sums
 
-        matrix = common_neighbors_matrix(lastfm_small.social)
+        matrix = build_kernel(lastfm_small.social, CommonNeighbors())
         expected = similarity_column_sums(lastfm_small.social, CommonNeighbors())
         actual = matrix.column_sums()
         assert actual == expected
 
     def test_unknown_user_empty_row(self, triangle_graph):
-        matrix = common_neighbors_matrix(triangle_graph)
+        matrix = build_kernel(triangle_graph, CommonNeighbors())
         assert matrix.row(99) == {}
 
     def test_invalid_katz_parameters(self, triangle_graph):
         with pytest.raises(ValueError):
-            katz_matrix(triangle_graph, max_length=4)
+            build_kernel(triangle_graph, Katz(max_length=4))
         with pytest.raises(ValueError):
-            katz_matrix(triangle_graph, alpha=1.5)
+            build_kernel(triangle_graph, Katz(alpha=1.5))
 
     def test_empty_graph(self):
         from repro.graph.social_graph import SocialGraph
 
-        matrix = common_neighbors_matrix(SocialGraph())
+        matrix = build_kernel(SocialGraph(), CommonNeighbors())
         assert matrix.users == []
         assert matrix.column_sums() == {}

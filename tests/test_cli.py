@@ -25,13 +25,23 @@ class TestParser:
 
     def test_tradeoff_engine_defaults(self):
         args = build_parser().parse_args(["tradeoff"])
-        assert args.engine == "vectorized"
         assert args.cache_dir is None
-        assert args.backend == "auto"
+        assert not hasattr(args, "engine")
+        assert not hasattr(args, "backend")
 
     def test_tradeoff_rejects_unknown_engine(self, capsys):
-        with pytest.raises(SystemExit):
-            build_parser().parse_args(["tradeoff", "--engine", "bogus"])
+        # One sweep path and one kernel per measure: neither flag exists.
+        for argv in (
+            ["tradeoff", "--engine", "reference"],
+            ["tradeoff", "--backend", "python"],
+            ["attack", "audit", "--backend", "python"],
+            ["batch", "--backend", "python"],
+            ["cache", "warm", "--cache-dir", "d", "--backend", "python"],
+            ["sweep", "submit", "--queue", "q", "--engine", "reference"],
+            ["sweep", "submit", "--queue", "q", "--backend", "python"],
+        ):
+            with pytest.raises(SystemExit):
+                build_parser().parse_args(argv)
 
     def test_attack_epsilon_parsing(self):
         args = build_parser().parse_args(["attack", "--epsilon", "inf"])
@@ -46,7 +56,6 @@ class TestParser:
         assert args.eps == [0.1, 0.5, 1.0, 2.0]
         assert args.target == ["private", "nou", "noe"]
         assert args.trials == 1000
-        assert args.backend == "auto"
         assert args.json is None
         assert not args.strict
 
@@ -302,24 +311,21 @@ class TestTradeoffEngine:
         assert "kernel:" in out
         assert "compute:" in out
 
-    def test_reference_engine_prints_no_stats(self, capsys):
-        argv = ["tradeoff", "--scale", "0.04", "--seed", "1", "--measures",
-                "cn", "--epsilons", "1.0", "--ns", "5", "--repeats", "1",
-                "--engine", "reference"]
-        assert main(argv) == 0
-        out = capsys.readouterr().out
-        assert "NDCG@5" in out
-        assert "engine:" not in out
-
     def test_engines_print_identical_tables(self, capsys):
+        from repro.resilience.faults import FaultPlan, FaultSpec
+
         argv = ["tradeoff", "--scale", "0.04", "--seed", "1", "--measures",
                 "cn", "aa", "--epsilons", "inf", "0.5", "--ns", "5",
                 "--repeats", "2"]
-        assert main(argv + ["--engine", "vectorized"]) == 0
+        assert main(argv) == 0
         vectorized = capsys.readouterr().out.split("engine:")[0]
-        assert main(argv + ["--engine", "reference"]) == 0
-        reference = capsys.readouterr().out
-        assert vectorized == reference
+        # Every engine cell abandoned: the per-user path scores them all.
+        plan = FaultPlan([FaultSpec(site="engine.cell", repeat=True)])
+        with plan.installed():
+            assert main(argv) == 0
+        out = capsys.readouterr().out
+        assert "degraded:    4 cell(s)" in out
+        assert out.split("engine:")[0] == vectorized
 
     def test_cache_dir_miss_then_hit(self, tmp_path, capsys):
         cache_dir = str(tmp_path / "kernels")
@@ -367,11 +373,16 @@ class TestCacheCommand:
         assert main(["cache", "info", "--cache-dir", cache_dir]) == 0
         assert "empty" in capsys.readouterr().out
 
-    def test_warm_skips_unsupported_measures(self, tmp_path, capsys):
+    def test_warm_builds_every_registered_measure(self, tmp_path, capsys):
         cache_dir = str(tmp_path / "kernels")
         assert main(["cache", "warm", "--cache-dir", cache_dir, "--scale",
-                     "0.04", "--seed", "1", "--measures", "jc"]) == 0
-        assert "skipped" in capsys.readouterr().out
+                     "0.04", "--seed", "1", "--measures", "jc", "cos",
+                     "pa"]) == 0
+        out = capsys.readouterr().out
+        assert "skipped" not in out
+        for name in ("jc", "cos", "pa"):
+            assert f"{name}: computed" in out
+        assert "3 miss(es)" in out
 
     def test_info_on_empty_cache(self, tmp_path, capsys):
         assert main(["cache", "info", "--cache-dir",
