@@ -8,13 +8,12 @@ engine keeps its reason to exist: scoring the sweep through one matmul
 per noise draw must stay at least 5x faster than per-cell
 ``evaluate_factory``, which refits the recommender and ranks per user.
 
-The reference run is the same driver with every engine cell abandoned
-(the ``engine.cell`` fault), so each cell falls through to
-``evaluate_factory``.  The Louvain clustering is precomputed and shared
-so both runs time the same work: the per-(epsilon, repeat) scoring loop
-the engine factors onto the batch kernel.  The timing fixture also pins
-the two runs' cells equal, so the gate can never pass on divergent
-numbers.
+The reference run is the per-cell oracle (``tests/oracles/sweep.py``),
+which scores every cell through ``evaluate_factory``.  The Louvain
+clustering is precomputed and shared so both runs time the same work:
+the per-(epsilon, repeat) scoring loop the engine factors onto the
+batch kernel.  The timing fixture also pins the two runs' cells equal,
+so the gate can never pass on divergent numbers.
 """
 
 import time
@@ -24,8 +23,8 @@ import pytest
 from benchmarks.conftest import print_banner
 from repro.community.louvain import best_louvain_clustering
 from repro.experiments.tradeoff import run_tradeoff
-from repro.resilience.faults import FaultPlan, FaultSpec
 from repro.similarity.common_neighbors import CommonNeighbors
+from tests.oracles.sweep import tradeoff_cells
 
 #: Same contract as the kernel-build gate: below 5x the engine's extra
 #: code path is not paying for itself.  Measured headroom at this scale
@@ -69,9 +68,9 @@ def sweep_timings(lastfm_bench, clustering):
         cells[key] = run_tradeoff(lastfm_bench, clustering=clustering, **SWEEP)
 
     def per_cell():
-        plan = FaultPlan([FaultSpec(site="engine.cell", repeat=True)])
-        with plan.installed():
-            sweep("reference")
+        cells["reference"] = tradeoff_cells(
+            lastfm_bench, clustering=clustering, **SWEEP
+        )
 
     vec_s = _best_of(3, lambda: sweep("vectorized"))
     ref_s = _best_of(2, per_cell)
@@ -88,7 +87,6 @@ class TestSweepCost:
             lambda: run_tradeoff(lastfm_bench, clustering=clustering, **SWEEP)
         )
         assert len(cells) == len(SWEEP["epsilons"]) * len(SWEEP["ns"])
-        assert cells.stats.legacy_cells == 0
 
 
 class TestSweepSpeedupGate:
@@ -96,8 +94,7 @@ class TestSweepSpeedupGate:
         """The ratio is only meaningful if both paths score the same
         numbers — the engine's contract, re-pinned where it is gated."""
         cells = sweep_timings["cells"]
-        assert cells["reference"].stats.cells == 0  # all scored per cell
-        assert list(cells["vectorized"]) == list(cells["reference"])
+        assert list(cells["vectorized"]) == cells["reference"]
 
     def test_print_speedup_table(self, sweep_timings, lastfm_bench):
         print_banner(

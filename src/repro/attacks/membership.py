@@ -29,11 +29,6 @@ Sampling rules:
   fixed configuration, a deterministic observation channel.  Both
   worlds map to single values; if they differ, the channel separates
   the worlds exactly and the estimator reports the sentinel.
-
-The vectorized trial batch is a `fault_point("attacks.trial")` site:
-a crashed batch degrades to a sequential per-trial loop with
-bit-identical results (same IEEE-754 operations per element), counted
-under ``attacks.trial.fallback``.
 """
 
 from __future__ import annotations
@@ -49,7 +44,6 @@ from repro.attacks.estimator import (
 )
 from repro.core.cluster_weights import ClusterItemAverages
 from repro.obs.registry import incr as obs_incr
-from repro.resilience.faults import fault_point
 from repro.types import ItemId, UserId
 
 __all__ = [
@@ -102,27 +96,6 @@ def unit_laplace_draws(
     return np.random.default_rng(seed_seq).laplace(0.0, 1.0, size=trials)
 
 
-def _trial_statistics(
-    center: float, scale: float, draws: np.ndarray
-) -> np.ndarray:
-    """``center + scale * draws`` with sequential degradation.
-
-    The vectorized batch runs under the ``attacks.trial`` fault site;
-    if it crashes, the same statistics are recomputed one trial at a
-    time.  Scalar and vectorized float64 arithmetic round identically,
-    so the two paths are bit-identical — pinned by the fault tests.
-    """
-    try:
-        fault_point("attacks.trial")
-        return center + scale * draws
-    except Exception:
-        obs_incr("attacks.trial.fallback")
-        out = np.empty(draws.size)
-        for index in range(draws.size):
-            out[index] = center + scale * float(draws[index])
-        return out
-
-
 def run_membership_attack(
     averages_without: ClusterItemAverages,
     averages_with: ClusterItemAverages,
@@ -162,8 +135,8 @@ def run_membership_attack(
     else:
         scale = float(scales[column])
         samples = (
-            _trial_statistics(exact_without, scale, draws_without),
-            _trial_statistics(exact_with, scale, draws_with),
+            exact_without + scale * draws_without,
+            exact_with + scale * draws_with,
         )
     obs_incr("attacks.trials", samples[0].size + samples[1].size)
 

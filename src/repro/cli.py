@@ -722,8 +722,6 @@ def _cmd_tradeoff(args: argparse.Namespace) -> int:
             f"engine:      {stats.cells} cell(s) x {stats.repeats} repeat(s) "
             f"over {stats.measures} measure(s) in {stats.wall_seconds:.2f}s"
         )
-        if stats.legacy_cells:
-            print(f"degraded:    {stats.legacy_cells} cell(s) on the per-user path")
         print(
             f"kernel:      {stats.kernel_seconds * 1000:.0f} ms "
             f"({stats.cache_hits} cache hit(s), {stats.cache_misses} miss(es))"
@@ -1068,8 +1066,7 @@ def _cmd_batch(args: argparse.Namespace) -> int:
     )
     print(
         f"shards:      {stats.num_shards} "
-        f"({stats.fallback_shards} degraded, "
-        f"{stats.fallback_users} users on the per-user path)"
+        f"({stats.fallback_users} zero-signal user(s) on the per-user ladder)"
     )
     if shard_ms:
         print(f"shard wall:  [{preview}] ms")

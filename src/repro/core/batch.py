@@ -20,9 +20,11 @@ runs and processes at zero privacy cost.  Pass a
 :class:`~repro.cache.store.SimilarityStore` to skip recomputation
 entirely on a warm cache.
 
-A failing kernel falls back to the per-user path, as does a chunk whose
-scoring fails.  Every call returns a
-:class:`BatchResult` — a plain dict of
+Users with no similarity signal are served one by one through the
+recommender's degradation ladder, exactly as ``recommend`` serves them.
+There is no second scoring path: an exception inside the kernel build
+or a chunk's scoring reaches the caller with its own type.  Every call
+returns a :class:`BatchResult` — a plain dict of
 user -> :class:`~repro.types.RecommendationList` carrying a
 :class:`BatchStats` with cache hit/miss counters, per-chunk wall times,
 and overall rows/sec.
@@ -39,11 +41,10 @@ import numpy as np
 from repro.cache.store import SimilarityStore
 from repro.compute.stats import ComputeStats
 from repro.core.private import PrivateSocialRecommender
-from repro.core.scoring import ClusterProfile, ranked_list, top_n_rows
+from repro.core.scoring import ranked_list, top_n_rows
 from repro.exceptions import ReproError
 from repro.obs.adapters import publish_batch_stats
 from repro.obs.spans import span
-from repro.resilience.faults import fault_point
 from repro.types import RecommendationList, UserId
 
 __all__ = [
@@ -58,16 +59,13 @@ class BatchStats:
     """Perf counters for one :func:`batch_recommend_all` call.
 
     Attributes:
-        mode: ``"sequential"``, or ``"per-user"`` (the kernel failed
-            outright).
         users_served: number of recommendation lists produced.
         wall_seconds: end-to-end wall time of the call.
         rows_per_second: ``users_served / wall_seconds``.
         num_shards: chunks scored.
         shard_seconds: wall time per chunk, in scoring order.
-        fallback_shards: chunks that degraded off the vectorised path.
-        fallback_users: users served by the per-user path (degraded
-            chunks plus zero-signal users routed through the ladder).
+        fallback_users: zero-signal users, served one by one through the
+            recommender's degradation ladder.
         cache_hits / cache_misses: similarity-store lookups during this
             call (both zero when no store was passed).
         kernel_seconds: time spent obtaining the similarity kernel and
@@ -75,31 +73,19 @@ class BatchStats:
             them).
         compute: the :class:`~repro.compute.stats.ComputeStats` of the
             kernel construction, when one ran during this call (None on a
-            warm cache or the per-user path).
-        tier_transitions: degradation-ladder transitions, keyed by edge
-            (``"kernel->per-user"``, ``"vectorized->per-user"``).
-            ``fallback_shards``/``fallback_users`` count *work items*;
-            this counts *transitions*, so a chunk that degrades mid-run
-            is visible even when every user still gets served.
+            warm cache).
     """
 
-    mode: str = "sequential"
     users_served: int = 0
     wall_seconds: float = 0.0
     rows_per_second: float = 0.0
     num_shards: int = 0
     shard_seconds: List[float] = field(default_factory=list)
-    fallback_shards: int = 0
     fallback_users: int = 0
     cache_hits: int = 0
     cache_misses: int = 0
     kernel_seconds: float = 0.0
     compute: Optional[ComputeStats] = None
-    tier_transitions: Dict[str, int] = field(default_factory=dict)
-
-    def record_transition(self, edge: str) -> None:
-        """Count one degradation-ladder transition (e.g. ``"kernel->per-user"``)."""
-        self.tier_transitions[edge] = self.tier_transitions.get(edge, 0) + 1
 
 
 class BatchResult(Dict[UserId, RecommendationList]):
@@ -180,50 +166,37 @@ def _batch_recommend_all(
     stats = results.stats
     compute_stats = ComputeStats()
 
-    profile: Optional[ClusterProfile] = None
     kernel_start = time.perf_counter()
-    try:
-        fault_point("batch.kernel")
-        before = store.stats.snapshot() if store is not None else None
-        # The recommender's own cache: its per-user queries (the
-        # zero-signal users below) reuse this kernel and profile.
-        state.similarity.ensure_kernel(store, stats=compute_stats)
-        if before is not None:
-            stats.cache_hits = store.stats.hits - before.hits
-            stats.cache_misses = store.stats.misses - before.misses
-        profile = recommender.scorer_.profile()
-    except Exception:
-        # A failing kernel degrades the whole batch to the (slower but
-        # independent) per-user path rather than killing the run.
-        profile = None
-        stats.record_transition("kernel->per-user")
+    before = store.stats.snapshot() if store is not None else None
+    # The recommender's own cache: its per-user queries (the
+    # zero-signal users below) reuse this kernel and profile.
+    state.similarity.ensure_kernel(store, stats=compute_stats)
+    if before is not None:
+        stats.cache_hits = store.stats.hits - before.hits
+        stats.cache_misses = store.stats.misses - before.misses
+    profile = recommender.scorer_.profile()
     stats.kernel_seconds = time.perf_counter() - kernel_start
     if compute_stats.measure:  # a construction actually ran
         stats.compute = compute_stats
 
-    if profile is None:
-        # The kernel failed: fall back to the per-user path.
-        stats.mode = "per-user"
-        _per_user(recommender, results, target_users, limit)
-        _finalise_stats(stats, len(results), start_time)
-        return results
-
     release_t = np.ascontiguousarray(weights.matrix.T)  # (clusters x items)
-    _run_sequential(
-        recommender, results, target_users, limit, profile, release_t, chunk_size
-    )
-    _finalise_stats(stats, len(results), start_time)
-    return results
+    for start in range(0, len(target_users), chunk_size):
+        chunk = target_users[start : start + chunk_size]
+        chunk_start = time.perf_counter()
+        stats.num_shards += 1
+        with span("batch.chunk"):
+            rows = profile.rows(profile.positions(chunk))
+            _score_chunk(recommender, results, chunk, rows, release_t, limit)
+        stats.shard_seconds.append(time.perf_counter() - chunk_start)
 
-
-def _finalise_stats(stats: BatchStats, served: int, start_time: float) -> None:
-    stats.users_served = served
+    stats.users_served = len(results)
     stats.wall_seconds = time.perf_counter() - start_time
     if stats.wall_seconds > 0:
-        stats.rows_per_second = served / stats.wall_seconds
+        stats.rows_per_second = stats.users_served / stats.wall_seconds
     # Mirror the finished call's counters into the active telemetry
     # registry (no-op when observability is disabled).
     publish_batch_stats(stats)
+    return results
 
 
 def _score_chunk(
@@ -247,48 +220,15 @@ def _score_chunk(
         if signal[i]:
             results[user] = ranked_list(user, items, ranked[i], scores[i])
         else:
-            _per_user(recommender, results, [user], limit)
+            _per_user(recommender, results, user, limit)
 
 
 def _per_user(
     recommender: PrivateSocialRecommender,
     results: BatchResult,
-    users: Sequence[UserId],
+    user: UserId,
     limit: int,
 ) -> None:
-    """Serve ``users`` one by one (and count them as fallback users)."""
-    for user in users:
-        results[user] = recommender.recommend(user, n=limit)
-    results.stats.fallback_users += len(users)
-
-
-def _run_sequential(
-    recommender: PrivateSocialRecommender,
-    results: BatchResult,
-    target_users: Sequence[UserId],
-    limit: int,
-    profile: ClusterProfile,
-    release_t: np.ndarray,
-    chunk_size: int,
-) -> None:
-    """The in-process path: one pass of chunked dense products."""
-    stats = results.stats
-    stats.mode = "sequential"
-    for start in range(0, len(target_users), chunk_size):
-        chunk = target_users[start : start + chunk_size]
-        chunk_start = time.perf_counter()
-        stats.num_shards += 1
-        with span("batch.chunk"):
-            try:
-                fault_point("batch.chunk")
-                rows = profile.rows(profile.positions(chunk))
-                _score_chunk(recommender, results, chunk, rows, release_t, limit)
-            except Exception:
-                # A chunk that fails mid-kernel (bad BLAS call, injected
-                # fault, memory pressure) degrades to the per-user path for
-                # just that chunk; the rest of the batch stays vectorised.
-                stats.fallback_shards += 1
-                stats.record_transition("vectorized->per-user")
-                _per_user(recommender, results, chunk, limit)
-        stats.shard_seconds.append(time.perf_counter() - chunk_start)
-
+    """Serve one zero-signal user through the ladder (a fallback user)."""
+    results[user] = recommender.recommend(user, n=limit)
+    results.stats.fallback_users += 1

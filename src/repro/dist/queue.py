@@ -48,8 +48,9 @@ import os
 import time
 import uuid
 from dataclasses import dataclass, field
-from typing import Callable, Dict, List, Optional, Tuple
+from typing import Callable, Dict, List, Optional
 
+from repro.dist.spec import SweepSpec
 from repro.exceptions import LeaseLostError, SweepQueueError
 from repro.experiments.checkpoint import fsync_directory
 from repro.obs.registry import incr
@@ -181,6 +182,11 @@ class QueueStats:
     fields: Dict[str, int] = field(default_factory=dict, repr=False)
 
 
+def _normalised(spec: Dict[str, object]) -> Dict[str, object]:
+    """``spec`` as the current :class:`SweepSpec` writes it."""
+    return SweepSpec.from_dict(spec).to_dict()
+
+
 class SweepQueue:
     """The filesystem work queue (see module docstring for the layout).
 
@@ -230,7 +236,10 @@ class SweepQueue:
 
         Idempotent for an identical spec (resubmitting a sweep is safe
         and keeps all progress); a *different* spec at the same root is
-        rejected instead of silently mixing two sweeps' cells.
+        rejected instead of silently mixing two sweeps' cells.  Both
+        specs are compared through :class:`~repro.dist.spec.SweepSpec`,
+        so keys an older library wrote and this one ignores (``engine``,
+        ``backend``) do not make the same sweep look different.
 
         Raises:
             SweepQueueError: when ``root`` already holds a different spec.
@@ -242,7 +251,7 @@ class SweepQueue:
         if os.path.exists(spec_path):
             with open(spec_path, "r", encoding="utf-8") as handle:
                 existing = json.load(handle)
-            if existing != spec:
+            if _normalised(existing) != _normalised(spec):
                 raise SweepQueueError(
                     f"queue {root!r} already holds a different sweep spec; "
                     f"use a fresh directory per sweep"

@@ -15,7 +15,7 @@ from __future__ import annotations
 
 import statistics
 from dataclasses import dataclass
-from typing import Dict, List, Optional, Sequence
+from typing import Dict, List, Optional
 
 import numpy as np
 
@@ -29,11 +29,11 @@ from repro.community.strategies import (
     single_cluster_clustering,
     singleton_clustering,
 )
-from repro.core.private import PrivateSocialRecommender, louvain_strategy
+from repro.core.private import louvain_strategy
 from repro.datasets.dataset import SocialRecDataset
 from repro.exceptions import ExperimentError
 from repro.experiments.engine import SweepEngine
-from repro.experiments.evaluation import EvaluationContext, evaluate_factory
+from repro.experiments.evaluation import EvaluationContext
 from repro.graph.social_graph import SocialGraph
 from repro.metrics.errors import approximation_error, expected_perturbation_error
 from repro.similarity.base import SimilarityCache, SimilarityMeasure
@@ -108,9 +108,8 @@ def run_clustering_ablation(
 
     One :class:`~repro.experiments.engine.SweepEngine` scores every
     strategy: the similarity kernel and reference arrays are built once
-    and only the per-strategy cluster release changes.  A cell the engine
-    abandons is refitted per repeat with ``evaluate_factory``; the
-    numbers match.
+    and only the per-strategy cluster release changes.  An exception
+    inside a cell reaches the caller with its own type.
     """
     if strategies is None:
         strategies = build_strategy_clusterings(dataset.social, seed=seed)
@@ -121,27 +120,14 @@ def run_clustering_ablation(
     cells: List[ClusteringAblationCell] = []
     try:
         for name, clustering in strategies.items():
-
-            def fixed(_graph: SocialGraph, c=clustering) -> Clustering:
-                return c
-
-            factory = lambda s, c=fixed: PrivateSocialRecommender(  # noqa: E731
-                measure, epsilon=epsilon, n=n, clustering_strategy=c, seed=s
-            )
-            scored = sweep_engine.evaluate(
+            mean, std = sweep_engine.evaluate(
                 context,
                 clustering,
                 epsilon,
                 [n],
                 repeats,
                 base_seed=seed * 1000 + 13,
-            ).get(n)
-            if scored is not None:
-                mean, std = scored
-            else:
-                mean, std = evaluate_factory(
-                    context, factory, n, repeats=repeats, base_seed=seed * 1000 + 13
-                )
+            )[n]
             cells.append(
                 ClusteringAblationCell(
                     dataset=dataset.name,

@@ -4,6 +4,10 @@ Scores the cluster-based framework against the four alternatives — NOU,
 NOE (Section 5.1.1), LRM and GS (Section 6.4) — at the paper's settings
 (epsilon in {1.0, 0.1}, N = 50), for each similarity measure.  The
 expected shape: cluster framework >> NOE > {GS, LRM} > NOU.
+
+The cluster framework's cells are scored by the
+:class:`~repro.experiments.engine.SweepEngine`, the other four
+mechanisms' per user through ``evaluate_factory``.
 """
 
 from __future__ import annotations
@@ -12,16 +16,14 @@ from dataclasses import dataclass
 from typing import Dict, List, Optional, Sequence
 
 from repro.cache.store import SimilarityStore
-from repro.community.clustering import Clustering
 from repro.competitors.gs import GroupAndSmooth
 from repro.competitors.lrm import LowRankMechanism
 from repro.core.baselines import NoiseOnEdges, NoiseOnUtility
-from repro.core.private import PrivateSocialRecommender, louvain_strategy
+from repro.core.private import louvain_strategy
 from repro.datasets.dataset import SocialRecDataset
 from repro.exceptions import ExperimentError
 from repro.experiments.engine import SweepEngine
 from repro.experiments.evaluation import EvaluationContext, evaluate_factory
-from repro.graph.social_graph import SocialGraph
 from repro.similarity.base import SimilarityMeasure
 
 __all__ = ["ComparisonCell", "run_comparison", "MECHANISM_NAMES"]
@@ -47,19 +49,10 @@ def _mechanism_factory(
     measure: SimilarityMeasure,
     epsilon: float,
     n: int,
-    clustering: Clustering,
     gs_group_size: int,
 ):
-    """A repeat-seed -> unfitted-recommender factory for one mechanism."""
-
-    def fixed_clustering(_graph: SocialGraph) -> Clustering:
-        return clustering
-
-    if name == "cluster":
-        return lambda seed: PrivateSocialRecommender(
-            measure, epsilon=epsilon, n=n,
-            clustering_strategy=fixed_clustering, seed=seed,
-        )
+    """A repeat-seed -> unfitted-recommender factory for one of the four
+    mechanisms the sweep engine does not score."""
     if name == "noe":
         return lambda seed: NoiseOnEdges(measure, epsilon=epsilon, n=n, seed=seed)
     if name == "nou":
@@ -104,7 +97,8 @@ def run_comparison(
         seed: master seed.
         store: optional persistent similarity cache for the sweep engine
             that scores the ``cluster`` mechanism's cells (the other
-            mechanisms have no batched factorisation and score per user).
+            mechanisms have no batched factorisation and score per user
+            through ``evaluate_factory``).
     """
     if not measures:
         raise ExperimentError("measures must be non-empty")
@@ -120,25 +114,21 @@ def run_comparison(
             )
             for mechanism in mechanisms:
                 for epsilon in epsilons:
-                    factory = _mechanism_factory(
-                        mechanism, measure, epsilon, n, clustering, gs_group_size
-                    )
-                    scored = None
-                    if sweep_engine is not None and mechanism == "cluster":
-                        scored = sweep_engine.evaluate(
+                    if mechanism == "cluster":
+                        mean, std = sweep_engine.evaluate(
                             context,
                             clustering,
                             epsilon,
                             [n],
                             repeats,
                             base_seed=seed * 1000 + 7,
-                        ).get(n)
-                    if scored is not None:
-                        mean, std = scored
+                        )[n]
                     else:
                         mean, std = evaluate_factory(
                             context,
-                            factory,
+                            _mechanism_factory(
+                                mechanism, measure, epsilon, n, gs_group_size
+                            ),
                             n,
                             repeats=repeats,
                             base_seed=seed * 1000 + 7,

@@ -13,15 +13,14 @@ from __future__ import annotations
 import math
 import statistics
 from dataclasses import dataclass
-from typing import Dict, List, Optional, Tuple
+from typing import List, Optional, Tuple
 
 from repro.cache.store import SimilarityStore
 from repro.community.clustering import Clustering
-from repro.core.private import PrivateSocialRecommender, louvain_strategy
+from repro.core.private import louvain_strategy
 from repro.datasets.dataset import SocialRecDataset
 from repro.experiments.engine import SweepEngine
 from repro.experiments.evaluation import EvaluationContext
-from repro.graph.social_graph import SocialGraph
 from repro.similarity.base import SimilarityMeasure
 from repro.types import UserId
 
@@ -78,36 +77,11 @@ def run_degree_effect(
     """
     if clustering is None:
         clustering = louvain_strategy(runs=louvain_runs, seed=seed)(dataset.social)
-
-    def fixed_clustering(_graph: SocialGraph) -> Clustering:
-        return clustering
-
     context = EvaluationContext.build(
         dataset, measure, max_n=n, sample_size=sample_size, seed=seed
     )
-    per_user: Optional[Dict[UserId, float]] = None
-    sweep_engine = SweepEngine(dataset, store=store)
-    try:
+    with SweepEngine(dataset, store=store) as sweep_engine:
         per_user = sweep_engine.per_user_scores(context, clustering, math.inf, seed, n)
-    except Exception:
-        # Anything that breaks the batched path degrades to the
-        # reference per-user loop below — same scores, slower.
-        per_user = None
-    finally:
-        sweep_engine.close()
-    if per_user is None:
-        recommender = PrivateSocialRecommender(
-            measure,
-            epsilon=math.inf,
-            n=n,
-            clustering_strategy=fixed_clustering,
-            seed=seed,
-        )
-        recommender.fit(dataset.social, dataset.preferences)
-        rankings = {
-            u: recommender.recommend(u, n=n).item_ids() for u in context.users
-        }
-        per_user = context.per_user_ndcg_of_rankings(rankings, n)
 
     points: List[Tuple[UserId, int, float]] = []
     low: List[float] = []

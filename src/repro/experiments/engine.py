@@ -29,18 +29,18 @@ discipline (one ``default_rng(SeedSequence(seed))`` laplace draw over the
 full matrix), ``C``, ``P``, ``E``, the ranking and the zero-signal
 ladder are the scoring core's (:mod:`repro.core.scoring`), and the NDCG
 accumulation follows the scalar summation order.  The test suite pins
-rankings and scores against per-cell ``evaluate_factory``.
+rankings and scores against per-cell ``evaluate_factory``, which lives
+on as the oracle in ``tests/oracles/sweep.py``.
 
-Cells are scored one after another in-process.  A cell that fails is
-abandoned to the caller's per-user reference path (fault sites
-``engine.cell`` and ``engine.repeat``).
+Cells are scored one after another in-process, on this one path: an
+exception inside a cell reaches the caller with its own type.
 """
 
 from __future__ import annotations
 
 import statistics
 import time
-from dataclasses import dataclass, field
+from dataclasses import dataclass
 from typing import Dict, List, Optional, Sequence, Tuple
 
 import numpy as np
@@ -67,7 +67,6 @@ from repro.obs.adapters import publish_engine_stats
 from repro.obs.ledger import record_laplace_release
 from repro.obs.spans import span
 from repro.privacy.mechanisms import validate_epsilon
-from repro.resilience.faults import fault_point
 from repro.similarity.base import SimilarityCache
 from repro.similarity.matrix import SimilarityMatrix
 from repro.types import ItemId, UserId
@@ -86,33 +85,22 @@ class EngineStats:
         measures: distinct similarity kernels scored with.
         cells: (epsilon) cells scored by the engine.
         repeats: noise repeats scored across all cells.
-        legacy_cells: cells abandoned to the caller, which rescores them
-            with the per-user reference path.
         cache_hits / cache_misses: similarity-store lookups (zero without
             a store).
         kernel_seconds: time spent obtaining similarity kernels.
         wall_seconds: total time inside ``evaluate_many``.
         compute: the :class:`~repro.compute.stats.ComputeStats` behind
             the most recent kernel scored with (None on a warm cache).
-        tier_transitions: degradation-ladder transitions keyed by edge,
-            published as ``engine.tier_transition.<edge>`` like the batch
-            layer's; the engine's one edge is ``"sequential->legacy"``.
     """
 
     measures: int = 0
     cells: int = 0
     repeats: int = 0
-    legacy_cells: int = 0
     cache_hits: int = 0
     cache_misses: int = 0
     kernel_seconds: float = 0.0
     wall_seconds: float = 0.0
     compute: Optional[ComputeStats] = None
-    tier_transitions: Dict[str, int] = field(default_factory=dict)
-
-    def record_transition(self, edge: str) -> None:
-        """Count one degradation-ladder transition (``"sequential->legacy"``)."""
-        self.tier_transitions[edge] = self.tier_transitions.get(edge, 0) + 1
 
 
 @dataclass
@@ -254,7 +242,6 @@ def _cell_scores(
     results: Dict[int, List[float]] = {int(n): [] for n in ns}
     for seed in seeds:
         with span("engine.repeat"):
-            fault_point("engine.repeat")
             with span("engine.noise"):
                 noised = _noised(averages_matrix, scales, int(seed))
             with span("engine.rank"):
@@ -497,9 +484,7 @@ class SweepEngine:
         Repeat ``r`` of every cell draws its noise from seed
         ``base_seed + r`` — the same stream ``evaluate_factory`` hands the
         recommender factory, so results are interchangeable with
-        per-cell ``evaluate_factory``.  Cells that fail are *omitted* from the result
-        (and counted in ``stats.legacy_cells``); callers rescore them with
-        the per-user reference path.
+        per-cell ``evaluate_factory``.
 
         Args:
             context: the cached non-private reference for this measure.
@@ -508,7 +493,7 @@ class SweepEngine:
             base_seed: repeat seed origin.
 
         Returns:
-            ``{(epsilon, n): (mean, std)}`` for every cell that scored.
+            ``{(epsilon, n): (mean, std)}`` for every cell.
 
         Raises:
             ExperimentError: for invalid cutoffs/repeats (mirrors the
@@ -556,32 +541,24 @@ class SweepEngine:
         for epsilon, ns, repeats in normalised:
             seeds = [base_seed + r for r in range(repeats)]
             scales = averages.laplace_scales(epsilon)
-            try:
-                fault_point("engine.cell")
-                profile = self._profile_for(kernel, evals, cluster_arrays)
-                with span("engine.cell"):
-                    per_cell = _cell_scores(
-                        profile,
-                        evals.utilities,
-                        evals.reference_cum,
-                        averages.matrix,
-                        cluster_arrays.sizes,
-                        columns,
-                        ns,
-                        seeds,
-                        scales,
-                        self.chunk_size,
-                    )
-            except Exception:
-                self.stats.legacy_cells += 1
-                self.stats.record_transition("sequential->legacy")
-                continue
+            profile = self._profile_for(kernel, evals, cluster_arrays)
+            with span("engine.cell"):
+                per_cell = _cell_scores(
+                    profile,
+                    evals.utilities,
+                    evals.reference_cum,
+                    averages.matrix,
+                    cluster_arrays.sizes,
+                    columns,
+                    ns,
+                    seeds,
+                    scales,
+                    self.chunk_size,
+                )
             self.stats.cells += 1
             self.stats.repeats += len(seeds)
-            # Ledger each scored repeat's Laplace release (an abandoned
-            # cell is ledgered by the per-user path that rescores it);
-            # no-op when telemetry is disabled or no noise was drawn
-            # (epsilon = inf).
+            # Ledger each scored repeat's Laplace release; no-op when
+            # telemetry is disabled or no noise was drawn (epsilon = inf).
             for _ in seeds:
                 record_laplace_release(
                     epsilon,
@@ -613,18 +590,13 @@ class SweepEngine:
         """Mean/std NDCG@n for one epsilon at several cutoffs.
 
         A convenience wrapper over :meth:`evaluate_many`; the result maps
-        each cutoff to ``(mean, std)`` and omits cutoffs whose cell was
-        abandoned to the reference path.
+        each cutoff to ``(mean, std)``.
         """
         results = self.evaluate_many(
             context, clustering, [(epsilon, tuple(ns), repeats)], base_seed
         )
         epsilon = validate_epsilon(float(epsilon))
-        return {
-            int(n): results[(epsilon, int(n))]
-            for n in ns
-            if (epsilon, int(n)) in results
-        }
+        return {int(n): results[(epsilon, int(n))] for n in ns}
 
     # ------------------------------------------------------------------
     # single-repeat introspection (degree-effect driver, equivalence tests)

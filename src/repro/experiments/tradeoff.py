@@ -9,27 +9,25 @@ figures.
 The sweep factors onto the batch kernel via
 :class:`~repro.experiments.engine.SweepEngine` — one kernel, one cluster
 release, and one reference pass per measure, then one noise tensor + one
-matmul per repeat.  A cell the engine abandons is rescored with the
-per-user ``evaluate_factory`` loop, which produces the same numbers, so
-checkpoint keys and cell values do not depend on which path scored a
-cell.
+matmul per repeat.  The engine is the only scoring path: an exception
+inside a cell stops the sweep with its own type, and the cells already
+checkpointed survive for the rerun.
 """
 
 from __future__ import annotations
 
 import math
 from dataclasses import dataclass
-from typing import Callable, Dict, List, Optional, Sequence, Tuple, Union
+from typing import Dict, List, Optional, Sequence, Tuple, Union
 
 from repro.cache.store import SimilarityStore
 from repro.community.clustering import Clustering
-from repro.core.private import PrivateSocialRecommender, louvain_strategy
+from repro.core.private import louvain_strategy
 from repro.datasets.dataset import SocialRecDataset
 from repro.exceptions import ExperimentError
 from repro.experiments.checkpoint import SweepCheckpoint, encode_epsilon
 from repro.experiments.engine import EngineStats, SweepEngine
-from repro.experiments.evaluation import EvaluationContext, evaluate_factory
-from repro.graph.social_graph import SocialGraph
+from repro.experiments.evaluation import EvaluationContext
 from repro.resilience.faults import fault_point
 from repro.similarity.base import SimilarityMeasure
 
@@ -182,9 +180,6 @@ def run_tradeoff(
     ):
         clustering = louvain_strategy(runs=louvain_runs, seed=seed)(dataset.social)
 
-    def fixed_clustering(_graph: SocialGraph) -> Clustering:
-        return clustering
-
     sweep_engine = SweepEngine(dataset, store=store)
     max_n = max(ns)
     cells = TradeoffResult()
@@ -197,8 +192,8 @@ def run_tradeoff(
                     dataset, measure, max_n=max_n, sample_size=sample_size, seed=seed
                 )
             # The engine scores every uncached (epsilon, n) of this measure
-            # in one batch; cells it abandons fall through to the per-user
-            # path.
+            # in one batch.  With eps = inf the recommender is
+            # deterministic; one repeat suffices and keeps the sweep fast.
             engine_results: Dict[Tuple[float, int], Tuple[float, float]] = {}
             if context is not None:
                 cell_specs = []
@@ -222,18 +217,6 @@ def run_tradeoff(
                         base_seed=seed * 1000 + 1,
                     )
             for epsilon in epsilons:
-                factory: Callable[[int], PrivateSocialRecommender] = (
-                    lambda repeat_seed, m=measure, e=epsilon: PrivateSocialRecommender(
-                        m,
-                        epsilon=e,
-                        n=max_n,
-                        clustering_strategy=fixed_clustering,
-                        seed=repeat_seed,
-                    )
-                )
-                # With eps = inf the recommender is deterministic; one repeat
-                # suffices and keeps the sweep fast.
-                effective_repeats = 1 if math.isinf(epsilon) else repeats
                 for n in ns:
                     key = _cell_key(
                         dataset, measure, epsilon, n, repeats, seed, sample_size
@@ -244,18 +227,7 @@ def run_tradeoff(
                         std = float(stored["ndcg_std"])
                     else:
                         fault_point("tradeoff.cell")
-                        assert context is not None
-                        scored = engine_results.get((epsilon, n))
-                        if scored is not None:
-                            mean, std = scored
-                        else:
-                            mean, std = evaluate_factory(
-                                context,
-                                factory,
-                                n,
-                                repeats=effective_repeats,
-                                base_seed=seed * 1000 + 1,
-                            )
+                        mean, std = engine_results[(epsilon, n)]
                         if checkpoint is not None:
                             checkpoint.record(
                                 key, {"ndcg_mean": mean, "ndcg_std": std}

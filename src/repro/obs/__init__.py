@@ -12,7 +12,7 @@ measured ad hoc:
 - :mod:`repro.obs.ledger` — per-mechanism epsilon accounting
   (:class:`PrivacyLedgerView`) with parallel/sequential composition;
 - :mod:`repro.obs.adapters` — ``ComputeStats``/``EngineStats``/
-  ``BatchStats`` published into and reconstructed from the registry;
+  ``BatchStats`` published into the registry;
 - :mod:`repro.obs.export` — JSON-lines traces, ``BENCH``-style
   summaries, and human tables (``repro obs report``);
 - :mod:`repro.obs.trend` — median-normalized diffing of two BENCH-style
@@ -24,9 +24,6 @@ code stays fast by default.  See ``docs/observability.md``.
 """
 
 from repro.obs.adapters import (
-    batch_stats_view,
-    compute_stats_view,
-    engine_stats_view,
     publish_batch_stats,
     publish_compute_stats,
     publish_engine_stats,
@@ -85,9 +82,6 @@ __all__ = [
     "publish_compute_stats",
     "publish_engine_stats",
     "publish_batch_stats",
-    "compute_stats_view",
-    "engine_stats_view",
-    "batch_stats_view",
     "write_trace",
     "read_trace",
     "summary_dict",

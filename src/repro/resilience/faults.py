@@ -2,11 +2,11 @@
 
 Library code marks interesting failure surfaces with
 :func:`fault_point` calls — ``fault_point("release.load", path=...)``
-before reading an artifact, ``fault_point("batch.chunk")`` inside the
-vectorised scoring loop, and so on.  With no plan installed the hook is
-a dictionary lookup and costs nothing.  Tests and benchmarks install a
-:class:`FaultPlan` to make specific sites fail in specific, reproducible
-ways::
+before reading an artifact, ``fault_point("compute.kernel.block")``
+inside the blocked kernel build, and so on.  With no plan installed the
+hook is a dictionary lookup and costs nothing.  Tests and benchmarks
+install a :class:`FaultPlan` to make specific sites fail in specific,
+reproducible ways::
 
     plan = FaultPlan([
         FaultSpec(site="release.load", kind="raise", on_call=1),
@@ -36,7 +36,7 @@ import os
 import random
 import time
 from contextlib import contextmanager
-from dataclasses import dataclass, field
+from dataclasses import dataclass
 from typing import Callable, Dict, List, Optional, Sequence, Type
 
 from repro.obs.registry import get_telemetry

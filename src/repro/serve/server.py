@@ -88,6 +88,16 @@ _REASONS = {
 _MAX_REQUEST_LINE = 8192
 _MAX_HEADER_LINES = 64
 
+#: Seconds a client has to send its whole request head (request line and
+#: headers).  A connection still incomplete at the deadline is closed
+#: without a response, so a half-open client cannot hold a handler
+#: until shutdown.
+REQUEST_HEAD_TIMEOUT_S = 10.0
+
+
+class _HeadTimeout(Exception):
+    """The request head did not arrive within ``REQUEST_HEAD_TIMEOUT_S``."""
+
 
 def _parse_user(raw: str):
     """Query-string user ids: ints round-trip, anything else stays str."""
@@ -110,7 +120,7 @@ class ServerConfig:
             server shuts down cleanly (None: serve forever) — the
             harness/CI smoke mode.
         drain_timeout_s: bound on the old generation's drain during a
-            hot swap, and on the final drain at shutdown.
+            hot swap, and on the final drain at shutdown (finite, > 0).
         mmap_dir: when set, swapped-in releases are loaded with their
             matrix memory-mapped from this content-addressed cache.
         deadline_ms: default per-request deadline.  When scoring has not
@@ -151,6 +161,11 @@ class ServerConfig:
         if self.max_requests is not None and self.max_requests < 1:
             raise ValueError(
                 f"max_requests must be >= 1, got {self.max_requests}"
+            )
+        if not 0 < self.drain_timeout_s < math.inf:
+            raise ValueError(
+                f"drain_timeout_s must be finite and > 0, "
+                f"got {self.drain_timeout_s}"
             )
         if self.deadline_ms is not None and not 0 < self.deadline_ms < math.inf:
             raise ValueError(
@@ -282,28 +297,28 @@ class RecommendationServer:
         control: bool = False,
     ) -> None:
         try:
-            parsed = await read_http_request(reader)
-            if parsed is None:
-                return
-            method, path, query = parsed
-            status, payload = await self._route(method, path, query, control)
-        except ValueError as exc:
-            status, payload = 400, {"error": str(exc)}
-        except Exception as exc:  # a handler bug must not kill the loop
-            self.errors += 1
-            obs_incr("serve.errors")
-            status, payload = 500, {"error": f"{type(exc).__name__}: {exc}"}
-        try:
+            try:
+                parsed = await read_http_request(reader)
+                if parsed is None:
+                    return
+                method, path, query = parsed
+                status, payload = await self._route(method, path, query, control)
+            except ValueError as exc:
+                status, payload = 400, {"error": str(exc)}
+            except Exception as exc:  # a handler bug must not kill the loop
+                self.errors += 1
+                obs_incr("serve.errors")
+                status, payload = 500, {"error": f"{type(exc).__name__}: {exc}"}
             writer.write(encode_response(status, payload))
             await writer.drain()
-        except (ConnectionError, BrokenPipeError):
+        except (ConnectionError, asyncio.CancelledError):
+            # The client left, or shutdown cancelled this handler.  The
+            # handler is the root of a task nothing awaits, and asyncio's
+            # stream callback logs a traceback for a cancelled one, so it
+            # ends normally once the connection is closed.
             pass
         finally:
-            writer.close()
-            try:
-                await writer.wait_closed()
-            except (ConnectionError, BrokenPipeError):
-                pass
+            await close_quietly(writer)
 
     # ------------------------------------------------------------------
     # routing
@@ -590,25 +605,51 @@ async def read_http_request(
 ) -> Optional[Tuple[str, str, Dict[str, list]]]:
     """Parse one minimal HTTP/1.1 request: ``(method, path, query)``.
 
-    Returns None for a connection closed before sending a request line.
-    Shared by the per-worker server and the supervisor front end so both
-    speak the same (deliberately tiny) dialect.
+    Returns None for a connection closed before sending a request line,
+    or one whose request head is not complete within
+    :data:`REQUEST_HEAD_TIMEOUT_S` (counted under ``serve.head_timeouts``).
+    The deadline is one loop timer that fails the pending read, not a
+    task per request.  Shared by the per-worker server and the
+    supervisor front end so both speak the same (deliberately tiny)
+    dialect.
     """
-    line = await reader.readline()
-    if not line.strip():
+    timer = asyncio.get_running_loop().call_later(
+        REQUEST_HEAD_TIMEOUT_S, reader.set_exception, _HeadTimeout()
+    )
+    try:
+        line = await reader.readline()
+        if not line.strip():
+            return None
+        if len(line) > _MAX_REQUEST_LINE:
+            raise ValueError("request line too long")
+        parts = line.decode("latin-1").split()
+        if len(parts) < 2:
+            raise ValueError("malformed request line")
+        method, target = parts[0].upper(), parts[1]
+        for _ in range(_MAX_HEADER_LINES):
+            header = await reader.readline()
+            if header in (b"\r\n", b"\n", b""):
+                break
+    except _HeadTimeout:
+        obs_incr("serve.head_timeouts")
         return None
-    if len(line) > _MAX_REQUEST_LINE:
-        raise ValueError("request line too long")
-    parts = line.decode("latin-1").split()
-    if len(parts) < 2:
-        raise ValueError("malformed request line")
-    method, target = parts[0].upper(), parts[1]
-    for _ in range(_MAX_HEADER_LINES):
-        header = await reader.readline()
-        if header in (b"\r\n", b"\n", b""):
-            break
+    finally:
+        timer.cancel()
     split = urlsplit(target)
     return method, split.path, parse_qs(split.query)
+
+
+async def close_quietly(writer: asyncio.StreamWriter) -> None:
+    """Close a connection, ignoring a client that already left.
+
+    Also quiet when shutdown cancels the wait, so a handler never ends
+    in an unhandled ``CancelledError``.
+    """
+    writer.close()
+    try:
+        await writer.wait_closed()
+    except (ConnectionError, asyncio.CancelledError):
+        pass
 
 
 def encode_response(status: int, payload: dict) -> bytes:

@@ -59,6 +59,7 @@ from __future__ import annotations
 
 import asyncio
 import dataclasses
+import math
 import multiprocessing
 import os
 import signal
@@ -80,6 +81,7 @@ from repro.serve.loadgen import http_get_json, http_request_json
 from repro.serve.server import (
     RecommendationServer,
     ServerConfig,
+    close_quietly,
     encode_response,
     read_http_request,
 )
@@ -109,6 +111,8 @@ class SupervisorConfig:
         respawn_backoff_s / respawn_backoff_max_s: exponential-backoff
             window for respawning a repeatedly crashing worker slot.
         monitor_interval_s: crash-detection poll interval.
+
+    Every ``*_s`` value must be finite and > 0.
     """
 
     workers: int = 2
@@ -138,9 +142,9 @@ class SupervisorConfig:
             "respawn_backoff_max_s",
             "monitor_interval_s",
         ):
-            if getattr(self, name) <= 0:
+            if not 0 < getattr(self, name) < math.inf:
                 raise ValueError(
-                    f"{name} must be > 0, got {getattr(self, name)}"
+                    f"{name} must be finite and > 0, got {getattr(self, name)}"
                 )
 
     @property
@@ -573,27 +577,23 @@ class ServingSupervisor:
     # ------------------------------------------------------------------
     async def _handle_connection(self, reader, writer) -> None:
         try:
-            parsed = await read_http_request(reader)
-            if parsed is None:
-                return
-            method, path, query = parsed
-            status, payload = await self._route(method, path, query)
-        except ValueError as exc:
-            status, payload = 400, {"error": str(exc)}
-        except Exception as exc:  # admin bugs must not kill the fleet
-            obs_incr("serve.errors")
-            status, payload = 500, {"error": f"{type(exc).__name__}: {exc}"}
-        try:
+            try:
+                parsed = await read_http_request(reader)
+                if parsed is None:
+                    return
+                method, path, query = parsed
+                status, payload = await self._route(method, path, query)
+            except ValueError as exc:
+                status, payload = 400, {"error": str(exc)}
+            except Exception as exc:  # admin bugs must not kill the fleet
+                obs_incr("serve.errors")
+                status, payload = 500, {"error": f"{type(exc).__name__}: {exc}"}
             writer.write(encode_response(status, payload))
             await writer.drain()
-        except (ConnectionError, BrokenPipeError):
-            pass
+        except (ConnectionError, asyncio.CancelledError):
+            pass  # as in RecommendationServer._handle_connection
         finally:
-            writer.close()
-            try:
-                await writer.wait_closed()
-            except (ConnectionError, BrokenPipeError):
-                pass
+            await close_quietly(writer)
 
     async def _route(
         self, method: str, path: str, query: Dict[str, list]

@@ -19,7 +19,6 @@ from repro.attacks.audit import format_audit_table, run_privacy_audit
 from repro.attacks.estimator import EPS_SENTINEL
 from repro.exceptions import ExperimentError
 from repro.obs.registry import Telemetry, telemetry
-from repro.resilience.faults import FaultPlan, FaultSpec
 
 from tests.oracles import louvain as oracle_louvain
 from tests.oracles.kernels import python_kernel
@@ -216,23 +215,3 @@ class TestErrors:
     def test_unknown_victim(self, lastfm_small):
         with pytest.raises(ExperimentError):
             run_privacy_audit(lastfm_small, victim="__nobody__")
-
-
-@pytest.mark.faults
-class TestFaultDegradation:
-    def test_crashed_trial_batches_do_not_change_the_report(
-        self, lastfm_small
-    ):
-        baseline = run_privacy_audit(lastfm_small, **SMALL_PARAMS)
-        plan = FaultPlan(
-            [FaultSpec(site="attacks.trial", kind="raise", repeat=True)]
-        )
-        with telemetry(Telemetry(trace=False)) as registry:
-            with plan.installed():
-                degraded = run_privacy_audit(lastfm_small, **SMALL_PARAMS)
-            fallbacks = registry.counter("attacks.trial.fallback")
-        assert plan.calls_to("attacks.trial") > 0
-        assert fallbacks == plan.calls_to("attacks.trial")
-        assert json.dumps(degraded.to_jsonable(), sort_keys=True) == json.dumps(
-            baseline.to_jsonable(), sort_keys=True
-        )

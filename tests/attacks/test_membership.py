@@ -14,8 +14,6 @@ from repro.attacks.membership import (
 from repro.community.clustering import Clustering
 from repro.core.cluster_weights import cluster_item_averages
 from repro.graph.preference_graph import PreferenceGraph
-from repro.obs.registry import Telemetry, telemetry
-from repro.resilience.faults import FaultPlan, FaultSpec
 
 TRIALS = 500
 
@@ -121,25 +119,3 @@ class TestDeployedChannel:
         assert result.eps_empirical == EPS_SENTINEL
         assert result.deterministic
         assert result.estimate.clipped
-
-
-@pytest.mark.faults
-class TestTrialFaultSite:
-    def test_crashed_batch_degrades_bit_identically(
-        self, attack_world, draws
-    ):
-        without, with_ = attack_world
-        baseline = run_membership_attack(
-            without, with_, "u1", "a", 1.0, draws[0], draws[1]
-        )
-        plan = FaultPlan(
-            [FaultSpec(site="attacks.trial", kind="raise", repeat=True)]
-        )
-        with telemetry(Telemetry(trace=False)) as registry:
-            with plan.installed():
-                degraded = run_membership_attack(
-                    without, with_, "u1", "a", 1.0, draws[0], draws[1]
-                )
-            assert registry.counter("attacks.trial.fallback") == 2
-        assert plan.calls_to("attacks.trial") == 2
-        assert degraded == baseline

@@ -39,6 +39,24 @@ class TestCreate:
         )
         assert again.status().done == 1  # progress survived
 
+    def test_resubmit_to_queue_with_retired_selector_keys(
+        self, queue_factory, tiny_dataset, tmp_path
+    ):
+        """A queue written while specs still carried ``engine`` and
+        ``backend`` accepts the same sweep and keeps its done cells."""
+        from repro.dist import submit_tradeoff_sweep
+
+        queue = queue_factory()
+        queue.complete(queue.claim("w1", TTL))
+        spec_path = os.path.join(queue.root, "spec.json")
+        with open(spec_path, encoding="utf-8") as handle:
+            stored = json.load(handle)
+        stored.update(engine="vectorized", backend="auto")
+        with open(spec_path, "w", encoding="utf-8") as handle:
+            json.dump(stored, handle)
+        again = submit_tradeoff_sweep(str(tmp_path / "queue"), tiny_spec(tiny_dataset))
+        assert again.status().done == 1  # progress survived
+
     def test_different_spec_rejected(
         self, queue_factory, tiny_dataset, tmp_path
     ):

@@ -193,47 +193,6 @@ class TestResume:
             sweep(tiny_dataset, tiny_clustering, checkpoint=path, seed=4)
         assert counter.calls_to("tradeoff.cell") == 3  # all recomputed
 
-    @pytest.mark.faults
-    def test_resume_under_engine_faults(
-        self, tiny_dataset, tiny_clustering, tmp_path
-    ):
-        """Interrupt a sweep twice while every engine cell is also failing
-        (engine.cell raises, so each cell takes the legacy rung to the
-        per-user path), reloading the checkpoint between legs: the final
-        result must still be bit-identical to a clean sweep."""
-        baseline = sweep(tiny_dataset, tiny_clustering)
-
-        path = str(tmp_path / "sweep.jsonl")
-
-        def leg(interrupt_at=None):
-            specs = [FaultSpec(site="engine.cell", on_call=1, repeat=True)]
-            if interrupt_at is not None:
-                specs.append(
-                    FaultSpec(site="tradeoff.cell", on_call=interrupt_at)
-                )
-            plan = FaultPlan(specs)
-            with plan.installed():
-                return run_tradeoff(
-                    tiny_dataset,
-                    [CommonNeighbors()],
-                    epsilons=[math.inf, 1.0, 0.5],
-                    ns=[5],
-                    repeats=2,
-                    clustering=tiny_clustering,
-                    seed=3,
-                    checkpoint=SweepCheckpoint(path),  # fresh reload per leg
-                )
-
-        with pytest.raises(OSError):
-            leg(interrupt_at=2)
-        assert len(SweepCheckpoint(path)) == 1
-        with pytest.raises(OSError):
-            leg(interrupt_at=2)
-        assert len(SweepCheckpoint(path)) == 2
-        resumed = leg()
-        assert resumed == baseline
-        assert len(SweepCheckpoint(path)) == 3
-
     def test_checkpoint_accepts_instance(self, tiny_dataset, tiny_clustering, tmp_path):
         ckpt = SweepCheckpoint(str(tmp_path / "sweep.jsonl"))
         cells = sweep(tiny_dataset, tiny_clustering, checkpoint=ckpt)

@@ -3,28 +3,32 @@
 The contract under test is *exact* equivalence: every number the
 vectorized engine produces — cell means/stds, per-user scores, the item
 order of each ranking — must equal the per-user reference path
-(per-cell ``evaluate_factory``) bit-for-bit, because a cell the engine
-abandons is rescored on that path and checkpoints mix both.
+(:mod:`tests.oracles.sweep`: per-cell ``evaluate_factory``) bit-for-bit.
+The engine is the drivers' only scoring path, so an exception inside a
+cell must reach the caller rather than be rescored elsewhere.
 """
 
 import math
-from contextlib import contextmanager
 
 import pytest
 
+from repro.community.strategies import (
+    single_cluster_clustering,
+    singleton_clustering,
+)
 from repro.core.private import PrivateSocialRecommender, louvain_strategy
 from repro.exceptions import ExperimentError
 from repro.experiments.comparison import run_comparison
 from repro.experiments.degree_effect import run_degree_effect
 from repro.experiments.ablation import run_clustering_ablation
 from repro.experiments.engine import SweepEngine
-from repro.experiments.evaluation import EvaluationContext, evaluate_factory
+from repro.experiments.evaluation import EvaluationContext
 from repro.experiments.tradeoff import run_tradeoff
-from repro.resilience.faults import FaultPlan, FaultSpec
 from repro.similarity.adamic_adar import AdamicAdar
 from repro.similarity.common_neighbors import CommonNeighbors
 from repro.similarity.graph_distance import GraphDistance
 from repro.similarity.katz import Katz
+from tests.oracles import sweep as oracle
 
 MEASURE = CommonNeighbors()
 
@@ -44,38 +48,6 @@ def engine(lastfm_small):
     eng = SweepEngine(lastfm_small)
     yield eng
     eng.close()
-
-
-def reference_scores(context, clustering, epsilon, n, repeats, base_seed):
-    """The per-user reference path for one cell, as the drivers run it."""
-
-    def fixed(_graph):
-        return clustering
-
-    factory = lambda seed: PrivateSocialRecommender(  # noqa: E731
-        MEASURE,
-        epsilon=epsilon,
-        n=context.max_n,
-        clustering_strategy=fixed,
-        seed=seed,
-    )
-    return evaluate_factory(
-        context, factory, n, repeats=repeats, base_seed=base_seed
-    )
-
-
-@contextmanager
-def per_cell_reference():
-    """Run a driver with every engine cell and repeat abandoned, so each
-    cell is scored by the per-user reference path instead."""
-    plan = FaultPlan(
-        [
-            FaultSpec(site="engine.cell", repeat=True),
-            FaultSpec(site="engine.repeat", repeat=True),
-        ]
-    )
-    with plan.installed():
-        yield
 
 
 class TestValidation:
@@ -125,10 +97,9 @@ class TestEquivalence:
             context, clustering, epsilon, [10, 50], repeats, base_seed=11
         )
         for n in (10, 50):
-            mean, std = reference_scores(
+            assert scored[n] == oracle.cell_scores(
                 context, clustering, epsilon, n, repeats, base_seed=11
             )
-            assert scored[n] == (mean, std)
 
     def test_chunked_scoring_identical(self, lastfm_small, context, clustering):
         with SweepEngine(lastfm_small) as whole, SweepEngine(
@@ -172,7 +143,7 @@ class TestEquivalence:
             context, clustering, math.inf, 0, 50
         ) == expected
 
-    def test_run_tradeoff_engines_identical(self, lastfm_small):
+    def test_run_tradeoff_engines_identical(self, lastfm_small, clustering):
         kwargs = dict(
             measures=[MEASURE, AdamicAdar()],
             epsilons=(math.inf, 1.0, 0.1),
@@ -180,21 +151,23 @@ class TestEquivalence:
             repeats=2,
             seed=0,
         )
-        vectorized = run_tradeoff(lastfm_small, **kwargs)
-        with per_cell_reference():
-            reference = run_tradeoff(lastfm_small, **kwargs)
-        assert reference.stats.legacy_cells == 6
-        assert list(vectorized) == list(reference)
+        vectorized = run_tradeoff(lastfm_small, clustering=clustering, **kwargs)
+        reference = oracle.tradeoff_cells(lastfm_small, clustering=clustering, **kwargs)
+        assert list(vectorized) == reference
 
-    def test_run_degree_effect_engines_identical(self, lastfm_small):
-        kwargs = dict(n=20, threshold=10, louvain_runs=2, seed=0)
-        vectorized = run_degree_effect(lastfm_small, MEASURE, **kwargs)
-        with per_cell_reference():
-            reference = run_degree_effect(lastfm_small, MEASURE, **kwargs)
-        assert vectorized == reference
+    def test_run_degree_effect_engines_identical(self, lastfm_small, clustering):
+        result = run_degree_effect(
+            lastfm_small, MEASURE, n=20, clustering=clustering, seed=0
+        )
+        reference = oracle.degree_effect_scores(
+            lastfm_small, MEASURE, clustering, n=20, seed=0
+        )
+        assert {user: score for user, _, score in result.points} == reference
 
     def test_run_comparison_cluster_engines_identical(self, lastfm_small):
-        kwargs = dict(
+        vectorized = run_comparison(
+            lastfm_small,
+            [MEASURE],
             epsilons=(1.0,),
             n=10,
             mechanisms=("cluster",),
@@ -202,50 +175,32 @@ class TestEquivalence:
             louvain_runs=2,
             seed=0,
         )
-        vectorized = run_comparison(lastfm_small, [MEASURE], **kwargs)
-        with per_cell_reference():
-            reference = run_comparison(lastfm_small, [MEASURE], **kwargs)
+        # The driver's own clustering protocol, reproduced.
+        clustering = louvain_strategy(runs=2, seed=0)(lastfm_small.social)
+        reference = oracle.comparison_cells(
+            lastfm_small, [MEASURE], (1.0,), 10, 2, clustering, seed=0
+        )
         assert vectorized == reference
 
     def test_clustering_ablation_engines_identical(self, lastfm_small):
-        from repro.community.strategies import (
-            single_cluster_clustering,
-            singleton_clustering,
-        )
-
         users = lastfm_small.social.users()
         strategies = {
             "single-cluster": single_cluster_clustering(users),
             "singleton": singleton_clustering(users),
         }
-        kwargs = dict(
-            epsilon=1.0, n=10, repeats=2, strategies=strategies, seed=0
-        )
-        vectorized = run_clustering_ablation(lastfm_small, MEASURE, **kwargs)
-        with per_cell_reference():
-            reference = run_clustering_ablation(lastfm_small, MEASURE, **kwargs)
-        assert vectorized == reference
-
-    def test_checkpoint_interchangeable_across_engines(
-        self, lastfm_small, tmp_path
-    ):
-        """A sweep checkpointed on the per-user path resumes on the engine."""
-        path = str(tmp_path / "sweep.jsonl")
-        kwargs = dict(
-            measures=[MEASURE],
-            epsilons=(1.0, 0.1),
-            ns=(10,),
+        vectorized = run_clustering_ablation(
+            lastfm_small,
+            MEASURE,
+            epsilon=1.0,
+            n=10,
             repeats=2,
+            strategies=strategies,
             seed=0,
-            checkpoint=path,
         )
-        with per_cell_reference():
-            first = run_tradeoff(lastfm_small, **kwargs)
-        resumed = run_tradeoff(lastfm_small, **kwargs)
-        assert list(first) == list(resumed)
-        # The resumed run read every cell from the checkpoint: its engine
-        # never scored anything.
-        assert resumed.stats.cells == 0
+        reference = oracle.ablation_cells(
+            lastfm_small, MEASURE, strategies, 1.0, 10, 2, seed=0
+        )
+        assert vectorized == reference
 
 
 class TestStats:
@@ -261,23 +216,7 @@ class TestStats:
         assert cells.stats is not None
         assert cells.stats.cells == 1
         assert cells.stats.repeats == 2
-        assert cells.stats.legacy_cells == 0
         assert cells.stats.wall_seconds > 0.0
-
-    def test_reference_result_has_no_stats(self, lastfm_small):
-        # Every cell scored on the per-user reference path: the engine's
-        # counters record the abandoned cell and no scoring work.
-        with per_cell_reference():
-            cells = run_tradeoff(
-                lastfm_small,
-                measures=[MEASURE],
-                epsilons=(1.0,),
-                ns=(10,),
-                repeats=1,
-                seed=0,
-            )
-        assert (cells.stats.cells, cells.stats.repeats) == (0, 0)
-        assert cells.stats.legacy_cells == 1
 
 
 class TestKernelCache:
@@ -307,40 +246,56 @@ class TestKernelCache:
         assert shared.stats.measures == 2
 
 
-class TestFaultLadder:
-    def test_sequential_cell_fault_abandons_to_reference(
-        self, engine, context, clustering
+class Boom(RuntimeError):
+    """An exception raised inside engine cell scoring."""
+
+
+def _raise_boom(*_args, **_kwargs):
+    raise Boom("cell scoring failed")
+
+
+@pytest.mark.faults
+class TestErrorsPropagate:
+    """The engine is every driver's one scoring path: an exception inside
+    a cell reaches the caller with its own type, not a rescored cell."""
+
+    @pytest.mark.parametrize(
+        "driver",
+        [
+            lambda data, clustering: run_tradeoff(
+                data,
+                [MEASURE],
+                epsilons=(1.0,),
+                ns=(10,),
+                repeats=1,
+                clustering=clustering,
+            ),
+            lambda data, clustering: run_comparison(
+                data,
+                [MEASURE],
+                epsilons=(1.0,),
+                n=10,
+                mechanisms=("cluster",),
+                repeats=1,
+                louvain_runs=1,
+            ),
+            lambda data, clustering: run_clustering_ablation(
+                data,
+                MEASURE,
+                epsilon=1.0,
+                n=10,
+                repeats=1,
+                strategies={"louvain": clustering},
+            ),
+            lambda data, clustering: run_degree_effect(
+                data, MEASURE, n=10, clustering=clustering
+            ),
+        ],
+        ids=["tradeoff", "comparison", "ablation", "degree-effect"],
+    )
+    def test_cell_scoring_error_reaches_the_caller(
+        self, lastfm_small, clustering, monkeypatch, driver
     ):
-        plan = FaultPlan([FaultSpec(site="engine.cell", on_call=1)])
-        with plan.installed():
-            results = engine.evaluate_many(
-                context, clustering, [(1.0, (10,), 1), (0.1, (10,), 1)]
-            )
-        assert plan.fired == ["engine.cell#1:raise"]
-        assert engine.stats.legacy_cells == 1
-        assert (1.0, 10) not in results
-        assert (0.1, 10) in results
-
-    def test_repeat_fault_abandons_cell(self, engine, context, clustering):
-        plan = FaultPlan([FaultSpec(site="engine.repeat", on_call=2)])
-        with plan.installed():
-            results = engine.evaluate(context, clustering, 1.0, [10], 3)
-        assert results == {}
-        assert engine.stats.legacy_cells == 1
-
-    def test_tradeoff_driver_survives_engine_faults(self, lastfm_small):
-        """Cells the engine abandons fall through to evaluate_factory with
-        the exact same numbers."""
-        kwargs = dict(
-            measures=[MEASURE],
-            epsilons=(1.0, 0.1),
-            ns=(10,),
-            repeats=2,
-            seed=0,
-        )
-        plan = FaultPlan([FaultSpec(site="engine.cell", repeat=True)])
-        with plan.installed():
-            degraded = run_tradeoff(lastfm_small, **kwargs)
-        assert degraded.stats.legacy_cells == 2
-        clean = run_tradeoff(lastfm_small, **kwargs)
-        assert list(degraded) == list(clean)
+        monkeypatch.setattr("repro.experiments.engine.rank_cutoffs", _raise_boom)
+        with pytest.raises(Boom):
+            driver(lastfm_small, clustering)

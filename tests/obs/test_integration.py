@@ -30,7 +30,6 @@ from repro.obs import (
     summary_path_for,
     telemetry,
 )
-from repro.resilience.faults import FaultPlan, FaultSpec
 from repro.similarity.common_neighbors import CommonNeighbors
 
 MEASURE = CommonNeighbors()
@@ -218,39 +217,3 @@ class TestCliProfile:
         assert "cli.batch" in snapshot.span_totals
         assert summary_path_for(trace_path) == str(tmp_path / "batch.json")
         assert json.load(open(summary_path_for(trace_path)))["benchmarks"]
-
-
-class TestTierTransitionTelemetry:
-    """The undercount fix: mid-run degradations are counted explicitly."""
-
-    pytestmark = pytest.mark.faults
-
-    def test_engine_legacy_degradation_counted(
-        self, lastfm_small, context, clustering
-    ):
-        cells = [(1.0, (10,), 1), (0.1, (10,), 1)]
-        with telemetry() as registry:
-            with SweepEngine(lastfm_small) as engine:
-                plan = FaultPlan([FaultSpec(site="engine.cell", on_call=1)])
-                with plan.installed():
-                    results = engine.evaluate_many(context, clustering, cells)
-                stats = engine.stats
-        assert (1.0, 10) not in results and (0.1, 10) in results
-        assert stats.legacy_cells == 1
-        assert stats.tier_transitions == {"sequential->legacy": 1}
-        assert registry.counter("engine.tier_transition.sequential->legacy") == 1
-
-    def test_batch_chunk_degradation_counted(self, lastfm_small):
-        rec = _fitted(lastfm_small)
-        clean = batch_recommend_all(rec, n=10)
-        plan = FaultPlan([FaultSpec(site="batch.chunk", on_call=1)])
-        with telemetry() as registry:
-            with plan.installed():
-                degraded = batch_recommend_all(rec, n=10)
-        for user, expected in clean.items():
-            assert degraded[user].item_ids() == expected.item_ids(), user
-        assert degraded.stats.tier_transitions == {"vectorized->per-user": 1}
-        assert (
-            registry.counter("batch.tier_transition.vectorized->per-user") == 1
-        )
-        assert registry.counter("fault.site.batch.chunk") >= 1

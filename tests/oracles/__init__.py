@@ -8,5 +8,8 @@ algorithm ``src/`` computes one vectorised way:
 - :mod:`tests.oracles.louvain` — the dict-of-dicts Louvain
   (:mod:`repro.community.louvain`);
 - :mod:`tests.oracles.cluster_weights` — the per-edge exact-sum loop
-  (:func:`repro.core.cluster_weights.cluster_item_averages`).
+  (:func:`repro.core.cluster_weights.cluster_item_averages`);
+- :mod:`tests.oracles.sweep` — one fit per cell repeat and one
+  ``recommend`` per user (:class:`repro.experiments.engine.SweepEngine`
+  and the drivers built on it).
 """

@@ -219,24 +219,28 @@ class TestProvenance:
 
 
 class TestServingFaults:
-    def test_batch_kernel_failure_degrades_to_per_user(self, fitted, lastfm_small):
-        users = lastfm_small.social.users()[:20]
-        baseline = {u: fitted.recommend(u, n=5) for u in users}
-        plan = FaultPlan([FaultSpec(site="batch.kernel")])
-        with plan.installed():
-            results = batch_recommend_all(fitted, users=users, n=5)
-        assert results == baseline
+    """A batch has one scoring path: its failures reach the caller."""
 
-    def test_batch_chunk_failure_degrades_that_chunk_only(
-        self, fitted, lastfm_small
-    ):
-        users = lastfm_small.social.users()[:24]
-        baseline = batch_recommend_all(fitted, users=users, n=5, chunk_size=8)
-        plan = FaultPlan([FaultSpec(site="batch.chunk", on_call=1)])
+    def test_batch_kernel_failure_propagates(self, lastfm_small):
+        rec = PrivateSocialRecommender(CommonNeighbors(), epsilon=0.5, seed=3)
+        rec.fit(lastfm_small.social, lastfm_small.preferences)
+        plan = FaultPlan([FaultSpec(site="compute.kernel.block", on_call=1)])
         with plan.installed():
-            results = batch_recommend_all(fitted, users=users, n=5, chunk_size=8)
-        assert plan.calls_to("batch.chunk") == 3
-        assert results == baseline
+            with pytest.raises(OSError, match="compute.kernel.block"):
+                batch_recommend_all(rec, n=5)
+        assert plan.fired == ["compute.kernel.block#1:raise"]
+
+    def test_batch_chunk_failure_propagates(self, fitted, lastfm_small, monkeypatch):
+        class Boom(RuntimeError):
+            pass
+
+        def top_n_rows(*_args, **_kwargs):
+            raise Boom("chunk scoring failed")
+
+        monkeypatch.setattr("repro.core.batch.top_n_rows", top_n_rows)
+        users = lastfm_small.social.users()[:24]
+        with pytest.raises(Boom):
+            batch_recommend_all(fitted, users=users, n=5, chunk_size=8)
 
     def test_clustering_failure_surfaces_at_fit_time(self, lastfm_small):
         rec = PrivateSocialRecommender(CommonNeighbors(), epsilon=0.5, seed=3)

@@ -7,10 +7,16 @@ minimal HTTP client the load generator uses.
 
 from __future__ import annotations
 
+import logging
+import math
+import socket
+import time
+
 import pytest
 
 from repro.resilience.degradation import TIER_GLOBAL, TIER_PERSONALIZED
 from repro.serve import LoadgenConfig, LoadGenerator, ServerConfig
+from repro.serve import server as server_module
 
 from .conftest import wait_for
 
@@ -111,6 +117,54 @@ class TestLifecycle:
             status, _ = harness.get(f"/recommend?user={popular_user}")
             assert status == 200
         assert wait_for(lambda: not harness.running, timeout_s=30.0)
+
+
+class TestHalfOpenRequests:
+    """A client that never finishes its request head cannot hold a
+    handler: the head read has a deadline, and shutdown is quiet."""
+
+    HALF_OPEN = b"GET /recommend?user=1"  # no newline, never finished
+
+    def test_half_open_connection_closed_within_deadline(
+        self, make_server, registry, monkeypatch
+    ):
+        monkeypatch.setattr(server_module, "REQUEST_HEAD_TIMEOUT_S", 0.2, raising=False)
+        harness = make_server()
+        with socket.create_connection(("127.0.0.1", harness.port)) as sock:
+            sock.settimeout(5.0)
+            sock.sendall(self.HALF_OPEN)
+            started = time.monotonic()
+            assert sock.recv(1024) == b""  # closed, no response
+            assert time.monotonic() - started < 5.0
+        assert wait_for(lambda: registry.counter("serve.head_timeouts") == 1)
+        # The server keeps answering whole requests.
+        assert harness.get("/health")[0] == 200
+
+    def test_shutdown_with_half_open_connections_is_quiet(self, make_server, caplog):
+        harness = make_server()
+        socks = [
+            socket.create_connection(("127.0.0.1", harness.port))
+            for _ in range(3)
+        ]
+        try:
+            for sock in socks:
+                sock.sendall(self.HALF_OPEN)
+            # Connections are accepted in order: once a later one is
+            # answered, every half-open handler is waiting on its head.
+            assert harness.get("/health")[0] == 200
+            with caplog.at_level(logging.ERROR, logger="asyncio"):
+                assert harness.stop()
+        finally:
+            for sock in socks:
+                sock.close()
+        assert [r.getMessage() for r in caplog.records if r.name == "asyncio"] == []
+
+
+class TestConfigValidation:
+    @pytest.mark.parametrize("value", [math.nan, math.inf, -1.0, 0.0])
+    def test_drain_timeout_must_be_finite_and_positive(self, value):
+        with pytest.raises(ValueError, match="drain_timeout_s"):
+            ServerConfig(drain_timeout_s=value)
 
 
 class TestLoadgenAgainstServer:

@@ -25,7 +25,6 @@ from repro.serve import ServerConfig, SupervisorConfig
 
 from .conftest import wait_for
 
-
 def canonical(payload: dict) -> str:
     return json.dumps(payload, sort_keys=True)
 
@@ -324,3 +323,19 @@ def test_respawn_backs_off_through_spawn_faults(
     _, stats = fleet.get("/stats", control=True)
     assert stats["workers"]["restarts_total"] == 1
     assert fleet.get(f"/recommend?user={serve_users[0]}")[0] == 200
+
+
+TIMEOUT_FIELDS = (
+    "ready_timeout_s",
+    "swap_timeout_s",
+    "respawn_backoff_s",
+    "respawn_backoff_max_s",
+    "monitor_interval_s",
+)
+
+
+@pytest.mark.parametrize("value", [float("nan"), float("inf")])
+@pytest.mark.parametrize("name", TIMEOUT_FIELDS)
+def test_non_finite_timeouts_rejected(name, value):
+    with pytest.raises(ValueError, match=name):
+        SupervisorConfig(**{name: value})

@@ -312,20 +312,32 @@ class TestTradeoffEngine:
         assert "compute:" in out
 
     def test_engines_print_identical_tables(self, capsys):
-        from repro.resilience.faults import FaultPlan, FaultSpec
+        import math
+
+        from repro.core.private import louvain_strategy
+        from repro.datasets.synthetic import SyntheticDatasetSpec
+        from repro.experiments.tradeoff import format_tradeoff_table
+        from repro.similarity.base import get_measure
+        from tests.oracles.sweep import tradeoff_cells
 
         argv = ["tradeoff", "--scale", "0.04", "--seed", "1", "--measures",
                 "cn", "aa", "--epsilons", "inf", "0.5", "--ns", "5",
                 "--repeats", "2"]
         assert main(argv) == 0
         vectorized = capsys.readouterr().out.split("engine:")[0]
-        # Every engine cell abandoned: the per-user path scores them all.
-        plan = FaultPlan([FaultSpec(site="engine.cell", repeat=True)])
-        with plan.installed():
-            assert main(argv) == 0
-        out = capsys.readouterr().out
-        assert "degraded:    4 cell(s)" in out
-        assert out.split("engine:")[0] == vectorized
+        # The per-cell oracle over the command's dataset and clustering.
+        dataset = SyntheticDatasetSpec.lastfm_like(scale=0.04).generate(seed=1)
+        clustering = louvain_strategy(runs=10, seed=1)(dataset.social)
+        cells = tradeoff_cells(
+            dataset,
+            [get_measure("cn"), get_measure("aa")],
+            epsilons=(math.inf, 0.5),
+            ns=(5,),
+            repeats=2,
+            clustering=clustering,
+            seed=1,
+        )
+        assert vectorized == format_tradeoff_table(cells, 5) + "\n\n"
 
     def test_cache_dir_miss_then_hit(self, tmp_path, capsys):
         cache_dir = str(tmp_path / "kernels")
