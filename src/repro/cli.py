@@ -287,7 +287,7 @@ def build_parser() -> argparse.ArgumentParser:
     )
     _add_dataset_arguments(p_analyze)
     p_analyze.add_argument("--path-samples", type=int, default=30)
-    p_analyze.add_argument("--louvain-runs", type=int, default=5)
+    p_analyze.add_argument("--louvain-runs", type=_positive_int, default=5)
 
     p_validate = sub.add_parser(
         "validate",
@@ -429,7 +429,7 @@ def build_parser() -> argparse.ArgumentParser:
     p_sweep_submit.add_argument("--ns", nargs="+", type=int, default=[10, 50, 100])
     p_sweep_submit.add_argument("--repeats", type=int, default=5)
     p_sweep_submit.add_argument("--sample-size", type=int, default=None)
-    p_sweep_submit.add_argument("--louvain-runs", type=int, default=10)
+    p_sweep_submit.add_argument("--louvain-runs", type=_positive_int, default=10)
     p_sweep_submit.add_argument(
         "--max-attempts",
         type=_positive_int,

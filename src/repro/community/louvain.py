@@ -14,7 +14,10 @@ its clustering phase:
 
 The paper runs Louvain 10 times with different random node orderings and
 keeps the most modular result; :func:`best_louvain_clustering` packages
-that protocol.
+that protocol.  The restarts differ only in their rng, so one call builds
+the base graph, its weighted degrees and its neighbor lists once and
+shares them with every restart, and only the winner becomes a
+:class:`Clustering`.
 
 The implementation runs on flat numpy arrays (CSR-style
 ``indptr``/``indices``/``weights``, a node→community vector, community
@@ -29,12 +32,13 @@ implementation in ``tests/oracles`` pins it partition for partition.
 from __future__ import annotations
 
 from dataclasses import dataclass
-from typing import Dict, List, Optional, Tuple
+from typing import Dict, Iterable, List, Optional, Sequence, Tuple
 
 import numpy as np
 
 from repro.community.clustering import Clustering
-from repro.community.modularity import modularity
+from repro.community.modularity import label_modularity
+from repro.compute.adjacency import adjacency_csr
 from repro.graph.protocol import GraphLike
 from repro.obs.registry import incr as obs_incr
 from repro.obs.spans import span
@@ -52,10 +56,21 @@ class _FlatGraph:
     Per-node neighbor runs (``indices[indptr[u]:indptr[u+1]]``) hold
     neighbors in edge insertion order, which is the first-appearance
     order local moving iterates candidate communities in — the
-    tie-breaking order.
+    tie-breaking order.  The weighted degrees and the ``(neighbor,
+    weight)`` pair lists are derived once and cached, so every local-move
+    pass over one graph (a level's and its refinement's, and every
+    restart's on a shared base graph) reads the same copy.
     """
 
-    __slots__ = ("indptr", "indices", "weights", "loops", "total_weight", "_wdeg")
+    __slots__ = (
+        "indptr",
+        "indices",
+        "weights",
+        "loops",
+        "total_weight",
+        "_wdeg",
+        "_pairs",
+    )
 
     def __init__(
         self,
@@ -71,6 +86,7 @@ class _FlatGraph:
         self.loops = loops
         self.total_weight = total_weight
         self._wdeg: Optional[np.ndarray] = None
+        self._pairs: Optional[List[List[Tuple[int, float]]]] = None
 
     @property
     def num_nodes(self) -> int:
@@ -85,6 +101,24 @@ class _FlatGraph:
             np.add.at(wdeg, src, self.weights)
             self._wdeg = wdeg + 2.0 * self.loops
         return self._wdeg
+
+    def neighbor_pairs(self) -> List[List[Tuple[int, float]]]:
+        """Per-node ``(neighbor, weight)`` runs as builtin lists (cached).
+
+        The sequential move scan reads these instead of the CSR arrays:
+        element reads on lists avoid per-access numpy scalar boxing while
+        holding the exact same float64 values.  Each run stays in neighbor
+        order, so ``links_to_com`` fills in first-appearance order.
+        """
+        if self._pairs is None:
+            ptr = self.indptr.tolist()
+            idx = self.indices.tolist()
+            wts = self.weights.tolist()
+            self._pairs = [
+                list(zip(idx[ptr[i] : ptr[i + 1]], wts[ptr[i] : ptr[i + 1]]))
+                for i in range(self.num_nodes)
+            ]
+        return self._pairs
 
     @classmethod
     def from_adjacency_lists(
@@ -104,33 +138,33 @@ class _FlatGraph:
         return cls(indptr, indices, weights, loops, total_weight)
 
     @classmethod
-    def from_social_graph(
-        cls, graph: GraphLike
-    ) -> Tuple["_FlatGraph", List[UserId]]:
-        """Convert a social graph; returns the graph and the node-id order.
+    def from_graph(cls, graph: GraphLike) -> Tuple["_FlatGraph", Sequence[UserId]]:
+        """The base graph of ``graph``; returns it and the node-id order.
 
-        Edges are ingested in canonical sorted order: neighbor-run order
-        is the tie-breaking order of local moving, so it must not depend
-        on whether the graph arrived as a ``SocialGraph`` or a
-        mmap-backed ``BigCSRGraph``.
+        Nodes are numbered in ``graph.users()`` order, and every neighbor
+        run ascends in that numbering: neighbor-run order is the
+        tie-breaking order of local moving, so it must not depend on
+        whether the graph arrived as a ``SocialGraph`` or a mmap-backed
+        ``BigCSRGraph``.  The runs come from the cached CSR export (sorted
+        indices, stable user order), permuted to ``users()`` order when
+        the two orders differ.
         """
         users = graph.users()
-        if isinstance(users, range) and users == range(len(users)):
-            pairs = sorted(graph.edges())
-        else:
-            index = {user: i for i, user in enumerate(users)}
-            pairs = sorted(
-                (index[u], index[v]) if index[u] <= index[v] else (index[v], index[u])
-                for u, v in graph.edges()
-            )
-        nbr_lists: List[List[int]] = [[] for _ in users]
-        for iu, iv in pairs:
-            nbr_lists[iu].append(iv)
-            nbr_lists[iv].append(iu)
-        wt_lists = [[1.0] * len(row) for row in nbr_lists]
+        adjacency = adjacency_csr(graph)
+        matrix = adjacency.matrix
+        if users != adjacency.users:
+            index = adjacency.index
+            perm = np.fromiter((index[u] for u in users), np.int64, len(users))
+            matrix = matrix[perm][:, perm]
+            matrix.sort_indices()
+        indices = matrix.indices.astype(np.int64)
         return (
-            cls.from_adjacency_lists(
-                nbr_lists, wt_lists, np.zeros(len(users)), float(graph.num_edges)
+            cls(
+                matrix.indptr.astype(np.int64),
+                indices,
+                np.ones(len(indices)),
+                np.zeros(len(users)),
+                float(graph.num_edges),
             ),
             users,
         )
@@ -146,10 +180,10 @@ def _one_level_flat(
     ``node2com`` is modified in place; returns True when at least one move
     happened.  The weighted-degree vector and the community-degree
     accumulator are computed vectorised once.  The sequential move scan
-    itself runs over builtin-list mirrors of the CSR arrays: local moving
-    is inherently order-dependent, and element reads on lists avoid
-    per-access numpy scalar boxing while holding the exact same float64
-    values.
+    itself runs over the graph's cached builtin-list pair runs
+    (:meth:`_FlatGraph.neighbor_pairs`): local moving is inherently
+    order-dependent, and element reads on lists avoid per-access numpy
+    scalar boxing while holding the exact same float64 values.
 
     Candidate communities are visited in first-appearance order over the
     node's neighbor run, and every link sum and community degree is an
@@ -168,22 +202,12 @@ def _one_level_flat(
     order_arr = np.arange(n)
     rng.shuffle(order_arr)
 
-    ptr = graph.indptr.tolist()
-    idx = graph.indices.tolist()
-    wts = graph.weights.tolist()
+    pairs = graph.neighbor_pairs()
     wdeg = wdeg_arr.tolist()
     com_degree = com_degree_arr.tolist()
     coms = node2com.tolist()
     order = order_arr.tolist()
     two_m = 2.0 * m
-
-    # Per-node (neighbor, weight) runs, paired once and reused across every
-    # sweep — the CSR row slices stay in neighbor order, so links_to_com
-    # fills in first-appearance order.
-    pairs = [
-        list(zip(idx[ptr[i] : ptr[i + 1]], wts[ptr[i] : ptr[i + 1]]))
-        for i in range(n)
-    ]
 
     moved_any = False
     improved = True
@@ -201,14 +225,17 @@ def _one_level_flat(
                 links_to_com[c] = links_get(c, 0.0) + weight
 
             com_degree[com] -= k_i
+            # A candidate must beat the best gain so far by 1e-12; the
+            # threshold changes only when the best candidate does.
             best_gain = links_to_com.get(com, 0.0) - com_degree[com] * k_i_over_2m
+            threshold = best_gain + 1e-12
             best_com = com
             for c, dnc in links_to_com.items():
                 if c == com:
                     continue
                 gain = dnc - com_degree[c] * k_i_over_2m
-                if gain > best_gain + 1e-12:
-                    best_gain = gain
+                if gain > threshold:
+                    threshold = gain + 1e-12
                     best_com = c
 
             com_degree[best_com] += k_i
@@ -351,22 +378,72 @@ def louvain(
     """
     if rng is None:
         rng = np.random.default_rng(0)
-    with span("community.louvain"):
-        obs_incr("louvain.runs")
-        return _run_louvain(graph, rng, refine)
+    return _best_of(graph, [rng], refine)
+
+
+def _best_of(
+    graph: GraphLike, rngs: Iterable[np.random.Generator], refine: bool
+) -> LouvainResult:
+    """One Louvain run per rng on a shared base graph; the best one wins.
+
+    The base graph, its weighted degrees and its neighbor pair lists are
+    built once, inside the ``community.louvain_base`` span, and dropped
+    on return.  Each run compares by :func:`label_modularity` of its flat
+    assignment — the arithmetic :func:`modularity` uses, so the winner's
+    ``Q`` is the one :func:`modularity` reports for its clustering — and
+    only the winner (the earliest run on a tie) becomes a
+    :class:`Clustering`.
+    """
+    with span("community.louvain_base"):
+        obs_incr("louvain.base_builds")
+        base, users = _FlatGraph.from_graph(graph)
+        # Fill both caches here so this span times the whole shared build.
+        base.weighted_degrees()
+        base.neighbor_pairs()
+    best: Optional[Tuple[float, np.ndarray, int]] = None
+    for rng in rngs:
+        with span("community.louvain"):
+            obs_incr("louvain.runs")
+            flat, num_levels = _run_louvain(base, rng, refine)
+            q = _flat_modularity(base, flat, graph.num_edges)
+        if best is None or q > best[0]:
+            best = (q, flat, num_levels)
+    assert best is not None
+    q, flat, num_levels = best
+    assignment = dict(zip(users, flat.tolist()))
+    return LouvainResult(
+        clustering=Clustering.from_assignment(assignment),
+        modularity=q,
+        num_levels=num_levels,
+        refined=refine and num_levels > 1,
+    )
+
+
+def _flat_modularity(base: _FlatGraph, flat: np.ndarray, num_edges: int) -> float:
+    """:func:`modularity`'s ``Q`` of a run's ``0..k-1`` base-node labels."""
+    if num_edges == 0:
+        return 0.0
+    return label_modularity(
+        base.indptr,
+        base.indices,
+        base.weighted_degrees(),
+        flat,
+        int(flat.max()) + 1,
+        num_edges,
+    )
 
 
 def _run_louvain(
-    graph: GraphLike, rng: np.random.Generator, refine: bool
-) -> LouvainResult:
-    """The level loop (Blondel et al. + Rotta–Noack)."""
-    base, users = _FlatGraph.from_social_graph(graph)
+    base: _FlatGraph, rng: np.random.Generator, refine: bool
+) -> Tuple[np.ndarray, int]:
+    """The level loop (Blondel et al. + Rotta–Noack).
+
+    Returns the base-node community labels (``0..k-1``) and the number of
+    aggregation levels; an edgeless graph leaves every node alone.
+    """
     n = base.num_nodes
-    if n == 0:
-        return LouvainResult(Clustering([]), 0.0, 0, refined=False)
     if base.total_weight == 0.0:
-        singletons = Clustering([[u] for u in users])
-        return LouvainResult(singletons, 0.0, 0, refined=False)
+        return np.arange(n, dtype=np.int64), 0
 
     graphs = [base]
     levels: List[np.ndarray] = []
@@ -390,16 +467,8 @@ def _run_louvain(
     if refine and len(levels) > 1:
         _refine_levels(graphs, levels, rng)
 
-    flat = _flat_partition_flat(levels, n)
-    assignment = {users[i]: int(flat[i]) for i in range(n)}
-    clustering = Clustering.from_assignment(assignment)
     obs_incr("louvain.levels", len(levels))
-    return LouvainResult(
-        clustering=clustering,
-        modularity=modularity(graph, clustering),
-        num_levels=len(levels),
-        refined=refine and len(levels) > 1,
-    )
+    return _flat_partition_flat(levels, n), len(levels)
 
 
 def _refine_levels(
@@ -436,7 +505,7 @@ def best_louvain_clustering(
 
     Each run uses an independent random node ordering; the run with the
     highest modularity wins (ties keep the earliest run, so results are
-    deterministic in ``seed``).
+    deterministic in ``seed``).  The runs share one base graph.
 
     Raises:
         ValueError: if ``runs`` < 1.
@@ -444,10 +513,4 @@ def best_louvain_clustering(
     if runs < 1:
         raise ValueError(f"runs must be >= 1, got {runs}")
     seeds = np.random.SeedSequence(seed).spawn(runs)
-    best: Optional[LouvainResult] = None
-    for child in seeds:
-        result = louvain(graph, rng=np.random.default_rng(child), refine=refine)
-        if best is None or result.modularity > best.modularity:
-            best = result
-    assert best is not None
-    return best
+    return _best_of(graph, (np.random.default_rng(child) for child in seeds), refine)

@@ -19,7 +19,7 @@ from repro.community.clustering import Clustering
 from repro.exceptions import ClusteringError
 from repro.graph.social_graph import SocialGraph
 
-__all__ = ["modularity"]
+__all__ = ["label_modularity", "modularity"]
 
 
 def modularity(graph: SocialGraph, clustering: Clustering) -> float:
@@ -50,24 +50,55 @@ def modularity(graph: SocialGraph, clustering: Clustering) -> float:
 
     adjacency = adjacency_csr(graph)
     cluster_of = clustering.cluster_of
-    num_users = adjacency.num_users
-    num_clusters = clustering.num_clusters
     assignment = np.fromiter(
-        (cluster_of(u) for u in adjacency.users), np.int64, num_users
-    )
-    degree_sum = np.bincount(
-        assignment, weights=adjacency.degrees, minlength=num_clusters
+        (cluster_of(u) for u in adjacency.users), np.int64, adjacency.num_users
     )
     matrix = adjacency.matrix
-    src = np.repeat(np.arange(num_users), np.diff(matrix.indptr))
-    upper = matrix.indices > src  # count each undirected edge once
-    intra_edges = upper & (assignment[src] == assignment[matrix.indices])
+    return label_modularity(
+        matrix.indptr,
+        matrix.indices,
+        adjacency.degrees,
+        assignment,
+        clustering.num_clusters,
+        m,
+    )
+
+
+def label_modularity(
+    indptr: np.ndarray,
+    indices: np.ndarray,
+    degrees: np.ndarray,
+    labels: np.ndarray,
+    num_clusters: int,
+    num_edges: int,
+) -> float:
+    """``Q`` of a ``0..num_clusters-1`` node labelling of a 0/1 adjacency.
+
+    The arithmetic behind :func:`modularity`: per-cluster intra-edge
+    counts and degree sums are integer tallies (exact in any node order),
+    and the float accumulation visits clusters in ascending label order.
+    So any two node numberings of one graph give the same ``Q``, bit for
+    bit, for the same labels.
+
+    Args:
+        indptr, indices: the symmetric CSR adjacency, every undirected
+            edge stored in both rows.
+        degrees: per-node degree, aligned with the rows.
+        labels: per-node cluster label.
+        num_clusters: the number of labels.
+        num_edges: ``|E_s|``, the number of undirected edges (> 0).
+    """
+    num_users = len(labels)
+    degree_sum = np.bincount(labels, weights=degrees, minlength=num_clusters)
+    src = np.repeat(np.arange(num_users), np.diff(indptr))
+    upper = indices > src  # count each undirected edge once
+    intra_edges = upper & (labels[src] == labels[indices])
     intra = np.bincount(
-        assignment[src[intra_edges]], minlength=num_clusters
+        labels[src[intra_edges]], minlength=num_clusters
     ).astype(np.float64)
 
-    two_m = 2.0 * m
+    two_m = 2.0 * num_edges
     q = 0.0
     for c in range(num_clusters):
-        q += float(intra[c]) / m - (float(degree_sum[c]) / two_m) ** 2
+        q += float(intra[c]) / num_edges - (float(degree_sum[c]) / two_m) ** 2
     return q

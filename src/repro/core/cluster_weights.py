@@ -41,6 +41,7 @@ costs a factor ``user_clamp`` in noise.
 from __future__ import annotations
 
 import math
+import numbers
 from dataclasses import dataclass
 from typing import Dict, List, Optional
 
@@ -155,14 +156,19 @@ def _validate_parameters(
 ) -> None:
     from repro.exceptions import PrivacyError
 
-    if max_weight <= 0.0:
-        raise PrivacyError(f"max_weight must be positive, got {max_weight}")
+    # Written so that NaN, which fails every comparison, is rejected too.
+    if not 0.0 < max_weight < math.inf:
+        raise PrivacyError(f"max_weight must be finite and positive, got {max_weight}")
     if protection not in ("edge", "user"):
         raise PrivacyError(
             f"protection must be 'edge' or 'user', got {protection!r}"
         )
-    if protection == "user" and user_clamp < 1:
-        raise PrivacyError(f"user_clamp must be >= 1, got {user_clamp}")
+    if protection == "user" and (
+        isinstance(user_clamp, bool)
+        or not isinstance(user_clamp, numbers.Integral)
+        or user_clamp < 1
+    ):
+        raise PrivacyError(f"user_clamp must be an integer >= 1, got {user_clamp!r}")
 
 
 def _clamped_user_items(
@@ -254,8 +260,9 @@ def cluster_item_averages(
 
     Raises:
         ClusteringError: if a user with preference edges is not clustered.
-        PrivacyError: for a non-positive ``max_weight`` or ``user_clamp``,
-            or an unknown protection level.
+        PrivacyError: for a ``max_weight`` that is not finite and
+            positive, a ``user_clamp`` that is not an integer ``>= 1``, or
+            an unknown protection level.
     """
     _validate_parameters(max_weight, protection, user_clamp)
 
@@ -358,8 +365,9 @@ def noisy_cluster_item_weights(
     Raises:
         ClusteringError: if a user with preference edges is not clustered.
         InvalidEpsilonError: for an invalid epsilon.
-        PrivacyError: for a non-positive ``max_weight`` or ``user_clamp``,
-            or an unknown protection level.
+        PrivacyError: for a ``max_weight`` that is not finite and
+            positive, a ``user_clamp`` that is not an integer ``>= 1``, or
+            an unknown protection level.
     """
     epsilon = validate_epsilon(epsilon)
     averages = cluster_item_averages(

@@ -291,8 +291,13 @@ def ranked_list(
     scores: Sequence[float],
     tier: str = TIER_PERSONALIZED,
 ) -> RecommendationList:
-    """The recommendation list of ranked item positions and their scores."""
-    pairs = [(items[position], float(score)) for position, score in zip(order, scores)]
+    """The recommendation list of ranked item positions and their scores.
+
+    ``order`` and ``scores`` are converted to builtin lists first, so no
+    element is boxed as a NumPy scalar on the way into the list.
+    """
+    ranked_items = [items[position] for position in np.asarray(order).tolist()]
+    pairs = list(zip(ranked_items, np.asarray(scores).tolist()))
     return as_recommendation_list(user, pairs, tier=tier)
 
 

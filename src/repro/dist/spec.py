@@ -118,6 +118,8 @@ class SweepSpec:
             raise SweepQueueError(
                 f"max_attempts must be >= 1, got {self.max_attempts}"
             )
+        if self.louvain_runs < 1:
+            raise SweepQueueError(f"louvain_runs must be >= 1, got {self.louvain_runs}")
 
     def epsilon_values(self) -> List[float]:
         return [decode_epsilon(label) for label in self.epsilons]

@@ -85,6 +85,17 @@ class TestExactAverages:
         with pytest.raises(PrivacyError):
             noisy_cluster_item_weights(prefs, clustering, 1.0, max_weight=0.0)
 
+    @pytest.mark.parametrize("cap", [math.nan, math.inf, -math.inf, -1.0])
+    def test_weight_cap_must_be_finite_and_positive(self, prefs, clustering, cap):
+        # A NaN or infinite cap makes the Laplace scale non-finite: the
+        # release would hold no finite cell.
+        from repro.exceptions import PrivacyError
+
+        with pytest.raises(PrivacyError, match="max_weight"):
+            noisy_cluster_item_weights(prefs, clustering, 1.0, max_weight=cap)
+        with pytest.raises(PrivacyError, match="max_weight"):
+            cluster_item_averages(prefs, clustering, max_weight=cap)
+
 
 class TestNoise:
     def test_noise_added_everywhere_including_empty_cells(self, prefs, clustering):

@@ -92,8 +92,41 @@ class TestUserLevelSensitivity:
                 prefs, clustering, 1.0, protection="user", user_clamp=0
             )
 
+    @pytest.mark.parametrize("clamp", [math.nan, math.inf, 2.5, 2.0, True, "2"])
+    def test_clamp_must_be_an_integer(self, prefs, clustering, clamp):
+        # NaN compares false against the bound and skips the clamp; a
+        # fractional clamp would fail slicing with a raw TypeError.
+        with pytest.raises(PrivacyError, match="user_clamp"):
+            noisy_cluster_item_weights(
+                prefs, clustering, 1.0, protection="user", user_clamp=clamp
+            )
+
+    def test_numpy_integer_clamp_accepted(self, prefs, clustering):
+        numpy_clamp = noisy_cluster_item_weights(
+            prefs, clustering, math.inf, protection="user", user_clamp=np.int64(2)
+        )
+        plain = noisy_cluster_item_weights(
+            prefs, clustering, math.inf, protection="user", user_clamp=2
+        )
+        assert np.array_equal(numpy_clamp.matrix, plain.matrix)
+
 
 class TestUserLevelRecommender:
+    @pytest.mark.parametrize(
+        "params",
+        [
+            {"max_weight": math.nan},
+            {"max_weight": math.inf},
+            {"protection": "user", "user_clamp": math.nan},
+            {"protection": "user", "user_clamp": 2.5},
+        ],
+    )
+    def test_fit_rejects_a_non_finite_or_fractional_bound(self, lastfm_small, params):
+        rec = PrivateSocialRecommender(CommonNeighbors(), epsilon=1.0, **params)
+        with pytest.raises(PrivacyError):
+            rec.fit(lastfm_small.social, lastfm_small.preferences)
+        assert rec.noisy_weights_ is None
+
     def test_end_to_end(self, lastfm_small):
         rec = PrivateSocialRecommender(
             CommonNeighbors(),

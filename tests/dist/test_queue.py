@@ -72,6 +72,16 @@ class TestCreate:
         with pytest.raises(SweepQueueError, match="not an initialised"):
             SweepQueue(str(tmp_path / "nothing-here"))
 
+    @pytest.mark.parametrize("runs", [0, -2])
+    def test_spec_rejects_non_positive_louvain_runs(self, tiny_dataset, runs):
+        # No worker could ever run a cell of such a spec.
+        with pytest.raises(SweepQueueError, match="louvain_runs"):
+            tiny_spec(tiny_dataset, louvain_runs=runs)
+        payload = tiny_spec(tiny_dataset).to_dict()
+        payload["louvain_runs"] = runs
+        with pytest.raises(SweepQueueError, match="louvain_runs"):
+            SweepSpec.from_dict(payload)
+
     def test_spec_round_trips(self, queue_factory):
         queue = queue_factory()
         spec = SweepSpec.from_dict(queue.spec)

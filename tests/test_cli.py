@@ -69,6 +69,26 @@ class TestParser:
         with pytest.raises(SystemExit):
             build_parser().parse_args(["attack", "audit", "--eps", "abc"])
 
+    @pytest.mark.parametrize(
+        "argv",
+        [
+            ["analyze", "--scale", "0.04", "--louvain-runs", "0"],
+            ["sweep", "submit", "--queue", "{queue}", "--louvain-runs", "0"],
+            ["attack", "audit", "--louvain-runs", "-1"],
+        ],
+    )
+    def test_louvain_runs_must_be_positive(self, argv, tmp_path, capsys):
+        # A usage error at the boundary, not a traceback or a queue of
+        # cells no worker can run.
+        queue_dir = tmp_path / "queue"
+        with pytest.raises(SystemExit) as exit_info:
+            main([arg.format(queue=queue_dir) for arg in argv])
+        assert exit_info.value.code == 2
+        err = capsys.readouterr().err
+        assert "--louvain-runs: must be >= 1" in err
+        assert "Traceback" not in err
+        assert not queue_dir.exists()
+
     def test_attack_audit_json_flag_without_path_means_stdout(self):
         args = build_parser().parse_args(["attack", "audit", "--json"])
         assert args.json == "-"
