@@ -63,7 +63,7 @@ from repro.exceptions import (
 from repro.resilience import FaultPlan, FaultSpec, RetryPolicy, fault_point
 from repro.graph import PreferenceGraph, SocialGraph
 from repro.metrics import average_ndcg, ndcg_at_n
-from repro.privacy import LaplaceMechanism, PrivacyBudget
+from repro.privacy import LaplaceMechanism
 from repro.similarity import (
     AdamicAdar,
     CommonNeighbors,
@@ -107,7 +107,6 @@ __all__ = [
     "label_propagation_clustering",
     # privacy
     "LaplaceMechanism",
-    "PrivacyBudget",
     # recommenders
     "SocialRecommender",
     "PrivateSocialRecommender",

@@ -36,7 +36,8 @@ A mechanism whose observation channel is *deterministic* (both sample
 arrays constant) admits no likelihood-ratio bound at all: if the two
 worlds disagree the channel separates them perfectly and the bound is
 clipped at :data:`EPS_SENTINEL` — the audit's way of reporting
-"effectively unbounded" for the non-private baselines.
+"effectively unbounded" for the baselines whose noise an attacker who
+knows the deployed seed can derive (NOU, NOE, LRM and GS).
 """
 
 from __future__ import annotations

@@ -93,6 +93,22 @@ def _positive_int(value: str) -> int:
     return parsed
 
 
+# Both float checks are written so that NaN, which fails every
+# comparison, is rejected too.
+def _positive_float(value: str) -> float:
+    parsed = float(value)
+    if not 0 < parsed < math.inf:
+        raise argparse.ArgumentTypeError(f"must be finite and > 0, got {value}")
+    return parsed
+
+
+def _nonnegative_float(value: str) -> float:
+    parsed = float(value)
+    if not 0 <= parsed < math.inf:
+        raise argparse.ArgumentTypeError(f"must be finite and >= 0, got {value}")
+    return parsed
+
+
 def _add_dataset_arguments(parser: argparse.ArgumentParser) -> None:
     parser.add_argument(
         "--dataset",
@@ -447,7 +463,7 @@ def build_parser() -> argparse.ArgumentParser:
     )
     p_sweep_worker.add_argument(
         "--lease-ttl",
-        type=float,
+        type=_positive_float,
         default=30.0,
         help="seconds a lease stays valid between heartbeats (default: 30)",
     )
@@ -459,7 +475,7 @@ def build_parser() -> argparse.ArgumentParser:
     )
     p_sweep_worker.add_argument(
         "--max-idle",
-        type=float,
+        type=_nonnegative_float,
         default=None,
         metavar="SECONDS",
         help="give up after this long without claiming anything "
@@ -639,7 +655,7 @@ def build_parser() -> argparse.ArgumentParser:
         help="closed-loop in-flight bound (default: 8)",
     )
     p_serve_bench.add_argument(
-        "--rate", type=float, default=200.0,
+        "--rate", type=_positive_float, default=200.0,
         help="open-loop arrivals per second (default: 200)",
     )
     p_serve_bench.add_argument("--n", type=_positive_int, default=10)
@@ -681,7 +697,7 @@ def build_parser() -> argparse.ArgumentParser:
     )
     p_serve_bench.add_argument(
         "--wait-ready",
-        type=float,
+        type=_positive_float,
         default=30.0,
         help="seconds to wait for a --connect server to answer /health "
         "(default: 30)",
@@ -1626,10 +1642,10 @@ def _cmd_serve_bench(args: argparse.Namespace) -> int:
                 return 2
         else:
             rates = [args.rate * m for m in (0.25, 0.5, 1.0, 2.0, 4.0)]
-        if not rates or any(rate <= 0 for rate in rates):
+        if not rates or any(not 0 < rate < math.inf for rate in rates):
             print(
-                "repro: error: --capacity needs at least one positive "
-                "offered rate",
+                "repro: error: --capacity needs at least one offered rate, "
+                "each finite and > 0",
                 file=sys.stderr,
             )
             return 2

@@ -18,7 +18,10 @@ the second depends on epsilon or randomness:
   compute it once per dataset and reuse it across every epsilon and
   noise repeat (see :mod:`repro.experiments.engine`).
 - :func:`apply_laplace_noise` — one calibrated noise draw on top of the
-  exact averages.  A noise repeat costs exactly one Laplace tensor.
+  exact averages.  A noise repeat costs exactly one Laplace tensor.  It
+  is the only function that draws a module-A_w release, and it charges
+  each one to the privacy ledger (:mod:`repro.obs.ledger`), so the
+  recommender and the sweep engine are accounted alike.
 
 :func:`noisy_cluster_item_weights` composes the two and remains the
 single entry point the recommender uses.
@@ -301,7 +304,10 @@ def apply_laplace_noise(
     Draws exactly one ``(num_items, num_clusters)`` Laplace tensor from
     ``rng`` (or none at all for ``epsilon = inf`` / an empty matrix), so
     a caller that re-seeds ``rng`` per repeat reproduces the recommender's
-    noise streams bit-for-bit.
+    noise streams bit-for-bit.  Each draw is charged to the active
+    telemetry registry's ledger as one release of one parallel charge per
+    cluster, costing exactly ``epsilon``; nothing is charged when nothing
+    is drawn, or when telemetry is disabled.
 
     Returns a fresh matrix; the averages object is never mutated.
 

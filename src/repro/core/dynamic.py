@@ -4,9 +4,11 @@ The paper computes recommendations from a single static snapshot and
 names dynamic graphs the main direction for future work.  This module
 provides the standard composition-based treatment: a
 :class:`DynamicPrivateRecommender` holds a total privacy budget and fits a
-fresh :class:`PrivateSocialRecommender` per snapshot, charging the budget
-under sequential composition (Theorem 2) — successive preference
-snapshots overlap, so their releases compose sequentially.
+fresh :class:`PrivateSocialRecommender` per snapshot, charging each
+snapshot as its own release on a privacy ledger
+(:class:`~repro.obs.ledger.PrivacyLedgerView`).  Successive preference
+snapshots overlap, so their releases compose sequentially (Theorem 2):
+they add.
 
 Two allocation policies are provided:
 
@@ -19,19 +21,21 @@ Two allocation policies are provided:
 This is deliberately conservative.  Exploiting *overlap* between
 consecutive snapshots (most preference edges persist) to spend less than
 sequential composition requires continual-observation machinery beyond
-this paper's scope; the budget ledger makes the conservative cost explicit
+this paper's scope; the ledger makes the conservative cost explicit
 instead of hiding it.
 """
 
 from __future__ import annotations
 
+import math
 from typing import Callable, List, Optional
 
 from repro.core.private import ClusteringStrategy, PrivateSocialRecommender
 from repro.exceptions import BudgetExhaustedError, PrivacyError
 from repro.graph.preference_graph import PreferenceGraph
 from repro.graph.social_graph import SocialGraph
-from repro.privacy.budget import PrivacyBudget
+from repro.obs.ledger import PrivacyLedgerView
+from repro.obs.registry import LedgerEntry
 from repro.privacy.mechanisms import validate_epsilon
 from repro.similarity.base import SimilarityMeasure
 
@@ -101,7 +105,8 @@ class DynamicPrivateRecommender:
         seed: int = 0,
     ) -> None:
         self.measure = measure
-        self.budget = PrivacyBudget(total_epsilon)
+        self._total = validate_epsilon(total_epsilon)
+        self._charges: List[LedgerEntry] = []
         if allocation is None:
             allocation = decay_allocation(total_epsilon, factor=0.5)
         self.allocation = allocation
@@ -140,12 +145,25 @@ class DynamicPrivateRecommender:
         Raises:
             BudgetExhaustedError: when the policy's next charge does not
                 fit in the remaining budget.
+            InvalidEpsilonError: when the policy's next charge is not a
+                positive number.
         """
         index = len(self._snapshots)
-        epsilon = self.allocation(index)
-        if not self.budget.can_spend(epsilon):
-            raise BudgetExhaustedError(epsilon, self.budget.remaining)
-        self.budget.spend(epsilon)
+        epsilon = validate_epsilon(self.allocation(index))
+        remaining = self._remaining()
+        # Tolerate float round-off so N sequential charges of total/N fit.
+        if epsilon > remaining + 1e-12:
+            raise BudgetExhaustedError(epsilon, remaining)
+        if not math.isinf(epsilon):  # epsilon = inf draws no noise
+            self._charges.append(
+                LedgerEntry(
+                    release=f"snapshot#{len(self._charges)}",
+                    label=f"A_w[snapshot {index}]",
+                    epsilon=epsilon,
+                    # W / |c| <= W = 1 before the snapshot is clustered.
+                    sensitivity=1.0,
+                )
+            )
         recommender = PrivateSocialRecommender(
             self.measure,
             epsilon=epsilon,
@@ -162,8 +180,16 @@ class DynamicPrivateRecommender:
         return self.current.recommend(user, n=n)
 
     def spent_epsilon(self) -> float:
-        """Total epsilon consumed across all fitted snapshots."""
-        return self.budget.spent
+        """Total epsilon consumed across all fitted snapshots.
+
+        Each snapshot is its own release, so the ledger adds them.
+        """
+        return PrivacyLedgerView(self._charges).total_epsilon()
+
+    def _remaining(self) -> float:
+        if math.isinf(self._total):
+            return math.inf
+        return max(0.0, self._total - self.spent_epsilon())
 
     def snapshot(self, index: int) -> PrivateSocialRecommender:
         """The fitted recommender for snapshot ``index`` (0-based)."""
@@ -172,5 +198,5 @@ class DynamicPrivateRecommender:
     def __repr__(self) -> str:
         return (
             f"{type(self).__name__}(snapshots={self.num_snapshots}, "
-            f"spent={self.budget.spent:g}, remaining={self.budget.remaining:g})"
+            f"spent={self.spent_epsilon():g}, remaining={self._remaining():g})"
         )

@@ -32,7 +32,6 @@ from repro.core.base import BaseRecommender, FittedState
 from repro.core.cluster_weights import NoisyClusterWeights, noisy_cluster_item_weights
 from repro.core.scoring import ReleaseScorer
 from repro.graph.protocol import GraphLike
-from repro.privacy.budget import BudgetLedger
 from repro.privacy.mechanisms import validate_epsilon
 from repro.resilience.faults import fault_point
 from repro.similarity.base import SimilarityMeasure
@@ -94,9 +93,10 @@ class PrivateSocialRecommender(BaseRecommender):
         user_clamp: per-user contribution bound under user-level
             protection.
 
-    After :meth:`fit`, the attributes :attr:`clustering_`,
-    :attr:`noisy_weights_` and :attr:`ledger_` expose the fitted clustering,
-    the sanitised averages, and the privacy-budget accounting;
+    After :meth:`fit`, the attributes :attr:`clustering_` and
+    :attr:`noisy_weights_` expose the fitted clustering and the sanitised
+    averages (charged to the privacy ledger, :mod:`repro.obs.ledger`, by
+    :func:`~repro.core.cluster_weights.apply_laplace_noise`);
     :attr:`scorer_` is the :class:`~repro.core.scoring.ReleaseScorer`
     every query (and :func:`~repro.core.batch.batch_recommend_all`)
     scores through.
@@ -126,7 +126,6 @@ class PrivateSocialRecommender(BaseRecommender):
         self.user_clamp = user_clamp
         self.clustering_: Optional[Clustering] = None
         self.noisy_weights_: Optional[NoisyClusterWeights] = None
-        self.ledger_: Optional[BudgetLedger] = None
         self.scorer_: Optional[ReleaseScorer] = None
 
     # ------------------------------------------------------------------
@@ -147,13 +146,6 @@ class PrivateSocialRecommender(BaseRecommender):
             protection=self.protection,
             user_clamp=self.user_clamp,
         )
-        ledger = BudgetLedger()
-        if not math.isinf(self.epsilon):
-            for item in state.items:
-                ledger.charge(
-                    f"cluster-averages[{item!r}]", self.epsilon, group="per-item"
-                )
-        self.ledger_ = ledger
         self.scorer_ = ReleaseScorer(self.noisy_weights_, state.similarity)
 
     # ------------------------------------------------------------------
@@ -189,8 +181,22 @@ class PrivateSocialRecommender(BaseRecommender):
     # introspection
     # ------------------------------------------------------------------
     def total_epsilon(self) -> float:
-        """The end-to-end privacy cost recorded at fit time (0 before fit)."""
-        return self.ledger_.total_epsilon() if self.ledger_ is not None else 0.0
+        """The epsilon of the module-A_w release this recommender holds.
+
+        Parallel composition over clusters and items (Theorem 3) makes
+        the whole release cost exactly ``epsilon``, which is what the
+        privacy ledger composes for it.  0.0 before fit, at
+        ``epsilon = inf`` and for an empty release: no noise is drawn
+        then, and nothing is charged.
+        """
+        weights = self.noisy_weights_
+        if (
+            weights is None
+            or math.isinf(weights.epsilon)
+            or not weights.matrix.size
+        ):
+            return 0.0
+        return weights.epsilon
 
     def __repr__(self) -> str:
         fitted = "fitted" if self.is_fitted else "unfitted"

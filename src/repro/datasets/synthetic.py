@@ -32,6 +32,7 @@ Two presets mirror the paper's datasets at configurable scale:
 
 from __future__ import annotations
 
+import math
 from dataclasses import dataclass
 from typing import List, Optional
 
@@ -43,6 +44,12 @@ from repro.graph.generators import community_attachment_graph
 from repro.graph.preference_graph import PreferenceGraph
 
 __all__ = ["SyntheticDatasetSpec"]
+
+
+def _check_scale(scale: float) -> None:
+    # Written so that NaN, which fails every comparison, is rejected too.
+    if not 0.0 < scale < math.inf:
+        raise DatasetError(f"scale must be finite and positive, got {scale}")
 
 
 @dataclass(frozen=True)
@@ -142,8 +149,7 @@ class SyntheticDatasetSpec:
         edges (the crawl's long tail of single-listener artists carries no
         signal for any recommender).
         """
-        if scale <= 0:
-            raise DatasetError(f"scale must be positive, got {scale}")
+        _check_scale(scale)
         users = max(60, int(round(1892 * scale)))
         return cls(
             name=f"lastfm-like(x{scale:g})",
@@ -172,8 +178,7 @@ class SyntheticDatasetSpec:
         much higher average social degree (~18.5) and hence much larger
         communities — while staying laptop-sized.
         """
-        if scale <= 0:
-            raise DatasetError(f"scale must be positive, got {scale}")
+        _check_scale(scale)
         users = max(100, int(round(137372 * scale)))
         return cls(
             name=f"flixster-like(x{scale:g})",

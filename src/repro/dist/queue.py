@@ -44,6 +44,7 @@ paths.
 from __future__ import annotations
 
 import json
+import math
 import os
 import time
 import uuid
@@ -70,6 +71,20 @@ _SUBDIRS = ("tasks", "leases", "attempts", "done", "poison")
 def _sanitize(part: str) -> str:
     """A filename-safe rendering of one task-id component."""
     return "".join(c if c.isalnum() or c in "._-" else "-" for c in part)
+
+
+def check_lease_ttl(lease_ttl: float) -> None:
+    """Reject a ``lease_ttl`` that is not finite and positive.
+
+    A NaN lease would expire at NaN: :meth:`SweepQueue.reap` reclaims it
+    at once while :meth:`SweepQueue.status` counts it live forever.
+
+    Raises:
+        ValueError: for a ``lease_ttl`` that is not finite and positive.
+    """
+    # Written so that NaN, which fails every comparison, is rejected too.
+    if not 0 < lease_ttl < math.inf:
+        raise ValueError(f"lease_ttl must be finite and > 0, got {lease_ttl}")
 
 
 def task_id_for(measure_name: str, epsilon_label: str) -> str:
@@ -343,10 +358,9 @@ class SweepQueue:
         ``max_attempts`` is quarantined instead of offered.
 
         Raises:
-            ValueError: for a non-positive ``lease_ttl``.
+            ValueError: for a ``lease_ttl`` that is not finite and positive.
         """
-        if lease_ttl <= 0:
-            raise ValueError(f"lease_ttl must be positive, got {lease_ttl}")
+        check_lease_ttl(lease_ttl)
         fault_point("dist.lease")
         for task_id in self.task_ids():
             if self.is_done(task_id) or self.is_poisoned(task_id):
@@ -440,7 +454,9 @@ class SweepQueue:
                 worker's token (expired and reclaimed by a peer, or the
                 cell finished elsewhere).  The caller should stop working
                 the cell — or finish and rely on result idempotence.
+            ValueError: for a ``lease_ttl`` that is not finite and positive.
         """
+        check_lease_ttl(lease_ttl)
         fault_point("dist.heartbeat")
         if not self._owns(lease):
             self.stats.lease_lost += 1

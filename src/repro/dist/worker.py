@@ -24,6 +24,7 @@ worker without patching anything.
 
 from __future__ import annotations
 
+import math
 import os
 import socket
 import threading
@@ -45,7 +46,7 @@ from repro.resilience.faults import fault_point
 from repro.resilience.retry import RetryPolicy
 from repro.similarity.base import get_measure
 
-from .queue import CellTask, Lease, SweepQueue
+from .queue import CellTask, Lease, SweepQueue, check_lease_ttl
 from .spec import SweepSpec
 
 __all__ = ["SweepWorker", "WorkerStats", "default_worker_id"]
@@ -127,16 +128,16 @@ class SweepWorker:
             (in-memory) dataset; otherwise the spec's descriptor is
             materialised on first claim.
         worker_id: stable identity for leases (default: host-pid-random).
-        lease_ttl: seconds a lease stays valid between heartbeats.  Keep
-            it several multiples of ``heartbeat_interval``; a worker that
-            dies simply stops renewing and the lease expires.
+        lease_ttl: seconds a lease stays valid between heartbeats (finite,
+            > 0).  Keep it several multiples of ``heartbeat_interval``; a
+            worker that dies simply stops renewing and the lease expires.
         heartbeat_interval: renewal period (default ``lease_ttl / 3``).
         poll_interval: idle sleep between claim scans when nothing is
             claimable but peers still hold leases.
         max_cells: stop after completing this many cells (None = run
             until the queue has no remaining work).
         max_idle_s: give up after this long without claiming anything
-            (None = wait as long as work remains).
+            (finite, >= 0; None = wait as long as work remains).
         retry: per-cell retry policy; default gives transient cell
             failures ``max_attempts=2`` in-process tries before the
             lease-level attempt accounting takes over.  The policy's
@@ -159,8 +160,10 @@ class SweepWorker:
         clock: Callable[[], float] = time.time,
         sleep: Callable[[float], None] = time.sleep,
     ) -> None:
-        if lease_ttl <= 0:
-            raise ValueError(f"lease_ttl must be positive, got {lease_ttl}")
+        check_lease_ttl(lease_ttl)
+        # Written so that NaN, which fails every comparison, is rejected too.
+        if max_idle_s is not None and not 0 <= max_idle_s < math.inf:
+            raise ValueError(f"max_idle_s must be finite and >= 0, got {max_idle_s}")
         self.queue = (
             queue if isinstance(queue, SweepQueue) else SweepQueue(queue, clock=clock)
         )

@@ -24,13 +24,15 @@ the outermost loop that still needs it:
   read at every N.
 
 Equivalence with the per-user reference path is structural, not
-approximate: the noise stream reuses the recommender's exact generator
-discipline (one ``default_rng(SeedSequence(seed))`` laplace draw over the
-full matrix), ``C``, ``P``, ``E``, the ranking and the zero-signal
-ladder are the scoring core's (:mod:`repro.core.scoring`), and the NDCG
-accumulation follows the scalar summation order.  The test suite pins
-rankings and scores against per-cell ``evaluate_factory``, which lives
-on as the oracle in ``tests/oracles/sweep.py``.
+approximate: every repeat draws (and charges to the privacy ledger) its
+noise through the recommender's own
+:func:`~repro.core.cluster_weights.apply_laplace_noise`, from a fresh
+``default_rng(SeedSequence(seed))``; ``C``, ``P``, ``E``, the ranking
+and the zero-signal ladder are the scoring core's
+(:mod:`repro.core.scoring`); and the NDCG accumulation follows the
+scalar summation order.  The test suite pins rankings and scores
+against per-cell ``evaluate_factory``, which lives on as the oracle in
+``tests/oracles/sweep.py``.
 
 Cells are scored one after another in-process, on this one path: an
 exception inside a cell reaches the caller with its own type.
@@ -50,7 +52,11 @@ from repro.cache.keys import measure_fingerprint
 from repro.cache.store import SimilarityStore
 from repro.community.clustering import Clustering
 from repro.compute.stats import ComputeStats
-from repro.core.cluster_weights import ClusterItemAverages, cluster_item_averages
+from repro.core.cluster_weights import (
+    ClusterItemAverages,
+    apply_laplace_noise,
+    cluster_item_averages,
+)
 from repro.core.private import covering_clustering
 from repro.core.scoring import (
     cluster_indicator,
@@ -64,7 +70,6 @@ from repro.exceptions import ExperimentError
 from repro.experiments.evaluation import EvaluationContext
 from repro.metrics.ndcg import dcg_array
 from repro.obs.adapters import publish_engine_stats
-from repro.obs.ledger import record_laplace_release
 from repro.obs.spans import span
 from repro.privacy.mechanisms import validate_epsilon
 from repro.similarity.base import SimilarityCache
@@ -123,24 +128,6 @@ class _ClusterArrays:
     averages: ClusterItemAverages
     indicator: sp.csr_matrix  # (kernel users x clusters)
     sizes: np.ndarray  # cluster sizes, for the degradation ladder
-
-
-def _noised(matrix: np.ndarray, scales: Optional[np.ndarray], seed: int) -> np.ndarray:
-    """One repeat's released matrix, bit-identical to the recommender's.
-
-    Reproduces ``PrivateSocialRecommender._prepare``'s noise discipline:
-    a fresh ``default_rng(SeedSequence(seed))`` whose single ``laplace``
-    call covers the whole matrix (``scales`` broadcast over items).  At
-    ``scales is None`` (epsilon = inf, or an empty release) the generator
-    is still constructed — the reference builds it unconditionally — but
-    nothing is drawn.
-    """
-    rng = np.random.default_rng(np.random.SeedSequence(seed))
-    if scales is None:
-        return matrix
-    return matrix + rng.laplace(
-        loc=0.0, scale=scales[np.newaxis, :], size=matrix.shape
-    )
 
 
 def _rank_repeat(
@@ -218,23 +205,23 @@ def _cell_scores(
     profile: np.ndarray,
     utilities: np.ndarray,
     reference_cum: np.ndarray,
-    averages_matrix: np.ndarray,
+    averages: ClusterItemAverages,
+    epsilon: float,
     sizes: np.ndarray,
     columns: np.ndarray,
     ns: Sequence[int],
     seeds: Sequence[int],
-    scales: Optional[np.ndarray],
     chunk_size: int,
 ) -> Dict[int, List[float]]:
     """Average NDCG@n per repeat for one (measure, epsilon) cell.
 
-    Each repeat is one noise draw (span ``engine.noise``), one ranking of
-    every row at the largest cutoff (``engine.rank``) and one cumulative
-    DCG pass read at every cutoff (``engine.ndcg``).  The scoring
-    accumulation mirrors the scalar chain exactly: ``ndcg_at_n``'s
-    reference-DCG-positive division (1.0 otherwise), ``average_ndcg``'s
-    sequential per-user summation (``np.cumsum``), and the division by
-    the user count.
+    Each repeat is one noise draw and its ledger charge (span
+    ``engine.noise``), one ranking of every row at the largest cutoff
+    (``engine.rank``) and one cumulative DCG pass read at every cutoff
+    (``engine.ndcg``).  The scoring accumulation mirrors the scalar
+    chain exactly: ``ndcg_at_n``'s reference-DCG-positive division (1.0
+    otherwise), ``average_ndcg``'s sequential per-user summation
+    (``np.cumsum``), and the division by the user count.
     """
     num_users = profile.shape[0]
     if num_users == 0:
@@ -243,7 +230,8 @@ def _cell_scores(
     for seed in seeds:
         with span("engine.repeat"):
             with span("engine.noise"):
-                noised = _noised(averages_matrix, scales, int(seed))
+                rng = np.random.default_rng(np.random.SeedSequence(int(seed)))
+                noised = apply_laplace_noise(averages, epsilon, rng)
             with span("engine.rank"):
                 ranked, empty = _rank_repeat(
                     profile, noised, sizes, columns, ns, chunk_size
@@ -540,32 +528,22 @@ class SweepEngine:
 
         for epsilon, ns, repeats in normalised:
             seeds = [base_seed + r for r in range(repeats)]
-            scales = averages.laplace_scales(epsilon)
             profile = self._profile_for(kernel, evals, cluster_arrays)
             with span("engine.cell"):
                 per_cell = _cell_scores(
                     profile,
                     evals.utilities,
                     evals.reference_cum,
-                    averages.matrix,
+                    averages,
+                    epsilon,
                     cluster_arrays.sizes,
                     columns,
                     ns,
                     seeds,
-                    scales,
                     self.chunk_size,
                 )
             self.stats.cells += 1
             self.stats.repeats += len(seeds)
-            # Ledger each scored repeat's Laplace release; no-op when
-            # telemetry is disabled or no noise was drawn (epsilon = inf).
-            for _ in seeds:
-                record_laplace_release(
-                    epsilon,
-                    cluster_arrays.sizes,
-                    averages.sensitivity,
-                    items=len(averages.items),
-                )
             for n in ns:
                 per_repeat = per_cell[n]
                 mean = statistics.fmean(per_repeat)
@@ -608,16 +586,8 @@ class SweepEngine:
         cluster_arrays = self._cluster_for(clustering, kernel)
         columns = self._columns_for(context, cluster_arrays)
         profile = self._profile_for(kernel, evals, cluster_arrays)
-        averages = cluster_arrays.averages
-        scales = averages.laplace_scales(epsilon)
-        noised = _noised(averages.matrix, scales, int(repeat_seed))
-        if scales is not None:
-            record_laplace_release(
-                epsilon,
-                cluster_arrays.sizes,
-                averages.sensitivity,
-                items=len(averages.items),
-            )
+        rng = np.random.default_rng(np.random.SeedSequence(int(repeat_seed)))
+        noised = apply_laplace_noise(cluster_arrays.averages, epsilon, rng)
         ranked, empty = _rank_repeat(
             profile,
             noised,

@@ -1,13 +1,14 @@
-"""The privacy ledger: per-mechanism epsilon accounting for telemetry.
+"""The privacy ledger: the repo's one epsilon accountant.
 
-:class:`~repro.privacy.budget.BudgetLedger` proves the *recommender's*
-budget claim at fit time; this module makes the same accounting an
-*observable*: every Laplace release that runs while telemetry is active
-appends :class:`~repro.obs.registry.LedgerEntry` charges — epsilon, the
-calibrated sensitivity (``Delta/|c|`` for the paper's cluster averages),
-and the composition type — to the active registry, and
-:class:`PrivacyLedgerView` folds those entries back into per-release and
-end-to-end totals:
+Every module-A_w release is drawn and charged in one place,
+:func:`~repro.core.cluster_weights.apply_laplace_noise`: while telemetry
+is active it appends :class:`~repro.obs.registry.LedgerEntry` charges —
+epsilon, the calibrated sensitivity (``Delta/|c|`` for the paper's
+cluster averages), and the composition type — to the active registry
+(:func:`record_laplace_release`).  :class:`PrivacyLedgerView` folds
+entries back into per-release and end-to-end totals, for a registry, a
+merged snapshot, a parsed trace, or the per-snapshot charges a
+:class:`~repro.core.dynamic.DynamicPrivateRecommender` keeps:
 
 - charges of one release marked ``"parallel"`` touch disjoint data
   (Theorem 3) and cost their **max** epsilon;

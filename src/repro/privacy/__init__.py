@@ -4,14 +4,17 @@
   mechanism (Theorem 1): add ``Lap(sensitivity / epsilon)`` noise.
 - :class:`GeometricMechanism` — the discrete analogue, provided for
   integer-valued counts.
-- :class:`PrivacyBudget` — epsilon accounting under sequential (Theorem 2)
-  and parallel (Theorem 3) composition.
 - :mod:`repro.privacy.sensitivity` — global-sensitivity calculators for the
-  utility-query workloads of the recommenders (the quantities the NOU and
-  cluster mechanisms calibrate their noise against).
+  utility-query workloads of the recommenders (the quantities the
+  baselines calibrate their noise against).
+
+Epsilon accounting under sequential (Theorem 2) and parallel (Theorem 3)
+composition lives in one place, the privacy ledger
+(:mod:`repro.obs.ledger`); the cluster mechanism's ``Delta/|c|`` cell
+sensitivity is stated once, by
+:class:`~repro.core.cluster_weights.ClusterItemAverages`.
 """
 
-from repro.privacy.budget import BudgetLedger, PrivacyBudget
 from repro.privacy.mechanisms import (
     GeometricMechanism,
     LaplaceMechanism,
@@ -19,7 +22,6 @@ from repro.privacy.mechanisms import (
     validate_epsilon,
 )
 from repro.privacy.sensitivity import (
-    cluster_average_sensitivity,
     edge_weight_sensitivity,
     utility_query_sensitivity,
 )
@@ -29,9 +31,6 @@ __all__ = [
     "GeometricMechanism",
     "laplace_noise",
     "validate_epsilon",
-    "PrivacyBudget",
-    "BudgetLedger",
     "utility_query_sensitivity",
     "edge_weight_sensitivity",
-    "cluster_average_sensitivity",
 ]

@@ -9,10 +9,11 @@ Adding or removing one preference edge ``(v, i)`` changes:
   driven by the highest-degree user, which is why NOU drowns the signal.
 - exactly one edge weight, by 1, for NOE
   (:func:`edge_weight_sensitivity`).
-- exactly one cluster average, by ``1/|c|``, for the proposed framework
-  (:func:`cluster_average_sensitivity`).
 
-These are the quantities Theorems 1/3 calibrate the Laplace noise against.
+These are the quantities Theorem 1 calibrates the Laplace noise against.
+The proposed framework's own quantity (one cluster average moves by
+``W/|c|``, or ``user_clamp * W/|c|`` under user-level protection) is
+stated by :class:`~repro.core.cluster_weights.ClusterItemAverages`.
 """
 
 from __future__ import annotations
@@ -22,7 +23,6 @@ from typing import Dict, Optional, Sequence
 import numpy as np
 import scipy.sparse as sp
 
-from repro.community.clustering import Clustering
 from repro.graph.social_graph import SocialGraph
 from repro.similarity.base import SimilarityCache, SimilarityMeasure
 from repro.types import UserId
@@ -30,7 +30,6 @@ from repro.types import UserId
 __all__ = [
     "utility_query_sensitivity",
     "edge_weight_sensitivity",
-    "cluster_average_sensitivity",
     "similarity_column_sums",
     "column_sums",
 ]
@@ -90,15 +89,3 @@ def utility_query_sensitivity(
 def edge_weight_sensitivity() -> float:
     """Sensitivity of a single unweighted preference edge (NOE's Delta): 1."""
     return 1.0
-
-
-def cluster_average_sensitivity(
-    clustering: Clustering, cluster_index: int
-) -> float:
-    """Sensitivity of one cluster's average edge weight: ``1/|c|``.
-
-    Adding/removing one preference edge changes exactly one cluster's
-    average (the cluster holding the edge's user), by at most ``1/|c|`` —
-    the key quantity in Algorithm 1's noise calibration.
-    """
-    return 1.0 / clustering.size_of(cluster_index)

@@ -70,10 +70,10 @@ class LoadgenConfig:
         mode: ``"closed"`` (fixed concurrency) or ``"open"`` (fixed
             arrival rate).
         concurrency: in-flight bound for closed loop.
-        rate: arrivals per second for open loop.
+        rate: arrivals per second for open loop (finite, > 0).
         n: requested list length.
         seed: drives the user sequence and the open-loop arrivals.
-        timeout_s: per-request client timeout.
+        timeout_s: per-request client timeout (finite, > 0).
     """
 
     requests: int = 100
@@ -91,10 +91,14 @@ class LoadgenConfig:
             raise ValueError(f"mode must be 'closed' or 'open', got {self.mode!r}")
         if self.concurrency < 1:
             raise ValueError(f"concurrency must be >= 1, got {self.concurrency}")
-        if self.rate <= 0:
-            raise ValueError(f"rate must be positive, got {self.rate}")
         if self.n < 1:
             raise ValueError(f"n must be >= 1, got {self.n}")
+        for name in ("rate", "timeout_s"):
+            # Written so that NaN, which fails every comparison, is rejected.
+            if not 0 < getattr(self, name) < math.inf:
+                raise ValueError(
+                    f"{name} must be finite and > 0, got {getattr(self, name)}"
+                )
 
 
 @dataclass(frozen=True)

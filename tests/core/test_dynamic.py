@@ -134,3 +134,4 @@ class TestDynamicRecommender:
         )
         dyn.fit_snapshot(*snapshots[0])
         assert "snapshots=1" in repr(dyn)
+        assert "remaining=0.5" in repr(dyn)

@@ -11,6 +11,7 @@ from repro.core.recommender import SocialRecommender
 from repro.exceptions import InvalidEpsilonError
 from repro.graph.preference_graph import PreferenceGraph
 from repro.graph.social_graph import SocialGraph
+from repro.obs import PrivacyLedgerView, telemetry
 from repro.similarity.common_neighbors import CommonNeighbors
 
 
@@ -54,7 +55,7 @@ class TestFit:
     def test_budget_accounting_parallel_composition(self, lastfm_small):
         rec = PrivateSocialRecommender(CommonNeighbors(), epsilon=0.4, n=5)
         rec.fit(lastfm_small.social, lastfm_small.preferences)
-        # Despite one charge per item, the end-to-end cost is epsilon.
+        # One parallel charge per cluster and item: the cost is epsilon.
         assert rec.total_epsilon() == pytest.approx(0.4)
 
     def test_budget_zero_for_infinite_epsilon(self, lastfm_small):
@@ -65,6 +66,20 @@ class TestFit:
     def test_budget_zero_before_fit(self):
         rec = PrivateSocialRecommender(CommonNeighbors(), epsilon=0.4)
         assert rec.total_epsilon() == 0.0
+
+    @pytest.mark.parametrize("protection", ["edge", "user"])
+    @pytest.mark.parametrize("epsilon", [0.4, math.inf])
+    def test_total_epsilon_is_what_the_ledger_composes(
+        self, lastfm_small, epsilon, protection
+    ):
+        rec = PrivateSocialRecommender(
+            CommonNeighbors(), epsilon=epsilon, n=5, protection=protection
+        )
+        with telemetry() as registry:
+            rec.fit(lastfm_small.social, lastfm_small.preferences)
+        view = PrivacyLedgerView(registry.ledger_entries)
+        assert len(view.releases()) == (0 if math.isinf(epsilon) else 1)
+        assert rec.total_epsilon() == view.total_epsilon()
 
 
 class TestUtilityEstimates:

@@ -1,6 +1,7 @@
 """Unit tests for the synthetic dataset builders."""
 
 import dataclasses
+import math
 
 import pytest
 
@@ -42,6 +43,14 @@ class TestSpecValidation:
             SyntheticDatasetSpec.lastfm_like(scale=0.0)
         with pytest.raises(DatasetError):
             SyntheticDatasetSpec.flixster_like(scale=-1.0)
+
+    @pytest.mark.parametrize("scale", [math.nan, math.inf])
+    @pytest.mark.parametrize("preset", ["lastfm_like", "flixster_like"])
+    def test_non_finite_scale(self, preset, scale):
+        # NaN fails every comparison, so a `scale <= 0` check lets it
+        # through to int(round(...)), as it does inf.
+        with pytest.raises(DatasetError, match="finite and positive"):
+            getattr(SyntheticDatasetSpec, preset)(scale=scale)
 
 
 class TestGeneration:

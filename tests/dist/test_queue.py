@@ -1,6 +1,7 @@
 """Unit tests for the filesystem work queue's lease protocol."""
 
 import json
+import math
 import os
 
 import pytest
@@ -116,6 +117,15 @@ class TestClaim:
         with pytest.raises(ValueError):
             queue.claim("w1", 0.0)
 
+    @pytest.mark.parametrize("ttl", [math.nan, math.inf, -1.0])
+    def test_non_finite_ttl_rejected(self, queue_factory, ttl):
+        # A lease expiring at NaN would be reclaimed at once by reap()
+        # and counted live by status().
+        queue = queue_factory()
+        with pytest.raises(ValueError, match="finite"):
+            queue.claim("w1", ttl)
+        assert queue.status().leased == 0
+
     def test_live_lease_not_stealable(self, queue_factory):
         clock = FakeClock()
         queue = queue_factory(clock=clock)
@@ -184,6 +194,13 @@ class TestExpiryAndReclaim:
 
 
 class TestHeartbeat:
+    @pytest.mark.parametrize("ttl", [math.nan, math.inf, 0.0])
+    def test_non_finite_ttl_rejected(self, queue_factory, ttl):
+        queue = queue_factory()
+        lease = queue.claim("w1", TTL)
+        with pytest.raises(ValueError, match="finite"):
+            queue.heartbeat(lease, ttl)
+
     def test_renewal_extends_expiry(self, queue_factory):
         clock = FakeClock()
         queue = queue_factory(clock=clock)

@@ -1,5 +1,6 @@
 """Worker-level tests: bit-exactness, retry, poison, heartbeat."""
 
+import math
 import threading
 import time
 
@@ -141,6 +142,19 @@ class TestWorkerFaults:
             worker.run()
         assert worker.stats.cells_failed >= 1
         assert queue.attempts(queue.task_ids()[0]) >= 1
+
+
+class TestValidation:
+    @pytest.mark.parametrize("ttl", [math.nan, math.inf, 0.0])
+    def test_lease_ttl_must_be_finite_and_positive(self, queue_factory, ttl):
+        with pytest.raises(ValueError, match="lease_ttl must be finite"):
+            SweepWorker(queue_factory(), lease_ttl=ttl)
+
+    @pytest.mark.parametrize("idle", [math.nan, math.inf, -1.0])
+    def test_max_idle_must_be_finite(self, queue_factory, idle):
+        # A NaN idle budget never runs out: `elapsed >= nan` is false.
+        with pytest.raises(ValueError, match="max_idle_s must be finite"):
+            SweepWorker(queue_factory(), max_idle_s=idle)
 
 
 class TestHeartbeat:

@@ -12,6 +12,7 @@ import math
 
 import pytest
 
+import repro.core.cluster_weights as cluster_weights
 from repro.community.strategies import (
     single_cluster_clustering,
     singleton_clustering,
@@ -24,6 +25,7 @@ from repro.experiments.ablation import run_clustering_ablation
 from repro.experiments.engine import SweepEngine
 from repro.experiments.evaluation import EvaluationContext
 from repro.experiments.tradeoff import run_tradeoff
+from repro.obs import PrivacyLedgerView, current_span_path, telemetry
 from repro.similarity.adamic_adar import AdamicAdar
 from repro.similarity.common_neighbors import CommonNeighbors
 from repro.similarity.graph_distance import GraphDistance
@@ -217,6 +219,36 @@ class TestStats:
         assert cells.stats.cells == 1
         assert cells.stats.repeats == 2
         assert cells.stats.wall_seconds > 0.0
+
+
+class TestLedger:
+    """Every repeat draws through ``apply_laplace_noise``, which charges it."""
+
+    def test_each_finite_draw_charged_once_inside_engine_noise(
+        self, engine, context, clustering, monkeypatch
+    ):
+        record = cluster_weights.record_laplace_release
+        paths = []
+
+        def spy(*args, **kwargs):
+            paths.append(current_span_path())
+            return record(*args, **kwargs)
+
+        monkeypatch.setattr(cluster_weights, "record_laplace_release", spy)
+        cells = [(math.inf, [10], 1), (1.0, [10, 50], 2), (0.1, [10], 3)]
+        with telemetry() as registry:
+            engine.evaluate_many(context, clustering, cells)
+        view = PrivacyLedgerView(registry.ledger_entries)
+        assert list(view.release_epsilons().values()) == [1.0] * 2 + [0.1] * 3
+        assert len(paths) == 5
+        assert all(path.endswith("/engine.repeat/engine.noise") for path in paths)
+
+    def test_single_repeat_charges_one_release(self, engine, context, clustering):
+        with telemetry() as registry:
+            engine.repeat_rankings(context, clustering, math.inf, 5, [10])
+            engine.per_user_scores(context, clustering, 0.5, 5, 10)
+        view = PrivacyLedgerView(registry.ledger_entries)
+        assert list(view.release_epsilons().values()) == [0.5]
 
 
 class TestKernelCache:

@@ -3,9 +3,10 @@
 import pytest
 
 from repro.community.clustering import Clustering
+from repro.core.cluster_weights import cluster_item_averages
+from repro.graph.preference_graph import PreferenceGraph
 from repro.graph.social_graph import SocialGraph
 from repro.privacy.sensitivity import (
-    cluster_average_sensitivity,
     edge_weight_sensitivity,
     similarity_column_sums,
     utility_query_sensitivity,
@@ -67,6 +68,15 @@ class TestSimpleSensitivities:
         assert edge_weight_sensitivity() == 1.0
 
     def test_cluster_average_sensitivity(self):
+        # One edge moves one cluster average by W/|c| (user_clamp * W/|c|
+        # under user-level protection): the Laplace scale at epsilon = 1.
         clustering = Clustering([[1, 2, 3, 4], [5]])
-        assert cluster_average_sensitivity(clustering, 0) == pytest.approx(0.25)
-        assert cluster_average_sensitivity(clustering, 1) == pytest.approx(1.0)
+        prefs = PreferenceGraph([(1, "a"), (5, "b")])
+
+        def scales(**params):
+            averages = cluster_item_averages(prefs, clustering, **params)
+            return averages.laplace_scales(1.0).tolist()
+
+        assert scales() == [0.25, 1.0]
+        assert scales(max_weight=2.0) == [0.5, 2.0]
+        assert scales(protection="user", user_clamp=3) == [0.75, 3.0]

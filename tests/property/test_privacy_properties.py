@@ -8,7 +8,7 @@ from hypothesis import given, settings
 from hypothesis import strategies as st
 
 from repro.core.cluster_weights import noisy_cluster_item_weights
-from repro.privacy.budget import BudgetLedger, PrivacyBudget
+from repro.obs import LedgerEntry, PrivacyLedgerView
 from repro.privacy.mechanisms import LaplaceMechanism
 
 from tests.property.strategies import partitions, preference_graphs, social_graphs
@@ -37,10 +37,11 @@ class TestMechanismProperties:
     @given(st.lists(st.floats(0.001, 1.0), min_size=1, max_size=20))
     @settings(max_examples=60, deadline=None)
     def test_budget_spend_sums(self, charges):
-        budget = PrivacyBudget(sum(charges) + 1e-6)
-        for c in charges:
-            budget.spend(c)
-        assert budget.spent == pytest.approx(sum(charges))
+        # Distinct releases compose sequentially: their epsilons add.
+        view = PrivacyLedgerView(
+            [LedgerEntry(f"r{i}", "q", c, 1.0) for i, c in enumerate(charges)]
+        )
+        assert view.total_epsilon() == pytest.approx(sum(charges))
 
     @given(
         st.lists(
@@ -51,12 +52,14 @@ class TestMechanismProperties:
     )
     @settings(max_examples=60, deadline=None)
     def test_ledger_total_is_sum_of_group_maxima(self, charges):
-        ledger = BudgetLedger()
+        # A release's parallel charges cost their max; releases add.
         groups = {}
         for eps, group in charges:
-            ledger.charge("q", eps, group=group)
             groups[group] = max(groups.get(group, 0.0), eps)
-        assert ledger.total_epsilon() == pytest.approx(sum(groups.values()))
+        view = PrivacyLedgerView(
+            [LedgerEntry(group, "q", eps, 1.0) for eps, group in charges]
+        )
+        assert view.total_epsilon() == pytest.approx(sum(groups.values()))
 
 
 class TestClusterWeightsProperties:

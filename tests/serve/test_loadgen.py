@@ -2,6 +2,7 @@
 
 from __future__ import annotations
 
+import math
 import time
 
 import pytest
@@ -48,6 +49,14 @@ class TestLoadgenConfig:
             {"concurrency": 0},
             {"rate": 0.0},
             {"n": 0},
+            # NaN fails every comparison, so a `rate <= 0` check lets it
+            # through and every request is scheduled at a NaN offset.
+            {"rate": math.nan},
+            {"rate": math.inf},
+            {"timeout_s": math.nan},
+            {"timeout_s": math.inf},
+            {"timeout_s": -1.0},
+            {"timeout_s": 0.0},
         ],
     )
     def test_invalid_configs_rejected(self, kwargs):

@@ -89,6 +89,33 @@ class TestParser:
         assert "Traceback" not in err
         assert not queue_dir.exists()
 
+    @pytest.mark.parametrize(
+        "argv",
+        [
+            ["serve", "bench", "--mode", "open", "--rate"],
+            ["serve", "bench", "--wait-ready"],
+            ["sweep", "worker", "--queue", "q", "--lease-ttl"],
+            ["sweep", "worker", "--queue", "q", "--max-idle"],
+        ],
+        ids=["rate", "wait-ready", "lease-ttl", "max-idle"],
+    )
+    @pytest.mark.parametrize("value", ["nan", "inf", "-1"])
+    def test_timing_flags_must_be_finite(self, argv, value, capsys):
+        # NaN fails every comparison, so a `<= 0` check lets it through:
+        # a NaN arrival schedule, a wait that never times out, a lease
+        # that expires at NaN.
+        with pytest.raises(SystemExit) as exit_info:
+            build_parser().parse_args(argv + [value])
+        assert exit_info.value.code == 2
+        err = capsys.readouterr().err
+        assert f"{argv[-1]}: must be finite" in err
+
+    def test_zero_max_idle_accepted(self):
+        args = build_parser().parse_args(
+            ["sweep", "worker", "--queue", "q", "--max-idle", "0"]
+        )
+        assert args.max_idle == 0.0
+
     def test_attack_audit_json_flag_without_path_means_stdout(self):
         args = build_parser().parse_args(["attack", "audit", "--json"])
         assert args.json == "-"
@@ -241,6 +268,28 @@ class TestErrorExitCodes:
         assert code == 3
         err = capsys.readouterr().err
         assert err.startswith("repro: error:")
+        assert "Traceback" not in err
+
+    @pytest.mark.parametrize("scale", ["nan", "inf"])
+    @pytest.mark.parametrize("dataset", ["lastfm", "flixster"])
+    def test_non_finite_scale_exits_3(self, dataset, scale, capsys):
+        code = main(["stats", "--dataset", dataset, "--scale", scale])
+        assert code == 3
+        err = capsys.readouterr().err
+        assert err.startswith("repro: error: scale must be finite and positive")
+        assert "Traceback" not in err
+
+    @pytest.mark.parametrize("rates", ["nan", "100,inf"])
+    def test_capacity_rates_must_be_finite(self, rates, capsys):
+        # Nothing listens on localhost port 1: a rate that slipped through
+        # would fail on the connection instead, with another message.
+        code = main(
+            ["serve", "bench", "--scale", "0.04", "--capacity", "--rates", rates,
+             "--connect", "127.0.0.1:1", "--wait-ready", "0.1"]
+        )
+        assert code == 2
+        err = capsys.readouterr().err
+        assert "each finite and > 0" in err
         assert "Traceback" not in err
 
     def test_malformed_dataset_reports_path_and_line(self, tmp_path, capsys):

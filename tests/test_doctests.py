@@ -9,17 +9,17 @@ import doctest
 import pytest
 
 import repro.community.clustering
+import repro.core.dynamic
 import repro.core.recommender
 import repro.graph.preference_graph
 import repro.graph.social_graph
-import repro.privacy.budget
 import repro.types
 
 MODULES = [
     repro.graph.social_graph,
     repro.graph.preference_graph,
     repro.core.recommender,
-    repro.privacy.budget,
+    repro.core.dynamic,
     repro.types,
     repro.community.clustering,
 ]
