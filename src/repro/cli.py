@@ -93,7 +93,7 @@ def _positive_int(value: str) -> int:
     return parsed
 
 
-# Both float checks are written so that NaN, which fails every
+# Every float check is written so that NaN, which fails every
 # comparison, is rejected too.
 def _positive_float(value: str) -> float:
     parsed = float(value)
@@ -106,6 +106,13 @@ def _nonnegative_float(value: str) -> float:
     parsed = float(value)
     if not 0 <= parsed < math.inf:
         raise argparse.ArgumentTypeError(f"must be finite and >= 0, got {value}")
+    return parsed
+
+
+def _fraction(value: str) -> float:
+    parsed = float(value)
+    if not 0 < parsed <= 1:
+        raise argparse.ArgumentTypeError(f"must be in (0, 1], got {value}")
     return parsed
 
 
@@ -409,7 +416,7 @@ def build_parser() -> argparse.ArgumentParser:
     p_obs_trend.add_argument("baseline", help="summary JSON to compare against")
     p_obs_trend.add_argument(
         "--threshold",
-        type=float,
+        type=_positive_float,
         default=0.25,
         help="normalized slowdown fraction to flag as drift "
         "(default: %(default)s)",
@@ -545,17 +552,17 @@ def build_parser() -> argparse.ArgumentParser:
     )
     p_serve_run.add_argument(
         "--cluster-at",
-        type=float,
+        type=_fraction,
         default=0.5,
         help="queue-depth fraction where responses degrade to "
         "cluster-popularity (default: 0.5)",
     )
     p_serve_run.add_argument(
         "--global-at",
-        type=float,
+        type=_fraction,
         default=0.75,
         help="queue-depth fraction where responses degrade to global "
-        "popularity (default: 0.75)",
+        "popularity, at least --cluster-at (default: 0.75)",
     )
     p_serve_run.add_argument(
         "--max-requests",
@@ -1341,10 +1348,9 @@ def _serve_release(args, dataset):
     return PublishedRelease.from_recommender(recommender), None
 
 
-def _serve_build_server(args, dataset, release, path):
+def _serve_build_server(args, dataset, release, path, policy):
     from repro.serve import (
         AdmissionController,
-        AdmissionPolicy,
         HotSwapper,
         RecommendationServer,
         ServerConfig,
@@ -1358,11 +1364,6 @@ def _serve_build_server(args, dataset, release, path):
         store = SimilarityStore(args.cache_dir)
     engine = ServingEngine(
         release, dataset.social, generation=0, path=path, store=store
-    )
-    policy = AdmissionPolicy(
-        max_queue=getattr(args, "max_queue", 64),
-        cluster_at=getattr(args, "cluster_at", 0.5),
-        global_at=getattr(args, "global_at", 0.75),
     )
     config = ServerConfig(
         host=getattr(args, "host", "127.0.0.1"),
@@ -1410,11 +1411,23 @@ def _cmd_serve(args: argparse.Namespace) -> int:
         return 0
 
     if args.serve_command == "run":
+        from repro.serve import AdmissionPolicy
+
+        # Checked before the dataset is built or a release fitted.
+        try:
+            policy = AdmissionPolicy(
+                max_queue=args.max_queue,
+                cluster_at=args.cluster_at,
+                global_at=args.global_at,
+            )
+        except ValueError as exc:
+            print(f"repro: error: --cluster-at/--global-at: {exc}", file=sys.stderr)
+            return 2
         dataset = _resolve_dataset(args)
-        if getattr(args, "workers", 1) > 1:
-            return _cmd_serve_supervisor(args, dataset)
+        if args.workers > 1:
+            return _cmd_serve_supervisor(args, dataset, policy)
         release, path = _serve_release(args, dataset)
-        server = _serve_build_server(args, dataset, release, path)
+        server = _serve_build_server(args, dataset, release, path, policy)
 
         async def _run() -> None:
             loop = asyncio.get_running_loop()
@@ -1456,14 +1469,13 @@ def _cmd_serve(args: argparse.Namespace) -> int:
     return _cmd_serve_bench(args)
 
 
-def _cmd_serve_supervisor(args: argparse.Namespace, dataset) -> int:
+def _cmd_serve_supervisor(args: argparse.Namespace, dataset, policy) -> int:
     """``serve run --workers N``: the prefork supervisor path."""
     import asyncio
     import signal
     import tempfile
 
     from repro.serve import (
-        AdmissionPolicy,
         ServerConfig,
         ServingSupervisor,
         SupervisorConfig,
@@ -1498,11 +1510,7 @@ def _cmd_serve_supervisor(args: argparse.Namespace, dataset) -> int:
             socket_mode=args.socket_mode,
             control_port=args.control_port,
         ),
-        policy=AdmissionPolicy(
-            max_queue=args.max_queue,
-            cluster_at=args.cluster_at,
-            global_at=args.global_at,
-        ),
+        policy=policy,
         cache_dir=args.cache_dir,
     )
 
@@ -1728,8 +1736,10 @@ def _cmd_serve_bench(args: argparse.Namespace) -> int:
             )
         target = f"{host}:{port}"
     else:
+        from repro.serve import AdmissionPolicy
+
         release, path = _serve_release(args, dataset)
-        server = _serve_build_server(args, dataset, release, path)
+        server = _serve_build_server(args, dataset, release, path, AdmissionPolicy())
 
         async def _bench_selfhost():
             await server.start()

@@ -27,7 +27,7 @@ from repro.graph.preference_graph import PreferenceGraph
 from repro.graph.protocol import GraphLike
 from repro.metrics.ranking import rank_items
 from repro.similarity.base import SimilarityCache, SimilarityMeasure
-from repro.types import ItemId, RecommendationList, UserId, as_recommendation_list
+from repro.types import ItemId, RecommendationList, UserId
 
 __all__ = [
     "BaseRecommender",
@@ -151,7 +151,7 @@ class BaseRecommender(abc.ABC):
             raise ValueError(f"n must be >= 1, got {limit}")
         scores = self.utilities(user)
         ranked = rank_items(scores, n=limit)
-        return as_recommendation_list(user, [(i, scores[i]) for i in ranked])
+        return RecommendationList(user, ranked, [scores[i] for i in ranked])
 
     def _recommend_from_vector(
         self,

@@ -52,7 +52,7 @@ from repro.resilience.degradation import (
     TIER_PERSONALIZED,
 )
 from repro.similarity.matrix import SimilarityMatrix
-from repro.types import ItemId, RecommendationList, UserId, as_recommendation_list
+from repro.types import ItemId, RecommendationList, UserId
 
 __all__ = [
     "RANK_BLOCK",
@@ -294,11 +294,13 @@ def ranked_list(
     """The recommendation list of ranked item positions and their scores.
 
     ``order`` and ``scores`` are converted to builtin lists first, so no
-    element is boxed as a NumPy scalar on the way into the list.
+    element is boxed as a NumPy scalar on the way into the list's two
+    tuples.
     """
     ranked_items = [items[position] for position in np.asarray(order).tolist()]
-    pairs = list(zip(ranked_items, np.asarray(scores).tolist()))
-    return as_recommendation_list(user, pairs, tier=tier)
+    return RecommendationList(
+        user, ranked_items, np.asarray(scores).tolist(), tier=tier
+    )
 
 
 def top_n_from_vector(
@@ -414,5 +416,5 @@ class ReleaseScorer:
         )
         obs_incr(f"serve.tier.{tier}")
         if estimates is None:
-            return as_recommendation_list(user, [], tier=tier)
+            return RecommendationList(user, tier=tier)
         return top_n_from_vector(user, weights.items, estimates, n, tier=tier)

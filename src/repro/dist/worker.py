@@ -131,9 +131,11 @@ class SweepWorker:
         lease_ttl: seconds a lease stays valid between heartbeats (finite,
             > 0).  Keep it several multiples of ``heartbeat_interval``; a
             worker that dies simply stops renewing and the lease expires.
-        heartbeat_interval: renewal period (default ``lease_ttl / 3``).
+        heartbeat_interval: renewal period, finite and
+            ``0 < heartbeat_interval < lease_ttl`` (default
+            ``lease_ttl / 3``).
         poll_interval: idle sleep between claim scans when nothing is
-            claimable but peers still hold leases.
+            claimable but peers still hold leases (finite, >= 0).
         max_cells: stop after completing this many cells (None = run
             until the queue has no remaining work).
         max_idle_s: give up after this long without claiming anything
@@ -161,7 +163,20 @@ class SweepWorker:
         sleep: Callable[[float], None] = time.sleep,
     ) -> None:
         check_lease_ttl(lease_ttl)
-        # Written so that NaN, which fails every comparison, is rejected too.
+        if heartbeat_interval is None:
+            heartbeat_interval = lease_ttl / 3.0
+        # Written so that NaN, which fails every comparison, is rejected
+        # too: Event.wait(nan) returns at once, so a NaN heartbeat would
+        # renew the lease in a tight loop, and sleep(nan) raises.
+        if not 0 < heartbeat_interval < lease_ttl:
+            raise ValueError(
+                f"heartbeat_interval must be finite and in (0, lease_ttl="
+                f"{lease_ttl}), got {heartbeat_interval}"
+            )
+        if not 0 <= poll_interval < math.inf:
+            raise ValueError(
+                f"poll_interval must be finite and >= 0, got {poll_interval}"
+            )
         if max_idle_s is not None and not 0 <= max_idle_s < math.inf:
             raise ValueError(f"max_idle_s must be finite and >= 0, got {max_idle_s}")
         self.queue = (
@@ -170,9 +185,7 @@ class SweepWorker:
         self.spec = SweepSpec.from_dict(self.queue.spec)
         self.worker_id = worker_id or default_worker_id()
         self.lease_ttl = lease_ttl
-        self.heartbeat_interval = (
-            heartbeat_interval if heartbeat_interval is not None else lease_ttl / 3.0
-        )
+        self.heartbeat_interval = heartbeat_interval
         self.poll_interval = poll_interval
         self.max_cells = max_cells
         self.max_idle_s = max_idle_s

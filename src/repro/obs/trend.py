@@ -18,6 +18,7 @@ machine-independent, so any change is a behaviour change worth seeing.
 from __future__ import annotations
 
 import json
+import math
 import statistics
 from dataclasses import dataclass, field
 from typing import Dict, List, Tuple
@@ -93,10 +94,13 @@ def compare_summaries(
 
     Raises:
         ValueError: for unusable input files (propagated from
-            :func:`load_summary`) or a non-positive ``threshold``.
+            :func:`load_summary`) or a ``threshold`` that is not finite
+            and positive.
     """
-    if threshold <= 0:
-        raise ValueError(f"threshold must be positive, got {threshold}")
+    # Written so that NaN, which fails every comparison, is rejected:
+    # no drift ratio exceeds ``1 + nan``, so it would pass everything.
+    if not 0 < threshold < math.inf:
+        raise ValueError(f"threshold must be finite and positive, got {threshold}")
     current_means, current_counters = load_summary(current_path)
     baseline_means, baseline_counters = load_summary(baseline_path)
 

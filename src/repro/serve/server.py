@@ -413,7 +413,8 @@ class RecommendationServer:
                     return 500, {"error": f"{type(exc).__name__}: {exc}"}
                 tier, degraded = result.tier, result.degraded
                 items = [
-                    [entry.item, entry.utility] for entry in result.items
+                    [item, utility]
+                    for item, utility in zip(result.item_ids(), result.utilities())
                 ]
                 if (
                     self.rescache is not None

@@ -7,8 +7,8 @@ signatures stay readable.
 
 from __future__ import annotations
 
-from dataclasses import dataclass, field
-from typing import Hashable, List, Mapping, Sequence, Tuple
+from dataclasses import FrozenInstanceError, dataclass, field
+from typing import Hashable, Iterable, Iterator, List, Mapping, Tuple
 
 __all__ = [
     "UserId",
@@ -54,22 +54,80 @@ class RankedItem:
         return (self.item, self.utility)
 
 
-@dataclass(frozen=True)
 class RecommendationList:
     """A ranked top-N recommendation list for a single user.
 
+    The ranking is stored as two aligned tuples built in full here, item
+    ids and builtin-float utilities, best first; :attr:`items` and
+    iteration build :class:`RankedItem` views of them on demand, so a
+    list holds three containers however long it is.  Instances are
+    frozen and compare equal on ``(user, item ids, utilities, tier)``.
+
     Attributes:
         user: the target user the list was personalised for.
-        items: items in descending utility order, ties broken
-            deterministically by the recommender that produced the list.
         tier: which rung of the serving degradation ladder produced the
             list (see :mod:`repro.resilience.degradation`); the default
             ``"personalized"`` is the fully-personalised paper estimator.
+
+    Args:
+        item_ids: items in descending utility order, ties broken
+            deterministically by the recommender that produced the list.
+        utilities: the items' utility scores, coerced to ``float``.
+
+    Raises:
+        ValueError: when ``item_ids`` and ``utilities`` differ in length.
     """
 
-    user: UserId
-    items: Tuple[RankedItem, ...]
-    tier: str = "personalized"
+    __slots__ = ("user", "tier", "_item_ids", "_utilities")
+
+    def __init__(
+        self,
+        user: UserId,
+        item_ids: Iterable[ItemId] = (),
+        utilities: Iterable[float] = (),
+        tier: str = "personalized",
+    ) -> None:
+        ids = tuple(item_ids)
+        values = tuple(map(float, utilities))
+        if len(ids) != len(values):
+            raise ValueError(f"{len(ids)} item ids but {len(values)} utilities")
+        setter = object.__setattr__
+        setter(self, "user", user)
+        setter(self, "tier", tier)
+        setter(self, "_item_ids", ids)
+        setter(self, "_utilities", values)
+
+    def __setattr__(self, name: str, value) -> None:
+        raise FrozenInstanceError(f"cannot assign to field {name!r}")
+
+    def __delattr__(self, name: str) -> None:
+        raise FrozenInstanceError(f"cannot delete field {name!r}")
+
+    def _key(self) -> tuple:
+        # The constructor's arguments, in order.
+        return (self.user, self._item_ids, self._utilities, self.tier)
+
+    def __reduce__(self):
+        return (type(self), self._key())
+
+    def __eq__(self, other) -> bool:
+        if other.__class__ is not self.__class__:
+            return NotImplemented
+        return self._key() == other._key()
+
+    def __hash__(self) -> int:
+        return hash(self._key())
+
+    def __repr__(self) -> str:
+        return (
+            f"RecommendationList(user={self.user!r}, items={self.items!r}, "
+            f"tier={self.tier!r})"
+        )
+
+    @property
+    def items(self) -> Tuple[RankedItem, ...]:
+        """The entries as :class:`RankedItem` views, best first."""
+        return tuple(map(RankedItem, self._utilities, self._item_ids))
 
     @property
     def degraded(self) -> bool:
@@ -77,29 +135,31 @@ class RecommendationList:
         return self.tier != "personalized"
 
     def __len__(self) -> int:
-        return len(self.items)
+        return len(self._item_ids)
 
-    def __iter__(self):
-        return iter(self.items)
+    def __iter__(self) -> Iterator[RankedItem]:
+        return map(RankedItem, self._utilities, self._item_ids)
 
     def item_ids(self) -> List[ItemId]:
         """The recommended item identifiers, best first."""
-        return [entry.item for entry in self.items]
+        return list(self._item_ids)
 
     def utilities(self) -> List[float]:
         """The utility scores aligned with :meth:`item_ids`."""
-        return [entry.utility for entry in self.items]
+        return list(self._utilities)
 
     def truncated(self, n: int) -> "RecommendationList":
         """Return a copy keeping only the top ``n`` items."""
         if n < 0:
             raise ValueError(f"n must be non-negative, got {n}")
-        return RecommendationList(user=self.user, items=self.items[:n], tier=self.tier)
+        return RecommendationList(
+            self.user, self._item_ids[:n], self._utilities[:n], self.tier
+        )
 
 
 def as_recommendation_list(
     user: UserId,
-    scored_items: Sequence[Tuple[ItemId, float]],
+    scored_items: Iterable[Tuple[ItemId, float]],
     tier: str = "personalized",
 ) -> RecommendationList:
     """Build a :class:`RecommendationList` from ``(item, utility)`` pairs.
@@ -107,5 +167,7 @@ def as_recommendation_list(
     The pairs are assumed to already be in rank order; no sorting is done
     here so recommenders stay in control of their tie-breaking policy.
     """
-    entries = tuple(RankedItem(utility=float(u), item=i) for i, u in scored_items)
-    return RecommendationList(user=user, items=entries, tier=tier)
+    pairs = list(scored_items)
+    return RecommendationList(
+        user, [item for item, _ in pairs], [utility for _, utility in pairs], tier
+    )

@@ -15,6 +15,7 @@ from repro.similarity.common_neighbors import CommonNeighbors
 from repro.similarity.graph_distance import GraphDistance
 from repro.similarity.katz import Katz
 from repro.similarity.neighborhood import Jaccard, ResourceAllocation
+from repro.types import RankedItem
 
 
 def _fitted(lastfm_small, measure, epsilon=0.5, seed=2):
@@ -71,6 +72,31 @@ class TestEquivalenceWithSequentialPath:
         batch = batch_recommend_all(rec, n=10)
         for user in lastfm_small.social.users()[:20]:
             assert batch[user].item_ids() == rec.recommend(user, n=10).item_ids()
+
+
+class TestListConstruction:
+    def test_batch_builds_no_ranked_item(self, lastfm_small, monkeypatch):
+        # A list stores its ids and utilities as two tuples; RankedItem
+        # views are built only when a caller reads ``items`` or iterates.
+        rec = _fitted(lastfm_small, CommonNeighbors())
+        users = list(lastfm_small.social.users()) + ["ghost"]
+        built = []
+        init = RankedItem.__init__
+
+        def counting_init(self, *args, **kwargs):
+            built.append(args or kwargs)
+            init(self, *args, **kwargs)
+
+        monkeypatch.setattr(RankedItem, "__init__", counting_init)
+        batch = batch_recommend_all(rec, users=users, n=10)
+        assert built == []
+        assert batch.stats.fallback_users >= 1
+        monkeypatch.undo()
+        for user in users:
+            expected = rec.recommend(user, n=10)
+            assert batch[user].item_ids() == expected.item_ids(), user
+            assert batch[user].tier == expected.tier, user
+            assert batch[user].utilities() == pytest.approx(expected.utilities())
 
 
 class TestSupportPredicate:

@@ -150,6 +150,25 @@ class TestValidation:
         with pytest.raises(ValueError, match="lease_ttl must be finite"):
             SweepWorker(queue_factory(), lease_ttl=ttl)
 
+    @pytest.mark.parametrize("interval", [math.nan, math.inf, 0.0, -1.0, 10.0, 30.0])
+    def test_heartbeat_interval_must_be_inside_the_lease(self, queue_factory, interval):
+        # Event.wait(nan) and Event.wait(-1) return at once, so the
+        # heartbeat thread would renew the lease in a tight loop; an
+        # interval of lease_ttl or more lets the lease lapse between beats.
+        with pytest.raises(ValueError, match="heartbeat_interval must be finite"):
+            SweepWorker(queue_factory(), lease_ttl=10.0, heartbeat_interval=interval)
+
+    @pytest.mark.parametrize("poll", [math.nan, math.inf, -1.0])
+    def test_poll_interval_must_be_finite(self, queue_factory, poll):
+        # time.sleep(nan) raises a bare ValueError at the first idle poll.
+        with pytest.raises(ValueError, match="poll_interval must be finite"):
+            SweepWorker(queue_factory(), poll_interval=poll)
+
+    def test_interval_defaults_and_zero_poll_accepted(self, queue_factory):
+        worker = SweepWorker(queue_factory(), lease_ttl=9.0, poll_interval=0.0)
+        assert worker.heartbeat_interval == 3.0
+        assert worker.poll_interval == 0.0
+
     @pytest.mark.parametrize("idle", [math.nan, math.inf, -1.0])
     def test_max_idle_must_be_finite(self, queue_factory, idle):
         # A NaN idle budget never runs out: `elapsed >= nan` is false.

@@ -1,6 +1,7 @@
 """Tests for repro.obs.trend and the ``repro obs trend`` CLI."""
 
 import json
+import math
 
 import pytest
 
@@ -121,6 +122,14 @@ class TestCompareSummaries:
         with pytest.raises(ValueError, match="threshold"):
             compare_summaries(path, path, threshold=0.0)
 
+    @pytest.mark.parametrize("threshold", [math.nan, math.inf, -1.0])
+    def test_threshold_must_be_finite_and_positive(self, tmp_path, threshold):
+        # No drift ratio exceeds 1 + nan, so a NaN threshold would pass
+        # every pair.
+        path = write_summary(tmp_path / "x.json", {"a": 1.0})
+        with pytest.raises(ValueError, match="threshold must be finite"):
+            compare_summaries(path, path, threshold=threshold)
+
     def test_format_mentions_drift_and_counters(self, tmp_path):
         baseline = write_summary(
             tmp_path / "base.json",
@@ -156,6 +165,17 @@ class TestTrendCli:
         assert "DRIFT" in capsys.readouterr().out
         # without --strict the drift is reported but not fatal
         assert main(["obs", "trend", cur, base]) == 0
+
+    @pytest.mark.parametrize("threshold", ["nan", "inf", "0", "-1"])
+    def test_bad_threshold_exit_two(self, tmp_path, capsys, threshold):
+        # --threshold nan --strict used to print OK and exit 0 on a pair
+        # the default threshold flags.
+        base = write_summary(tmp_path / "base.json", {"a": 1.0, "b": 1.0, "c": 1.0})
+        cur = write_summary(tmp_path / "cur.json", {"a": 1.0, "b": 1.0, "c": 5.0})
+        with pytest.raises(SystemExit) as exit_info:
+            main(["obs", "trend", cur, base, "--threshold", threshold, "--strict"])
+        assert exit_info.value.code == 2
+        assert "--threshold" in capsys.readouterr().err
 
     def test_unusable_file_exit_two(self, tmp_path, capsys):
         base = write_summary(tmp_path / "base.json", {"a": 1.0})

@@ -34,6 +34,22 @@ class TestRecommend:
         for item, utility in payload["items"]:
             assert isinstance(utility, float)
 
+    def test_items_body_is_in_process_scoring(self, make_server, popular_user):
+        # The body lists [item, utility] pairs exactly as the engine's own
+        # list holds them, for a personalized and a degraded answer.
+        harness = make_server()
+        engine = harness.server.swapper.current
+        for user, tier in ((popular_user, TIER_PERSONALIZED), (99999999, TIER_GLOBAL)):
+            status, payload = harness.get(f"/recommend?user={user}&n=5")
+            expected = engine.recommend(user, 5)
+            assert status == 200
+            assert payload["tier"] == expected.tier == tier
+            assert payload["items"] == [
+                [item, utility]
+                for item, utility in zip(expected.item_ids(), expected.utilities())
+            ]
+            assert len(payload["items"]) == 5
+
     def test_unknown_user_served_from_global_tier(self, make_server):
         harness = make_server()
         status, payload = harness.get("/recommend?user=99999999")

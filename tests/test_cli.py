@@ -292,6 +292,43 @@ class TestErrorExitCodes:
         assert "each finite and > 0" in err
         assert "Traceback" not in err
 
+    @pytest.mark.parametrize("workers", ["1", "2"])
+    @pytest.mark.parametrize(
+        "flags, message",
+        [
+            (["--cluster-at", "nan"], "--cluster-at: must be in (0, 1]"),
+            (["--cluster-at", "2"], "--cluster-at: must be in (0, 1]"),
+            (["--global-at", "0"], "--global-at: must be in (0, 1]"),
+            (
+                ["--cluster-at", "0.9", "--global-at", "0.5"],
+                "--cluster-at/--global-at: global_at must be in [cluster_at, 1]",
+            ),
+        ],
+        ids=["nan", "above-one", "zero", "inverted"],
+    )
+    def test_serve_run_admission_fractions(
+        self, flags, message, workers, monkeypatch, capsys
+    ):
+        # Checked before the dataset is built or a release fitted (or
+        # staged for the workers): a bad pair used to surface as the
+        # admission policy's raw ValueError after the fit.
+        import repro.cli as cli
+
+        def fitted_too_early(*_args):
+            raise AssertionError("serve run went past the flag check")
+
+        monkeypatch.setattr(cli, "_resolve_dataset", fitted_too_early)
+        monkeypatch.setattr(cli, "_serve_release", fitted_too_early)
+        argv = ["serve", "run", "--scale", "0.04", "--workers", workers, *flags]
+        try:
+            code = main(argv)
+        except SystemExit as exc:
+            code = exc.code
+        assert code == 2
+        err = capsys.readouterr().err
+        assert message in err
+        assert "Traceback" not in err
+
     def test_malformed_dataset_reports_path_and_line(self, tmp_path, capsys):
         (tmp_path / "user_friends.dat").write_text("userID\tfriendID\n1\t2\n")
         (tmp_path / "user_artists.dat").write_text(
