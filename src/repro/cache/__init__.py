@@ -24,7 +24,6 @@ from repro.cache.keys import (
 from repro.cache.store import (
     CacheEntry,
     CacheLookup,
-    CacheStats,
     SimilarityStore,
     load_kernel_artifact,
     load_or_build_kernel,
@@ -35,7 +34,6 @@ __all__ = [
     "KERNEL_FORMAT_VERSION",
     "CacheEntry",
     "CacheLookup",
-    "CacheStats",
     "SimilarityStore",
     "graph_fingerprint",
     "load_kernel_artifact",

@@ -18,12 +18,15 @@ each kernel as a single ``.npz`` artifact:
   or none.
 
 :class:`SimilarityStore` fronts the directory with a small in-memory LRU
-and hit/miss/eviction counters (:class:`CacheStats`).
+and counts its lookups in the active telemetry registry
+(``cache.memory_hit``, ``cache.disk_hit``, ``cache.miss``,
+``cache.corrupt_recomputed``, ``cache.store``, ``cache.eviction``).
 """
 
 from __future__ import annotations
 
 import hashlib
+import io
 import json
 import os
 from collections import OrderedDict
@@ -49,7 +52,6 @@ from repro.similarity.matrix import SimilarityMatrix
 __all__ = [
     "CacheEntry",
     "CacheLookup",
-    "CacheStats",
     "SimilarityStore",
     "load_kernel_artifact",
     "load_or_build_kernel",
@@ -125,15 +127,17 @@ def _read_kernel_arrays(path: str):
             kernel artifact.
     """
     fault_point("cache.load", path=path)
+    with open(path, "rb") as handle:
+        raw = handle.read()
+    # Parsed from memory, so every failure past the read is corruption:
+    # a corrupt zip offset must not pass for a transient IO error.
     try:
-        with np.load(path) as archive:
+        with np.load(io.BytesIO(raw)) as archive:
             data = np.asarray(archive["data"])
             indices = np.asarray(archive["indices"])
             indptr = np.asarray(archive["indptr"])
             payload = bytes(archive["metadata"])
             checksum = bytes(archive["checksum"]).decode("ascii")
-    except OSError:
-        raise
     except Exception as exc:  # BadZipFile, KeyError, ValueError...
         raise CacheIntegrityError(
             f"cache artifact {path!r} is corrupt or not a kernel archive: {exc}"
@@ -189,38 +193,6 @@ def load_kernel_artifact(path: str) -> Tuple[SimilarityMatrix, dict]:
     return matrix, metadata
 
 
-@dataclass
-class CacheStats:
-    """Counters for one :class:`SimilarityStore` instance.
-
-    ``hits`` splits into memory hits (LRU) and disk hits (artifact load);
-    ``corrupt_recomputed`` counts artifacts that failed integrity checks
-    and were transparently recomputed.
-    """
-
-    memory_hits: int = 0
-    disk_hits: int = 0
-    misses: int = 0
-    evictions: int = 0
-    corrupt_recomputed: int = 0
-    stores: int = 0
-
-    @property
-    def hits(self) -> int:
-        return self.memory_hits + self.disk_hits
-
-    def snapshot(self) -> "CacheStats":
-        """An immutable copy (for before/after deltas)."""
-        return CacheStats(
-            memory_hits=self.memory_hits,
-            disk_hits=self.disk_hits,
-            misses=self.misses,
-            evictions=self.evictions,
-            corrupt_recomputed=self.corrupt_recomputed,
-            stores=self.stores,
-        )
-
-
 @dataclass(frozen=True)
 class CacheEntry:
     """What ``repro cache info`` reports about one artifact on disk."""
@@ -256,20 +228,19 @@ def load_or_build_kernel(
     measure: SimilarityMeasure,
     store: Optional["SimilarityStore"] = None,
     *,
-    stats=None,
     build: Optional[Callable[[], SimilarityMatrix]] = None,
 ) -> CacheLookup:
     """The kernel for ``(graph, measure)``: a store hit, else a build.
 
     The one place a kernel is obtained.  The build — ``build()``, by
-    default :func:`~repro.compute.build_kernel` filling ``stats`` — is
-    persisted to ``store``; without a store it is the build alone,
-    reported as a miss with no artifact path.
+    default :func:`~repro.compute.build_kernel` — is persisted to
+    ``store``; without a store it is the build alone, reported as a miss
+    with no artifact path.
     """
     if build is None:
 
         def build() -> SimilarityMatrix:
-            return build_kernel(graph, measure, stats=stats)
+            return build_kernel(graph, measure)
 
     if store is None:
         return CacheLookup(matrix=build(), path=None, hit=False)
@@ -293,7 +264,6 @@ class SimilarityStore:
             )
         self.directory = directory
         self.max_memory_entries = max_memory_entries
-        self.stats = CacheStats()
         self._memory: "OrderedDict[str, SimilarityMatrix]" = OrderedDict()
 
     # ------------------------------------------------------------------
@@ -328,14 +298,12 @@ class SimilarityStore:
         path = self.path_for(key)
         cached = self._memory_get(key)
         if cached is not None:
-            self.stats.memory_hits += 1
             obs_incr("cache.memory_hit")
             return CacheLookup(matrix=cached, path=path, hit=True)
         corrupt = False
         if os.path.exists(path):
             try:
                 matrix, _ = load_kernel_artifact(path)
-                self.stats.disk_hits += 1
                 obs_incr("cache.disk_hit")
                 self._memory_put(key, matrix)
                 return CacheLookup(matrix=matrix, path=path, hit=True)
@@ -347,9 +315,7 @@ class SimilarityStore:
                     pass
         matrix = compute()
         if corrupt:
-            self.stats.corrupt_recomputed += 1
             obs_incr("cache.corrupt_recomputed")
-        self.stats.misses += 1
         obs_incr("cache.miss")
         self.put(key, matrix, measure)
         self._memory_put(key, matrix)
@@ -362,7 +328,6 @@ class SimilarityStore:
         os.makedirs(self.directory, exist_ok=True)
         path = self.path_for(key)
         save_kernel_artifact(path, matrix, key, measure)
-        self.stats.stores += 1
         obs_incr("cache.store")
         return path
 
@@ -464,12 +429,10 @@ class SimilarityStore:
         self._memory.move_to_end(key)
         while len(self._memory) > self.max_memory_entries:
             self._memory.popitem(last=False)
-            self.stats.evictions += 1
             obs_incr("cache.eviction")
 
     def __repr__(self) -> str:
         return (
             f"{type(self).__name__}(directory={self.directory!r}, "
-            f"entries={len(self._memory)}/{self.max_memory_entries}, "
-            f"stats={self.stats})"
+            f"entries={len(self._memory)}/{self.max_memory_entries})"
         )

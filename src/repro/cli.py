@@ -28,10 +28,11 @@ Commands:
   seeded load generator against a server (or a self-hosted one) and
   reports p50/p99 latency and sustained QPS.
 
-``tradeoff``, ``batch``, and ``cache warm`` accept ``--profile[=PATH]``:
-the run executes under an active :mod:`repro.obs` registry and writes a
-JSON-lines trace plus a BENCH-style summary (spans, counters, the
-privacy ledger) next to it — see ``docs/observability.md``.
+``tradeoff``, ``batch``, and ``cache warm`` run under an active
+:mod:`repro.obs` registry and print their work counters from it;
+``--profile[=PATH]`` also writes a JSON-lines trace plus a BENCH-style
+summary (spans, counters, the privacy ledger) next to it — see
+``docs/observability.md``.
 
 All commands operate on the synthetic datasets (``--dataset lastfm`` /
 ``flixster`` with ``--scale``), or on a real crawl directory via
@@ -169,16 +170,22 @@ def _add_profile_argument(parser: argparse.ArgumentParser) -> None:
     )
 
 
+#: Commands that print their work counters from the registry, so they
+#: run under one whether or not ``--profile`` asks for a trace.
+_COUNTING_COMMANDS = ("tradeoff", "batch", "cache.warm")
+
+
 @contextmanager
 def _profiled(command: str, trace_path: Optional[str]):
     """Run a CLI command body under an active telemetry registry.
 
-    No-op when ``trace_path`` is None.  Otherwise the body runs inside a
-    root ``cli.<command>`` span; on exit (even a failing one) the trace
-    and its summary are written and the human report printed, so a
-    crashed run still leaves its telemetry behind.
+    The counting commands always run under one; the others only when
+    ``trace_path`` is given.  The body runs inside a root
+    ``cli.<command>`` span.  With a ``trace_path``, on exit (even a
+    failing one) the trace and its summary are written and the human
+    report printed, so a crashed run still leaves its telemetry behind.
     """
-    if not trace_path:
+    if not trace_path and command not in _COUNTING_COMMANDS:
         yield
         return
     from repro import obs
@@ -190,16 +197,82 @@ def _profiled(command: str, trace_path: Optional[str]):
             with obs.span(f"cli.{command}"):
                 yield
     finally:
-        wall_seconds = time.perf_counter() - wall_start
-        snapshot = registry.snapshot()
-        meta = {"command": command, "wall_seconds": wall_seconds}
-        obs.write_trace(trace_path, snapshot, meta=meta)
-        summary_path = obs.summary_path_for(trace_path)
-        obs.write_summary(
-            summary_path, snapshot, wall_seconds=wall_seconds, meta=meta
+        if trace_path:
+            wall_seconds = time.perf_counter() - wall_start
+            snapshot = registry.snapshot()
+            meta = {"command": command, "wall_seconds": wall_seconds}
+            obs.write_trace(trace_path, snapshot, meta=meta)
+            summary_path = obs.summary_path_for(trace_path)
+            obs.write_summary(
+                summary_path, snapshot, wall_seconds=wall_seconds, meta=meta
+            )
+            print(f"profile:     trace {trace_path}, summary {summary_path}")
+            print(obs.format_report(snapshot, wall_seconds=wall_seconds))
+
+
+def _span_seconds(snapshot, leaf: str) -> float:
+    """Total seconds of every span in ``snapshot`` whose name is ``leaf``."""
+    return sum(
+        total
+        for path, (_count, total) in snapshot.span_totals.items()
+        if path.rsplit("/", 1)[-1] == leaf
+    )
+
+
+def _since(after, before):
+    """The counters and span totals ``after`` recorded beyond ``before``."""
+    from repro.obs import TelemetrySnapshot
+
+    counters = {
+        name: value - before.counters.get(name, 0)
+        for name, value in after.counters.items()
+        if value != before.counters.get(name, 0)
+    }
+    span_totals = {}
+    for path, (count, total) in after.span_totals.items():
+        base_count, base_total = before.span_totals.get(path, (0, 0.0))
+        span_totals[path] = (count - base_count, total - base_total)
+    return TelemetrySnapshot(counters=counters, span_totals=span_totals)
+
+
+def _kernel_line(snapshot, leaf: str) -> str:
+    """Time in the ``leaf`` span plus the similarity store's lookups."""
+    counters = snapshot.counters
+    hits = counters.get("cache.memory_hit", 0) + counters.get("cache.disk_hit", 0)
+    misses = counters.get("cache.miss", 0)
+    return (
+        f"kernel:      {_span_seconds(snapshot, leaf) * 1000:.0f} ms "
+        f"({hits} cache hit(s), {misses} miss(es))"
+    )
+
+
+def _compute_line(snapshot) -> Optional[str]:
+    """One summary line over the kernel builds in ``snapshot``, or None."""
+    counters = snapshot.counters
+    builds = counters.get("compute.builds", 0)
+    if not builds:
+        return None
+    prefix = "compute.measure."
+    names = ", ".join(
+        name[len(prefix) :] for name in counters if name.startswith(prefix)
+    )
+    rows = counters.get("compute.rows", 0)
+    seconds = _span_seconds(snapshot, "compute.build_kernel")
+    rate = rows / seconds if seconds > 0 else 0.0
+    blocks = counters.get("compute.blocks", 0)
+    line = (
+        f"compute:     {names} kernel{'s' if builds > 1 else ''}, "
+        f"{rows} rows at {rate:,.0f} rows/s, {blocks} block(s)"
+    )
+    stages = ", ".join(
+        f"{label} {_span_seconds(snapshot, leaf) * 1000:.0f}ms"
+        for label, leaf in (
+            ("adjacency", "compute.adjacency"),
+            ("blocks", "compute.kernel.block"),
+            ("assemble", "compute.assemble"),
         )
-        print(f"profile:     trace {trace_path}, summary {summary_path}")
-        print(obs.format_report(snapshot, wall_seconds=wall_seconds))
+    )
+    return f"{line} [{stages}]"
 
 
 def build_parser() -> argparse.ArgumentParser:
@@ -720,6 +793,7 @@ def _cmd_stats(args: argparse.Namespace) -> int:
 
 
 def _cmd_tradeoff(args: argparse.Namespace) -> int:
+    from repro import obs
     from repro.cache import SimilarityStore
 
     dataset = _resolve_dataset(args)
@@ -739,18 +813,20 @@ def _cmd_tradeoff(args: argparse.Namespace) -> int:
     for n in args.ns:
         print(format_tradeoff_table(cells, n))
         print()
-    stats = getattr(cells, "stats", None)
-    if stats is not None:
-        print(
-            f"engine:      {stats.cells} cell(s) x {stats.repeats} repeat(s) "
-            f"over {stats.measures} measure(s) in {stats.wall_seconds:.2f}s"
-        )
-        print(
-            f"kernel:      {stats.kernel_seconds * 1000:.0f} ms "
-            f"({stats.cache_hits} cache hit(s), {stats.cache_misses} miss(es))"
-        )
-        if stats.compute is not None:
-            print(_format_compute_stats(stats.compute))
+    snapshot = obs.get_telemetry().snapshot()
+    counters = snapshot.counters
+    cell_count = counters.get("engine.cells", 0)
+    repeats = counters.get("engine.repeats", 0)
+    measure_count = counters.get("engine.measures", 0)
+    print(
+        f"engine:      {cell_count} cell(s) x {repeats} repeat(s) "
+        f"over {measure_count} measure(s) in "
+        f"{_span_seconds(snapshot, 'engine.evaluate_many'):.2f}s"
+    )
+    print(_kernel_line(snapshot, "engine.kernel"))
+    compute = _compute_line(snapshot)
+    if compute is not None:
+        print(compute)
     if store is not None:
         print(f"cache dir:   {store.directory}")
     return 0
@@ -1070,6 +1146,7 @@ def _format_bytes(size: float) -> str:
 
 def _cmd_batch(args: argparse.Namespace) -> int:
     """Serve every user's top-N in one batch, printing perf counters."""
+    from repro import obs
     from repro.cache import SimilarityStore
     from repro.core.batch import batch_recommend_all
 
@@ -1079,46 +1156,33 @@ def _cmd_batch(args: argparse.Namespace) -> int:
         get_measure(args.measure), epsilon=args.epsilon, n=args.n, seed=args.seed
     )
     recommender.fit(dataset.social, dataset.preferences)
-    results = batch_recommend_all(recommender, n=args.n, store=store)
-    stats = results.stats
-    shard_ms = [f"{s * 1000:.0f}" for s in stats.shard_seconds]
-    preview = ", ".join(shard_ms[:8]) + (", ..." if len(shard_ms) > 8 else "")
+    batch_recommend_all(recommender, n=args.n, store=store)
+    snapshot = obs.get_telemetry().snapshot()
+    counters = snapshot.counters
+    served = counters.get("batch.users_served", 0)
+    wall = _span_seconds(snapshot, "batch.recommend_all")
+    rate = served / wall if wall > 0 else 0.0
+    print(f"served {served} users in {wall:.2f}s ({rate:,.0f} rows/s)")
     print(
-        f"served {stats.users_served} users in {stats.wall_seconds:.2f}s "
-        f"({stats.rows_per_second:,.0f} rows/s)"
+        f"shards:      {counters.get('batch.num_shards', 0)} "
+        f"({counters.get('batch.fallback_users', 0)} zero-signal user(s) "
+        "on the per-user ladder)"
     )
-    print(
-        f"shards:      {stats.num_shards} "
-        f"({stats.fallback_users} zero-signal user(s) on the per-user ladder)"
-    )
+    shard_ms = [
+        f"{event.duration * 1000:.0f}"
+        for event in snapshot.spans
+        if event.path.rsplit("/", 1)[-1] == "batch.chunk"
+    ]
     if shard_ms:
+        preview = ", ".join(shard_ms[:8]) + (", ..." if len(shard_ms) > 8 else "")
         print(f"shard wall:  [{preview}] ms")
-    print(
-        f"kernel:      {stats.kernel_seconds * 1000:.0f} ms "
-        f"({stats.cache_hits} cache hit(s), {stats.cache_misses} miss(es))"
-    )
-    if stats.compute is not None:
-        print(_format_compute_stats(stats.compute))
+    print(_kernel_line(snapshot, "batch.kernel"))
+    compute = _compute_line(snapshot)
+    if compute is not None:
+        print(compute)
     if store is not None:
         print(f"cache dir:   {store.directory}")
     return 0
-
-
-def _format_compute_stats(compute) -> str:
-    """One summary line for a kernel construction's ComputeStats."""
-    stages = ", ".join(
-        f"{stage} {seconds * 1000:.0f}ms"
-        for stage, seconds in compute.stage_seconds.items()
-    )
-    line = (
-        f"compute:     {compute.measure} kernel, "
-        f"{compute.rows} rows at {compute.rows_per_second:,.0f} rows/s"
-    )
-    if compute.blocks:
-        line += f", {compute.blocks} block(s)"
-    if stages:
-        line += f" [{stages}]"
-    return line
 
 
 def _cmd_cache(args: argparse.Namespace) -> int:
@@ -1164,17 +1228,16 @@ def _cmd_cache(args: argparse.Namespace) -> int:
     # warm
     import time as _time
 
+    from repro import obs
     from repro.cache.store import load_or_build_kernel
-    from repro.compute import ComputeStats
 
+    registry = obs.get_telemetry()
     dataset = _resolve_dataset(args)
     for name in args.measures:
         measure = get_measure(name)
-        compute_stats = ComputeStats()
+        before = registry.snapshot()
         start = _time.perf_counter()
-        lookup = load_or_build_kernel(
-            dataset.social, measure, store, stats=compute_stats
-        )
+        lookup = load_or_build_kernel(dataset.social, measure, store)
         elapsed = _time.perf_counter() - start
         state = "hit" if lookup.hit else "computed"
         print(
@@ -1182,12 +1245,15 @@ def _cmd_cache(args: argparse.Namespace) -> int:
             f"({lookup.matrix.num_users} users, {lookup.matrix.nnz} nnz) "
             f"-> {lookup.path}"
         )
-        if not lookup.hit and compute_stats.measure:
-            print("  " + _format_compute_stats(compute_stats))
-    stats = store.stats
+        compute = _compute_line(_since(registry.snapshot(), before))
+        if not lookup.hit and compute is not None:
+            print("  " + compute)
+    counters = registry.snapshot().counters
+    hits = counters.get("cache.memory_hit", 0) + counters.get("cache.disk_hit", 0)
     print(
-        f"cache stats: {stats.hits} hit(s), {stats.misses} miss(es), "
-        f"{stats.corrupt_recomputed} corrupt artifact(s) recomputed"
+        f"cache stats: {hits} hit(s), {counters.get('cache.miss', 0)} miss(es), "
+        f"{counters.get('cache.corrupt_recomputed', 0)} corrupt artifact(s) "
+        "recomputed"
     )
     return 0
 

@@ -14,11 +14,9 @@ from repro.compute.adjacency import (
     clear_adjacency_cache,
 )
 from repro.compute.kernels import DEFAULT_BLOCK_SIZE, build_kernel
-from repro.compute.stats import ComputeStats
 
 __all__ = [
     "CSRAdjacency",
-    "ComputeStats",
     "DEFAULT_BLOCK_SIZE",
     "adjacency_csr",
     "build_kernel",

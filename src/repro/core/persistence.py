@@ -19,6 +19,7 @@ synthetic datasets and the HetRec loaders use ints throughout.
 from __future__ import annotations
 
 import hashlib
+import io
 import json
 import os
 from dataclasses import dataclass
@@ -67,8 +68,12 @@ def _read_release_arrays(path: str) -> Tuple[np.ndarray, bytes, Optional[str]]:
             as a release container (truncated zip, bad entries, ...).
     """
     fault_point("release.load", path=path)
+    with open(path, "rb") as handle:
+        raw = handle.read()
+    # Parsed from memory, so every failure past the read is corruption:
+    # a corrupt zip offset must not pass for a transient IO error.
     try:
-        with np.load(path) as archive:
+        with np.load(io.BytesIO(raw)) as archive:
             matrix = np.asarray(archive["matrix"])
             payload = bytes(archive["metadata"])
             checksum = (
@@ -76,8 +81,6 @@ def _read_release_arrays(path: str) -> Tuple[np.ndarray, bytes, Optional[str]]:
                 if "checksum" in archive.files
                 else None
             )
-    except OSError:
-        raise
     except Exception as exc:  # BadZipFile, zlib.error, KeyError, ValueError...
         raise ReleaseIntegrityError(
             f"release file {path!r} is corrupt or not a release archive: {exc}"

@@ -43,7 +43,6 @@ import scipy.sparse as sp
 from repro.community.clustering import Clustering
 from repro.exceptions import NodeNotFoundError
 from repro.graph.preference_graph import PreferenceGraph
-from repro.obs.registry import incr as obs_incr
 from repro.resilience.degradation import (
     DEGRADATION_LADDER,
     TIER_CLUSTER,
@@ -395,7 +394,7 @@ class ReleaseScorer:
     def recommend(
         self, user: UserId, n: int, max_tier: str = TIER_PERSONALIZED
     ) -> RecommendationList:
-        """Top-``n``, personalized or from the ladder; counts ``serve.tier.*``.
+        """Top-``n``, personalized or from the ladder (tier on the result).
 
         Raises:
             ValueError: if ``n`` < 1 or ``max_tier`` is not a ladder rung.
@@ -406,7 +405,6 @@ class ReleaseScorer:
         if max_tier == TIER_PERSONALIZED:
             vector = self.profile().row(user)
             if vector.any():
-                obs_incr(f"serve.tier.{TIER_PERSONALIZED}")
                 estimates = weights.matrix @ vector
                 return top_n_from_vector(user, weights.items, estimates, n)
         clustering = weights.clustering
@@ -414,7 +412,6 @@ class ReleaseScorer:
         estimates, tier = ladder_estimates(
             weights.matrix, column, self._sizes, max_tier
         )
-        obs_incr(f"serve.tier.{tier}")
         if estimates is None:
             return RecommendationList(user, tier=tier)
         return top_n_from_vector(user, weights.items, estimates, n, tier=tier)

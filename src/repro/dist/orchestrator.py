@@ -13,8 +13,8 @@ Three entry points:
   gracefully**: if no worker shows signs of life for ``grace_s``
   seconds, the orchestrator works the queue itself, in process, through
   the very same worker code path.  Either way the sweep finishes.
-- :func:`collect_results` assembles the final
-  :class:`~repro.experiments.tradeoff.TradeoffResult` from the shared
+- :func:`collect_results` assembles the final list of
+  :class:`~repro.experiments.tradeoff.TradeoffCell` from the shared
   checkpoint by calling ``run_tradeoff`` one last time: a
   fully-checkpointed call costs only file reads, and any cell the queue
   quarantined (poisoned) is simply computed in-parent — the last rung of
@@ -29,7 +29,7 @@ from typing import Callable, List, Optional, Sequence, Union
 
 from repro.cache.store import SimilarityStore
 from repro.datasets.dataset import SocialRecDataset
-from repro.experiments.tradeoff import TradeoffResult, run_tradeoff
+from repro.experiments.tradeoff import TradeoffCell, run_tradeoff
 from repro.obs.registry import incr
 from repro.obs.spans import span
 from repro.similarity.base import SimilarityMeasure
@@ -93,7 +93,7 @@ def run_distributed_tradeoff(
     timeout_s: Optional[float] = None,
     clock: Callable[[], float] = time.time,
     sleep: Callable[[float], None] = time.sleep,
-) -> TradeoffResult:
+) -> List[TradeoffCell]:
     """Run a tradeoff sweep through a work queue, with graceful fallback.
 
     External workers (``repro sweep worker --queue ...``) may attach to
@@ -117,7 +117,7 @@ def run_distributed_tradeoff(
         (remaining args: exactly as :func:`run_tradeoff`.)
 
     Returns:
-        :class:`TradeoffResult`, one cell per (measure, epsilon, n).
+        One :class:`TradeoffCell` per (measure, epsilon, n).
     """
     spec = SweepSpec.build(
         dataset=dataset_descriptor(dataset=dataset),
@@ -181,7 +181,7 @@ def collect_results(
     dataset: Optional[SocialRecDataset] = None,
     measures: Optional[Sequence[SimilarityMeasure]] = None,
     store: Optional[SimilarityStore] = None,
-) -> TradeoffResult:
+) -> List[TradeoffCell]:
     """Assemble the final result from a queue's shared checkpoint.
 
     Implemented as one more ``run_tradeoff`` call against the shared

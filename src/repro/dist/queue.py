@@ -48,7 +48,7 @@ import math
 import os
 import time
 import uuid
-from dataclasses import dataclass, field
+from dataclasses import dataclass
 from typing import Callable, Dict, List, Optional
 
 from repro.dist.spec import SweepSpec
@@ -183,18 +183,10 @@ class QueueStatus:
         return self.leased - self.expired
 
 
-@dataclass
-class QueueStats:
-    """Per-process counters for one :class:`SweepQueue` instance."""
-
-    claims: int = 0
-    reclaims: int = 0
-    heartbeats: int = 0
-    completions: int = 0
-    failures: int = 0
-    poisoned: int = 0
-    lease_lost: int = 0
-    fields: Dict[str, int] = field(default_factory=dict, repr=False)
+#: What :meth:`SweepQueue._reclaim_if_expired` found at a lease path.
+_LIVE = "live"
+_VANISHED = "vanished"
+_RECLAIMED = "reclaimed"
 
 
 def _normalised(spec: Dict[str, object]) -> Dict[str, object]:
@@ -224,7 +216,6 @@ class SweepQueue:
     ) -> None:
         self.root = root
         self.clock = clock
-        self.stats = QueueStats()
         if not os.path.isdir(root) or not os.path.exists(self._spec_path(root)):
             raise SweepQueueError(
                 f"{root!r} is not an initialised sweep queue "
@@ -367,7 +358,7 @@ class SweepQueue:
                 continue
             lease_path = self._path("leases", task_id)
             if os.path.exists(lease_path):
-                if not self._reclaim_if_expired(task_id, lease_path, worker):
+                if self._reclaim_if_expired(task_id, lease_path, worker) == _LIVE:
                     continue  # live lease (or a peer won the reclaim)
             attempts = self.attempts(task_id)
             if attempts >= self.max_attempts:
@@ -394,44 +385,44 @@ class SweepQueue:
                 json.dump(lease.to_dict(), handle)
                 handle.flush()
                 os.fsync(handle.fileno())
-            self.stats.claims += 1
             incr("dist.claims")
             return lease
         return None
 
     def _reclaim_if_expired(
         self, task_id: str, lease_path: str, worker: str, force: bool = False
-    ) -> bool:
-        """Remove an expired lease; True when the cell became claimable.
+    ) -> str:
+        """Remove an expired lease; says what was found at ``lease_path``.
 
-        Exactly one reclaimer wins the rename of the stale lease file;
-        the loser treats the cell as still busy this scan (it will see
-        the truth next scan).  ``force`` skips the expiry check (see
-        :meth:`reap`).
+        Returns :data:`_RECLAIMED` when this call removed the lease,
+        :data:`_VANISHED` when it was already gone (both leave the cell
+        claimable), and :data:`_LIVE` otherwise.  Exactly one reclaimer
+        wins the rename of the stale lease file; the loser treats the
+        cell as still busy this scan (it will see the truth next scan).
+        ``force`` skips the expiry check (see :meth:`reap`).
         """
         stale = _read_json(lease_path)
         if stale is None:
             # Lease vanished mid-scan: owner completed or released it.
-            return True
+            return _VANISHED
         try:
             expires_at = float(stale["expires_at"])  # type: ignore[index]
             attempt = int(stale.get("attempt", 1))  # type: ignore[union-attr]
         except (KeyError, TypeError, ValueError):
             expires_at, attempt = 0.0, self.max_attempts  # malformed: poison
         if not force and expires_at > self.clock():
-            return False
+            return _LIVE
         grave = f"{lease_path}.reclaimed-{_sanitize(worker)}-{uuid.uuid4().hex}"
         try:
             os.rename(lease_path, grave)
         except OSError:
-            return False  # a peer won the reclaim race
+            return _LIVE  # a peer won the reclaim race
         # The dead worker's attempt counts as failed: that is what keeps
         # a crash-looping cell marching toward quarantine.
         self._record_attempts(task_id, max(attempt, self.attempts(task_id)))
         os.remove(grave)
-        self.stats.reclaims += 1
         incr("dist.reclaims")
-        return True
+        return _RECLAIMED
 
     def _record_attempts(self, task_id: str, attempts: int) -> None:
         _atomic_write_json(
@@ -459,7 +450,6 @@ class SweepQueue:
         check_lease_ttl(lease_ttl)
         fault_point("dist.heartbeat")
         if not self._owns(lease):
-            self.stats.lease_lost += 1
             incr("dist.lease_lost")
             raise LeaseLostError(
                 f"worker {lease.worker!r} lost its lease on "
@@ -475,7 +465,6 @@ class SweepQueue:
         _atomic_write_json(
             self._path("leases", lease.task.task_id), renewed.to_dict()
         )
-        self.stats.heartbeats += 1
         incr("dist.heartbeats")
         return renewed
 
@@ -497,7 +486,6 @@ class SweepQueue:
         fsync_directory(os.path.join(self.root, "done"))
         if self._owns(lease):
             _remove_quietly(self._path("leases", lease.task.task_id))
-        self.stats.completions += 1
         incr("dist.completed")
 
     def fail(self, lease: Lease, error: BaseException) -> bool:
@@ -512,7 +500,6 @@ class SweepQueue:
         )
         if self._owns(lease):
             _remove_quietly(self._path("leases", lease.task.task_id))
-        self.stats.failures += 1
         incr("dist.failures")
         if lease.attempt >= self.max_attempts:
             self._quarantine(
@@ -534,7 +521,6 @@ class SweepQueue:
             },
         )
         fsync_directory(os.path.join(self.root, "poison"))
-        self.stats.poisoned += 1
         incr("dist.poisoned")
 
     # ------------------------------------------------------------------
@@ -561,11 +547,11 @@ class SweepQueue:
             lease_path = self._path("leases", task_id)
             if not os.path.exists(lease_path):
                 continue
-            before = self.stats.reclaims
-            if self._reclaim_if_expired(
+            found = self._reclaim_if_expired(
                 task_id, lease_path, worker, force=force
-            ):
-                if self.stats.reclaims > before:
+            )
+            if found != _LIVE:
+                if found == _RECLAIMED:
                     reclaimed += 1
                 if self.attempts(task_id) >= self.max_attempts:
                     self._quarantine(

@@ -21,7 +21,7 @@
 from repro.experiments.checkpoint import SweepCheckpoint
 from repro.experiments.comparison import ComparisonCell, run_comparison
 from repro.experiments.degree_effect import DegreeEffectResult, run_degree_effect
-from repro.experiments.engine import EngineStats, SweepEngine
+from repro.experiments.engine import SweepEngine
 from repro.experiments.evaluation import (
     EvaluationContext,
     evaluate_factory,
@@ -29,7 +29,6 @@ from repro.experiments.evaluation import (
 )
 from repro.experiments.tradeoff import (
     TradeoffCell,
-    TradeoffResult,
     format_tradeoff_table,
     run_tradeoff,
 )
@@ -39,10 +38,8 @@ __all__ = [
     "EvaluationContext",
     "evaluate_recommender",
     "evaluate_factory",
-    "EngineStats",
     "SweepEngine",
     "TradeoffCell",
-    "TradeoffResult",
     "run_tradeoff",
     "format_tradeoff_table",
     "DegreeEffectResult",

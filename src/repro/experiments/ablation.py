@@ -118,31 +118,28 @@ def run_clustering_ablation(
     )
     sweep_engine = SweepEngine(dataset)
     cells: List[ClusteringAblationCell] = []
-    try:
-        for name, clustering in strategies.items():
-            mean, std = sweep_engine.evaluate(
-                context,
-                clustering,
-                epsilon,
-                [n],
-                repeats,
-                base_seed=seed * 1000 + 13,
-            )[n]
-            cells.append(
-                ClusteringAblationCell(
-                    dataset=dataset.name,
-                    strategy=name,
-                    measure=measure.name,
-                    epsilon=epsilon,
-                    n=n,
-                    ndcg_mean=mean,
-                    ndcg_std=std,
-                    num_clusters=clustering.num_clusters,
-                    modularity=modularity(dataset.social, clustering),
-                )
+    for name, clustering in strategies.items():
+        mean, std = sweep_engine.evaluate(
+            context,
+            clustering,
+            epsilon,
+            [n],
+            repeats,
+            base_seed=seed * 1000 + 13,
+        )[n]
+        cells.append(
+            ClusteringAblationCell(
+                dataset=dataset.name,
+                strategy=name,
+                measure=measure.name,
+                epsilon=epsilon,
+                n=n,
+                ndcg_mean=mean,
+                ndcg_std=std,
+                num_clusters=clustering.num_clusters,
+                modularity=modularity(dataset.social, clustering),
             )
-    finally:
-        sweep_engine.close()
+        )
     return cells
 
 

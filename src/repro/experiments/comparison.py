@@ -107,46 +107,42 @@ def run_comparison(
     if "cluster" in mechanisms:
         sweep_engine = SweepEngine(dataset, store=store)
     cells: List[ComparisonCell] = []
-    try:
-        for measure in measures:
-            context = EvaluationContext.build(
-                dataset, measure, max_n=n, sample_size=sample_size, seed=seed
-            )
-            for mechanism in mechanisms:
-                for epsilon in epsilons:
-                    if mechanism == "cluster":
-                        mean, std = sweep_engine.evaluate(
-                            context,
-                            clustering,
-                            epsilon,
-                            [n],
-                            repeats,
-                            base_seed=seed * 1000 + 7,
-                        )[n]
-                    else:
-                        mean, std = evaluate_factory(
-                            context,
-                            _mechanism_factory(
-                                mechanism, measure, epsilon, n, gs_group_size
-                            ),
-                            n,
-                            repeats=repeats,
-                            base_seed=seed * 1000 + 7,
-                        )
-                    cells.append(
-                        ComparisonCell(
-                            dataset=dataset.name,
-                            mechanism=mechanism,
-                            measure=measure.name,
-                            epsilon=epsilon,
-                            n=n,
-                            ndcg_mean=mean,
-                            ndcg_std=std,
-                        )
+    for measure in measures:
+        context = EvaluationContext.build(
+            dataset, measure, max_n=n, sample_size=sample_size, seed=seed
+        )
+        for mechanism in mechanisms:
+            for epsilon in epsilons:
+                if mechanism == "cluster":
+                    mean, std = sweep_engine.evaluate(
+                        context,
+                        clustering,
+                        epsilon,
+                        [n],
+                        repeats,
+                        base_seed=seed * 1000 + 7,
+                    )[n]
+                else:
+                    mean, std = evaluate_factory(
+                        context,
+                        _mechanism_factory(
+                            mechanism, measure, epsilon, n, gs_group_size
+                        ),
+                        n,
+                        repeats=repeats,
+                        base_seed=seed * 1000 + 7,
                     )
-    finally:
-        if sweep_engine is not None:
-            sweep_engine.close()
+                cells.append(
+                    ComparisonCell(
+                        dataset=dataset.name,
+                        mechanism=mechanism,
+                        measure=measure.name,
+                        epsilon=epsilon,
+                        n=n,
+                        ndcg_mean=mean,
+                        ndcg_std=std,
+                    )
+                )
     return cells
 
 

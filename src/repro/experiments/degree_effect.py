@@ -80,8 +80,9 @@ def run_degree_effect(
     context = EvaluationContext.build(
         dataset, measure, max_n=n, sample_size=sample_size, seed=seed
     )
-    with SweepEngine(dataset, store=store) as sweep_engine:
-        per_user = sweep_engine.per_user_scores(context, clustering, math.inf, seed, n)
+    per_user = SweepEngine(dataset, store=store).per_user_scores(
+        context, clustering, math.inf, seed, n
+    )
 
     points: List[Tuple[UserId, int, float]] = []
     low: List[float] = []

@@ -41,7 +41,6 @@ exception inside a cell reaches the caller with its own type.
 from __future__ import annotations
 
 import statistics
-import time
 from dataclasses import dataclass
 from typing import Dict, List, Optional, Sequence, Tuple
 
@@ -51,7 +50,6 @@ import scipy.sparse as sp
 from repro.cache.keys import measure_fingerprint
 from repro.cache.store import SimilarityStore
 from repro.community.clustering import Clustering
-from repro.compute.stats import ComputeStats
 from repro.core.cluster_weights import (
     ClusterItemAverages,
     apply_laplace_noise,
@@ -69,43 +67,17 @@ from repro.datasets.dataset import SocialRecDataset
 from repro.exceptions import ExperimentError
 from repro.experiments.evaluation import EvaluationContext
 from repro.metrics.ndcg import dcg_array
-from repro.obs.adapters import publish_engine_stats
+from repro.obs.registry import incr
 from repro.obs.spans import span
 from repro.privacy.mechanisms import validate_epsilon
 from repro.similarity.base import SimilarityCache
 from repro.similarity.matrix import SimilarityMatrix
 from repro.types import ItemId, UserId
 
-__all__ = ["EngineStats", "SweepEngine"]
+__all__ = ["SweepEngine"]
 
 # One cell of work: (epsilon, cutoffs, repeats).
 CellSpec = Tuple[float, Sequence[int], int]
-
-
-@dataclass
-class EngineStats:
-    """Perf counters for one :class:`SweepEngine` instance.
-
-    Attributes:
-        measures: distinct similarity kernels scored with.
-        cells: (epsilon) cells scored by the engine.
-        repeats: noise repeats scored across all cells.
-        cache_hits / cache_misses: similarity-store lookups (zero without
-            a store).
-        kernel_seconds: time spent obtaining similarity kernels.
-        wall_seconds: total time inside ``evaluate_many``.
-        compute: the :class:`~repro.compute.stats.ComputeStats` behind
-            the most recent kernel scored with (None on a warm cache).
-    """
-
-    measures: int = 0
-    cells: int = 0
-    repeats: int = 0
-    cache_hits: int = 0
-    cache_misses: int = 0
-    kernel_seconds: float = 0.0
-    wall_seconds: float = 0.0
-    compute: Optional[ComputeStats] = None
 
 
 @dataclass
@@ -261,13 +233,15 @@ class SweepEngine:
 
     One engine instance amortises kernels, cluster releases, and
     evaluation arrays across measures, clusterings, epsilons, cutoffs,
-    and repeats; the drivers construct one per run and close it when the
-    sweep finishes (it is also a context manager).
+    and repeats; the drivers construct one per run.  The engine counts
+    its work in the active telemetry registry: ``engine.measures``
+    (kernels obtained, inside the ``engine.kernel`` span),
+    ``engine.cells`` and ``engine.repeats``.
 
     Args:
         dataset: the evaluation dataset.
         store: optional persistent similarity cache for the kernels;
-            hit/miss counters land on :attr:`stats`.
+            its lookups count as ``cache.*``.
         chunk_size: evaluation users per dense scoring chunk; bounds peak
             memory at roughly ``chunk_size * num_items`` floats.
         max_weight / protection / user_clamp: release parameters,
@@ -293,7 +267,6 @@ class SweepEngine:
         self.max_weight = max_weight
         self.protection = protection
         self.user_clamp = user_clamp
-        self.stats = EngineStats()
         # Keyed by measure_fingerprint: two parameterisations of one
         # measure share a registry name but not a kernel.
         self._kernels: Dict[str, SimilarityMatrix] = {}
@@ -301,27 +274,6 @@ class SweepEngine:
         self._clusters: Dict[int, _ClusterArrays] = {}
         self._columns: Dict[Tuple[int, int], np.ndarray] = {}
         self._profiles: Dict[Tuple[str, int, int], np.ndarray] = {}
-        self._stats_published = False
-
-    # ------------------------------------------------------------------
-    # lifecycle
-    # ------------------------------------------------------------------
-    def close(self) -> None:
-        """Publish :attr:`stats` into the active telemetry registry.
-
-        Once per engine, no-op when observability is disabled, so a
-        profiled run's summary carries the engine counters; cached
-        arrays stay usable.
-        """
-        if not self._stats_published:
-            self._stats_published = True
-            publish_engine_stats(self.stats)
-
-    def __enter__(self) -> "SweepEngine":
-        return self
-
-    def __exit__(self, *exc_info) -> None:
-        self.close()
 
     # ------------------------------------------------------------------
     # cached preprocessing layers
@@ -331,27 +283,14 @@ class SweepEngine:
         kernel = self._kernels.get(key)
         if kernel is not None:
             return kernel
-        started = time.perf_counter()
-        # The context's reference pass already holds this graph's kernel:
-        # share it.
-        cache = context.similarity
-        if cache is None or cache.graph is not self.dataset.social:
-            cache = SimilarityCache(context.measure, self.dataset.social)
-        compute_stats = ComputeStats()
-        before = self.store.stats.snapshot() if self.store is not None else None
-        lookup = cache.ensure_kernel(self.store, stats=compute_stats)
-        if before is not None:
-            self.stats.cache_hits += self.store.stats.hits - before.hits
-            self.stats.cache_misses += self.store.stats.misses - before.misses
-        kernel = self._kernels[key] = lookup.matrix
-        self.stats.measures += 1
-        self.stats.kernel_seconds += time.perf_counter() - started
-        # The construction behind the kernel scored with: just now, or in
-        # the shared context's reference pass.
-        if compute_stats.measure:
-            self.stats.compute = compute_stats
-        elif cache.last_compute_stats is not None:
-            self.stats.compute = cache.last_compute_stats
+        with span("engine.kernel"):
+            # The context's reference pass already holds this graph's
+            # kernel: share it.
+            cache = context.similarity
+            if cache is None or cache.graph is not self.dataset.social:
+                cache = SimilarityCache(context.measure, self.dataset.social)
+            kernel = self._kernels[key] = cache.ensure_kernel(self.store).matrix
+        incr("engine.measures")
         return kernel
 
     def _eval_for(
@@ -499,7 +438,6 @@ class SweepEngine:
         cells: Sequence[CellSpec],
         base_seed: int = 0,
     ) -> Dict[Tuple[float, int], Tuple[float, float]]:
-        started = time.perf_counter()
         normalised: List[Tuple[float, Tuple[int, ...], int]] = []
         for epsilon, ns, repeats in cells:
             epsilon = validate_epsilon(float(epsilon))
@@ -542,8 +480,8 @@ class SweepEngine:
                     seeds,
                     self.chunk_size,
                 )
-            self.stats.cells += 1
-            self.stats.repeats += len(seeds)
+            incr("engine.cells")
+            incr("engine.repeats", len(seeds))
             for n in ns:
                 per_repeat = per_cell[n]
                 mean = statistics.fmean(per_repeat)
@@ -553,7 +491,6 @@ class SweepEngine:
                     else 0.0
                 )
                 results[(epsilon, n)] = (mean, std)
-        self.stats.wall_seconds += time.perf_counter() - started
         return results
 
     def evaluate(

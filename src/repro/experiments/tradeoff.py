@@ -26,14 +26,13 @@ from repro.core.private import louvain_strategy
 from repro.datasets.dataset import SocialRecDataset
 from repro.exceptions import ExperimentError
 from repro.experiments.checkpoint import SweepCheckpoint, encode_epsilon
-from repro.experiments.engine import EngineStats, SweepEngine
+from repro.experiments.engine import SweepEngine
 from repro.experiments.evaluation import EvaluationContext
 from repro.resilience.faults import fault_point
 from repro.similarity.base import SimilarityMeasure
 
 __all__ = [
     "TradeoffCell",
-    "TradeoffResult",
     "cell_key",
     "run_tradeoff",
     "format_tradeoff_table",
@@ -103,20 +102,6 @@ def _cell_key(
     )
 
 
-class TradeoffResult(List[TradeoffCell]):
-    """A list of :class:`TradeoffCell` with a ``stats`` attribute.
-
-    Behaves exactly like the plain list previous versions returned;
-    ``stats`` carries the sweep engine's
-    :class:`~repro.experiments.engine.EngineStats` counters (None when
-    no sweep ran).
-    """
-
-    def __init__(self, *args) -> None:
-        super().__init__(*args)
-        self.stats: Optional[EngineStats] = None
-
-
 def run_tradeoff(
     dataset: SocialRecDataset,
     measures: Sequence[SimilarityMeasure],
@@ -129,7 +114,7 @@ def run_tradeoff(
     seed: int = 0,
     checkpoint: Optional[Union[str, SweepCheckpoint]] = None,
     store: Optional[SimilarityStore] = None,
-) -> TradeoffResult:
+) -> List[TradeoffCell]:
     """Run the Figure 1/2 sweep on one dataset.
 
     Args:
@@ -155,8 +140,8 @@ def run_tradeoff(
             engine's kernels.
 
     Returns:
-        A :class:`TradeoffResult` — one :class:`TradeoffCell` per
-        (measure, epsilon, n), engine counters on ``.stats``.
+        One :class:`TradeoffCell` per (measure, epsilon, n).  The engine
+        counts its work (``engine.*``) in the active telemetry registry.
     """
     if not measures:
         raise ExperimentError("measures must be non-empty")
@@ -182,68 +167,60 @@ def run_tradeoff(
 
     sweep_engine = SweepEngine(dataset, store=store)
     max_n = max(ns)
-    cells = TradeoffResult()
-    cells.stats = sweep_engine.stats
-    try:
-        for measure in measures:
-            context: Optional[EvaluationContext] = None
-            if any(cached(measure, e, n) is None for e in epsilons for n in ns):
-                context = EvaluationContext.build(
-                    dataset, measure, max_n=max_n, sample_size=sample_size, seed=seed
-                )
-            # The engine scores every uncached (epsilon, n) of this measure
-            # in one batch.  With eps = inf the recommender is
-            # deterministic; one repeat suffices and keeps the sweep fast.
-            engine_results: Dict[Tuple[float, int], Tuple[float, float]] = {}
-            if context is not None:
-                cell_specs = []
-                for epsilon in epsilons:
-                    needed = tuple(
-                        n for n in ns if cached(measure, epsilon, n) is None
-                    )
-                    if needed:
-                        cell_specs.append(
-                            (
-                                epsilon,
-                                needed,
-                                1 if math.isinf(epsilon) else repeats,
-                            )
-                        )
-                if cell_specs:
-                    engine_results = sweep_engine.evaluate_many(
-                        context,
-                        clustering,
-                        cell_specs,
-                        base_seed=seed * 1000 + 1,
-                    )
+    cells: List[TradeoffCell] = []
+    for measure in measures:
+        context: Optional[EvaluationContext] = None
+        if any(cached(measure, e, n) is None for e in epsilons for n in ns):
+            context = EvaluationContext.build(
+                dataset, measure, max_n=max_n, sample_size=sample_size, seed=seed
+            )
+        # The engine scores every uncached (epsilon, n) of this measure
+        # in one batch.  With eps = inf the recommender is
+        # deterministic; one repeat suffices and keeps the sweep fast.
+        engine_results: Dict[Tuple[float, int], Tuple[float, float]] = {}
+        if context is not None:
+            cell_specs = []
             for epsilon in epsilons:
-                for n in ns:
-                    key = _cell_key(
-                        dataset, measure, epsilon, n, repeats, seed, sample_size
-                    )
-                    stored = cached(measure, epsilon, n)
-                    if stored is not None:
-                        mean = float(stored["ndcg_mean"])
-                        std = float(stored["ndcg_std"])
-                    else:
-                        fault_point("tradeoff.cell")
-                        mean, std = engine_results[(epsilon, n)]
-                        if checkpoint is not None:
-                            checkpoint.record(
-                                key, {"ndcg_mean": mean, "ndcg_std": std}
-                            )
-                    cells.append(
-                        TradeoffCell(
-                            dataset=dataset.name,
-                            measure=measure.name,
-                            epsilon=epsilon,
-                            n=n,
-                            ndcg_mean=mean,
-                            ndcg_std=std,
+                needed = tuple(n for n in ns if cached(measure, epsilon, n) is None)
+                if needed:
+                    cell_specs.append(
+                        (
+                            epsilon,
+                            needed,
+                            1 if math.isinf(epsilon) else repeats,
                         )
                     )
-    finally:
-        sweep_engine.close()
+            if cell_specs:
+                engine_results = sweep_engine.evaluate_many(
+                    context,
+                    clustering,
+                    cell_specs,
+                    base_seed=seed * 1000 + 1,
+                )
+        for epsilon in epsilons:
+            for n in ns:
+                key = _cell_key(
+                    dataset, measure, epsilon, n, repeats, seed, sample_size
+                )
+                stored = cached(measure, epsilon, n)
+                if stored is not None:
+                    mean = float(stored["ndcg_mean"])
+                    std = float(stored["ndcg_std"])
+                else:
+                    fault_point("tradeoff.cell")
+                    mean, std = engine_results[(epsilon, n)]
+                    if checkpoint is not None:
+                        checkpoint.record(key, {"ndcg_mean": mean, "ndcg_std": std})
+                cells.append(
+                    TradeoffCell(
+                        dataset=dataset.name,
+                        measure=measure.name,
+                        epsilon=epsilon,
+                        n=n,
+                        ndcg_mean=mean,
+                        ndcg_std=std,
+                    )
+                )
     return cells
 
 

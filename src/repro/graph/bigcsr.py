@@ -385,7 +385,7 @@ def _load_meta(directory: str) -> dict:
         raise GraphArtifactError(
             f"graph artifact {directory!r} has no readable metadata: {exc}"
         ) from exc
-    except json.JSONDecodeError as exc:
+    except ValueError as exc:  # malformed JSON or non-UTF-8 bytes
         raise GraphArtifactError(
             f"graph artifact {directory!r} carries unparseable metadata: {exc}"
         ) from exc

@@ -11,8 +11,6 @@ measured ad hoc:
   timers;
 - :mod:`repro.obs.ledger` — per-mechanism epsilon accounting
   (:class:`PrivacyLedgerView`) with parallel/sequential composition;
-- :mod:`repro.obs.adapters` — ``ComputeStats``/``EngineStats``/
-  ``BatchStats`` published into the registry;
 - :mod:`repro.obs.export` — JSON-lines traces, ``BENCH``-style
   summaries, and human tables (``repro obs report``);
 - :mod:`repro.obs.trend` — median-normalized diffing of two BENCH-style
@@ -23,11 +21,6 @@ no-ops completely when no registry is active, so instrumented library
 code stays fast by default.  See ``docs/observability.md``.
 """
 
-from repro.obs.adapters import (
-    publish_batch_stats,
-    publish_compute_stats,
-    publish_engine_stats,
-)
 from repro.obs.export import (
     format_report,
     read_trace,
@@ -79,9 +72,6 @@ __all__ = [
     "PrivacyLedgerView",
     "record_laplace_release",
     "record_mechanism",
-    "publish_compute_stats",
-    "publish_engine_stats",
-    "publish_batch_stats",
     "write_trace",
     "read_trace",
     "summary_dict",

@@ -27,7 +27,6 @@ from repro.resilience.degradation import (
     TIER_EMPTY,
     TIER_GLOBAL,
     TIER_PERSONALIZED,
-    degradation_estimates,
 )
 from repro.resilience.faults import (
     FaultPlan,
@@ -53,5 +52,4 @@ __all__ = [
     "TIER_CLUSTER",
     "TIER_GLOBAL",
     "TIER_EMPTY",
-    "degradation_estimates",
 ]

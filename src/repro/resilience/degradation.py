@@ -19,16 +19,12 @@ contain users the release has no signal for.  The ladder:
    serve an empty list rather than raising.
 
 Every tier reads only the already-published matrix, so degraded answers
-are post-processing and spend **zero additional epsilon**.
+are post-processing and spend **zero additional epsilon**.  This module
+names the rungs; :func:`repro.core.scoring.ladder_estimates` computes
+them.
 """
 
 from __future__ import annotations
-
-from typing import Optional, Tuple
-
-import numpy as np
-
-from repro.obs.registry import incr as obs_incr
 
 __all__ = [
     "TIER_PERSONALIZED",
@@ -36,7 +32,6 @@ __all__ = [
     "TIER_GLOBAL",
     "TIER_EMPTY",
     "DEGRADATION_LADDER",
-    "degradation_estimates",
 ]
 
 TIER_PERSONALIZED = "personalized"
@@ -46,43 +41,3 @@ TIER_EMPTY = "empty"
 
 # Best tier first; results report which rung they were served from.
 DEGRADATION_LADDER = (TIER_PERSONALIZED, TIER_CLUSTER, TIER_GLOBAL, TIER_EMPTY)
-
-
-def degradation_estimates(
-    weights, user, max_tier: str = TIER_CLUSTER
-) -> Tuple[Optional[np.ndarray], str]:
-    """Fallback utility estimates for a user without personalized signal.
-
-    Args:
-        weights: a :class:`~repro.core.cluster_weights.NoisyClusterWeights`
-            release (not imported by name to avoid a core ↔ resilience
-            import cycle).
-        user: the target user.
-        max_tier: the best ladder rung the caller allows.  The serving
-            tier's admission control uses this to shed load *down* the
-            ladder under overload: capping at :data:`TIER_GLOBAL` skips
-            the user's own cluster rung, capping at :data:`TIER_EMPTY`
-            returns the empty rung immediately.  Every rung is
-            post-processing of the published matrix, so a cap never
-            changes the privacy cost — only how personalized the answer
-            is.  :data:`TIER_PERSONALIZED` is not produced here and is
-            treated as :data:`TIER_CLUSTER` (the best fallback rung).
-
-    Returns:
-        ``(estimates, tier)`` where ``estimates`` aligns with
-        ``weights.items`` (or is None for :data:`TIER_EMPTY`) and ``tier``
-        is the ladder rung that produced it.
-
-    Raises:
-        ValueError: for a ``max_tier`` not on the ladder.
-    """
-    # The one ladder implementation is the scoring core's (imported here,
-    # not at module level: repro.core imports this module for the tiers).
-    from repro.core.scoring import ladder_estimates
-
-    clustering = weights.clustering
-    column = clustering.cluster_of(user) if user in clustering else -1
-    sizes = np.asarray(clustering.sizes(), dtype=float)
-    estimates, tier = ladder_estimates(weights.matrix, column, sizes, max_tier)
-    obs_incr(f"serve.tier.{tier}")
-    return estimates, tier

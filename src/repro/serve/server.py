@@ -436,6 +436,7 @@ class RecommendationServer:
         obs_add_gauge("serve.latency_total_s", latency)
         self.requests_served += 1
         self.tier_counts[tier] = self.tier_counts.get(tier, 0) + 1
+        obs_incr(f"serve.tier.{tier}")
         payload = {
             "user": user,
             "n": n,

@@ -14,7 +14,7 @@ sweep per user instead of O(|U|) pairwise calls.
 from __future__ import annotations
 
 import abc
-from typing import Callable, Dict, FrozenSet, List, Optional, Sequence
+from typing import Callable, Dict, FrozenSet, List, Sequence
 
 import scipy.sparse as sp
 
@@ -91,12 +91,9 @@ class SimilarityCache:
     """
 
     def __init__(self, measure: SimilarityMeasure, graph: GraphLike) -> None:
-        from repro.compute.stats import ComputeStats
-
         self._measure = measure
         self._graph = graph
         self._kernel = None
-        self._last_stats: Optional[ComputeStats] = None
 
     @property
     def measure(self) -> SimilarityMeasure:
@@ -106,42 +103,30 @@ class SimilarityCache:
     def graph(self) -> GraphLike:
         return self._graph
 
-    @property
-    def last_compute_stats(self):
-        """The :class:`~repro.compute.stats.ComputeStats` of the kernel this
-        cache built, or None when it built none."""
-        return self._last_stats
-
-    def ensure_kernel(self, store=None, *, stats=None):
+    def ensure_kernel(self, store=None):
         """The kernel this cache serves from: held, else obtained and kept.
 
         A kernel comes from :func:`repro.cache.store.load_or_build_kernel`
-        (a ``store`` hit, else a build filling ``stats``, persisted to
-        ``store``).  With a ``store`` the lookup runs even when a kernel
-        is held, so its hit/miss counters stay per call.  Returns a
+        (a ``store`` hit, else a build, persisted to ``store``).  With a
+        ``store`` the lookup runs even when a kernel is held, so its
+        ``cache.*`` counters stay per call.  Returns a
         :class:`~repro.cache.store.CacheLookup` of the held kernel; its
         ``path`` names a store artifact only when that artifact holds
         this very matrix.
         """
         from repro.cache.store import CacheLookup, load_or_build_kernel
-        from repro.compute.stats import ComputeStats
 
         held = self._kernel
         if held is not None and store is None:
             return CacheLookup(matrix=held, path=None, hit=True)
-        if stats is None:
-            stats = ComputeStats()
         lookup = load_or_build_kernel(
             self._graph,
             self._measure,
             store,
-            stats=stats,
             build=None if held is None else (lambda: held),
         )
         if held is None:
             self._kernel = lookup.matrix
-            if stats.measure:  # a construction actually ran
-                self._last_stats = stats
             return lookup
         if lookup.matrix is held:
             return lookup

@@ -13,6 +13,7 @@ from repro.cache.store import (
 from repro.compute import build_kernel
 from repro.exceptions import CacheIntegrityError
 from repro.graph.social_graph import SocialGraph
+from repro.obs import telemetry
 from repro.resilience.faults import truncate_file
 from repro.similarity.adamic_adar import AdamicAdar
 from repro.similarity.common_neighbors import CommonNeighbors
@@ -60,23 +61,25 @@ class TestStoreLookup:
     def test_miss_then_memory_hit(self, graph, store):
         calls = []
         compute = counted_kernel(graph, calls)
-        first = store.get_or_compute(graph, CommonNeighbors(), compute)
-        second = store.get_or_compute(graph, CommonNeighbors(), compute)
+        with telemetry() as registry:
+            first = store.get_or_compute(graph, CommonNeighbors(), compute)
+            second = store.get_or_compute(graph, CommonNeighbors(), compute)
         assert not first.hit and second.hit
         assert len(calls) == 1
-        assert store.stats.misses == 1
-        assert store.stats.memory_hits == 1
+        assert registry.counter("cache.miss") == 1
+        assert registry.counter("cache.memory_hit") == 1
         assert os.path.exists(first.path)
 
     def test_disk_hit_across_store_instances(self, graph, store):
         calls = []
         store.get_or_compute(graph, CommonNeighbors(), counted_kernel(graph, calls))
         fresh = SimilarityStore(store.directory)
-        lookup = fresh.get_or_compute(
-            graph, CommonNeighbors(), counted_kernel(graph, calls)
-        )
+        with telemetry() as registry:
+            lookup = fresh.get_or_compute(
+                graph, CommonNeighbors(), counted_kernel(graph, calls)
+            )
         assert lookup.hit
-        assert fresh.stats.disk_hits == 1
+        assert registry.counter("cache.disk_hit") == 1
         assert len(calls) == 1
 
     def test_same_graph_rebuilt_is_a_hit(self, store):
@@ -93,12 +96,17 @@ class TestStoreLookup:
 
     def test_changed_graph_misses(self, graph, store):
         calls = []
-        store.get_or_compute(graph, CommonNeighbors(), counted_kernel(graph, calls))
         grown = graph.copy()
         grown.add_edge(1, 5)
-        store.get_or_compute(grown, CommonNeighbors(), counted_kernel(grown, calls))
+        with telemetry() as registry:
+            store.get_or_compute(
+                graph, CommonNeighbors(), counted_kernel(graph, calls)
+            )
+            store.get_or_compute(
+                grown, CommonNeighbors(), counted_kernel(grown, calls)
+            )
         assert len(calls) == 2
-        assert store.stats.misses == 2
+        assert registry.counter("cache.miss") == 2
 
     def test_different_measures_get_different_artifacts(self, graph, store):
         cn = store.get_or_compute(
@@ -112,18 +120,19 @@ class TestStoreLookup:
 
     def test_lru_eviction_is_counted(self, graph, store):
         store.max_memory_entries = 1
-        store.get_or_compute(
-            graph, CommonNeighbors(), lambda: build_kernel(graph, CommonNeighbors())
-        )
-        store.get_or_compute(
-            graph, AdamicAdar(), lambda: build_kernel(graph, AdamicAdar())
-        )
-        assert store.stats.evictions == 1
-        # Evicted kernel still hits from disk.
-        lookup = store.get_or_compute(
-            graph, CommonNeighbors(), lambda: build_kernel(graph, CommonNeighbors())
-        )
-        assert lookup.hit and store.stats.disk_hits == 1
+        with telemetry() as registry:
+            store.get_or_compute(
+                graph, CommonNeighbors(), lambda: build_kernel(graph, CommonNeighbors())
+            )
+            store.get_or_compute(
+                graph, AdamicAdar(), lambda: build_kernel(graph, AdamicAdar())
+            )
+            assert registry.counter("cache.eviction") == 1
+            # Evicted kernel still hits from disk.
+            lookup = store.get_or_compute(
+                graph, CommonNeighbors(), lambda: build_kernel(graph, CommonNeighbors())
+            )
+        assert lookup.hit and registry.counter("cache.disk_hit") == 1
 
 
 class TestMaintenance:
@@ -182,9 +191,10 @@ class TestCorruption:
         first = store.get_or_compute(graph, CommonNeighbors(), compute)
         truncate_file(first.path, os.path.getsize(first.path) // 2)
         fresh = SimilarityStore(store.directory)
-        lookup = fresh.get_or_compute(graph, CommonNeighbors(), compute)
+        with telemetry() as registry:
+            lookup = fresh.get_or_compute(graph, CommonNeighbors(), compute)
         assert not lookup.hit
-        assert fresh.stats.corrupt_recomputed == 1
+        assert registry.counter("cache.corrupt_recomputed") == 1
         assert len(calls) == 2
         # The rewritten artifact is healthy again.
         healed = SimilarityStore(store.directory)
@@ -208,8 +218,9 @@ class TestCorruption:
         with pytest.raises(CacheIntegrityError):
             load_kernel_artifact(first.path)
         fresh = SimilarityStore(store.directory)
-        lookup = fresh.get_or_compute(graph, CommonNeighbors(), compute)
-        assert not lookup.hit and fresh.stats.corrupt_recomputed == 1
+        with telemetry() as registry:
+            lookup = fresh.get_or_compute(graph, CommonNeighbors(), compute)
+        assert not lookup.hit and registry.counter("cache.corrupt_recomputed") == 1
         assert len(calls) == 2
 
     def test_garbage_file_is_reported_not_raised_by_info(self, graph, store):

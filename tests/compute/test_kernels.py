@@ -3,9 +3,9 @@
 import pytest
 
 from repro.compute.kernels import build_kernel
-from repro.compute.stats import ComputeStats
 from repro.exceptions import SimilarityError
 from repro.graph.social_graph import SocialGraph
+from repro.obs import telemetry
 from repro.resilience.faults import FaultPlan, FaultSpec
 from repro.similarity.adamic_adar import AdamicAdar
 from repro.similarity.base import get_measure, list_measures
@@ -121,9 +121,9 @@ class TestBackendResolution:
         # decides the builder.
         for name in list_measures():
             measure = get_measure(name)
-            stats = ComputeStats()
-            kernel = build_kernel(graph, measure, stats=stats)
-            assert stats.measure == name
+            with telemetry() as registry:
+                kernel = build_kernel(graph, measure)
+            assert registry.counter(f"compute.measure.{name}") == 1
             _rows_close(kernel, measure, graph)
 
     def test_support_predicate(self, graph):
@@ -136,10 +136,10 @@ class TestBackendResolution:
         class Unregistered(CommonNeighbors):
             name = "no-such-kernel"
 
-        stats = ComputeStats()
-        with pytest.raises(SimilarityError, match="no similarity kernel"):
-            build_kernel(graph, Unregistered(), stats=stats)
-        assert stats.measure == ""
+        with telemetry() as registry:
+            with pytest.raises(SimilarityError, match="no similarity kernel"):
+                build_kernel(graph, Unregistered())
+        assert registry.snapshot().counters == {}
 
     def test_bad_block_size_rejected(self, graph):
         with pytest.raises(ValueError):
@@ -148,13 +148,18 @@ class TestBackendResolution:
 
 class TestStats:
     def test_stats_populated(self, graph):
-        stats = ComputeStats()
-        build_kernel(graph, CommonNeighbors(), stats=stats, block_size=16)
-        assert stats.measure == "cn"
-        assert stats.rows == graph.num_users
-        assert stats.blocks >= 2
-        assert stats.rows_per_second > 0
-        assert set(stats.stage_seconds) == {"adjacency", "blocks", "assemble"}
+        # The counters are pinned in tests/obs/test_layer_counters.py;
+        # the stages are spans inside the build's own span.
+        with telemetry() as registry:
+            build_kernel(graph, CommonNeighbors(), block_size=16)
+        blocks = registry.counter("compute.blocks")
+        assert blocks == -(-graph.num_users // 16) >= 2
+        build = "compute.build_kernel"
+        assert registry.span_total(build)[0] == 1
+        assert registry.span_total(f"{build}/compute.adjacency")[0] == 1
+        assert registry.span_total(f"{build}/compute.kernel.block")[0] == blocks
+        assert registry.span_total(f"{build}/compute.assemble")[0] == 1
+        assert registry.snapshot().gauges == {}
 
 
 class TestFaultDegradation:
@@ -162,9 +167,10 @@ class TestFaultDegradation:
 
     def test_explicit_vectorized_propagates_fault(self, graph):
         # No second implementation catches a failing block.
-        stats = ComputeStats()
         plan = FaultPlan([FaultSpec(site="compute.kernel.block", on_call=1)])
-        with plan.installed():
+        with telemetry() as registry, plan.installed():
             with pytest.raises(OSError):
-                build_kernel(graph, CommonNeighbors(), stats=stats)
-        assert stats.measure == ""
+                build_kernel(graph, CommonNeighbors())
+        # A build that did not complete counts no work.
+        assert registry.counter("compute.builds") == 0
+        assert registry.counter("compute.blocks") == 0

@@ -6,9 +6,10 @@ import pytest
 
 from repro.cache import SimilarityStore
 from repro.compute import build_kernel
-from repro.core.batch import BatchResult, batch_recommend_all
+from repro.core.batch import batch_recommend_all
 from repro.core.private import PrivateSocialRecommender
 from repro.exceptions import SimilarityError
+from repro.obs import telemetry
 from repro.resilience.faults import FaultPlan, FaultSpec
 from repro.similarity.adamic_adar import AdamicAdar
 from repro.similarity.common_neighbors import CommonNeighbors
@@ -88,9 +89,10 @@ class TestListConstruction:
             init(self, *args, **kwargs)
 
         monkeypatch.setattr(RankedItem, "__init__", counting_init)
-        batch = batch_recommend_all(rec, users=users, n=10)
+        with telemetry() as registry:
+            batch = batch_recommend_all(rec, users=users, n=10)
         assert built == []
-        assert batch.stats.fallback_users >= 1
+        assert registry.counter("batch.fallback_users") >= 1
         monkeypatch.undo()
         for user in users:
             expected = rec.recommend(user, n=10)
@@ -174,8 +176,9 @@ class TestSimilarityCacheIntegration:
     ):
         rec = _fitted(lastfm_small, CommonNeighbors())
         store = SimilarityStore(str(tmp_path / "kernels"))
-        cold = batch_recommend_all(rec, n=10, store=store)
-        assert cold.stats.cache_misses == 1 and cold.stats.cache_hits == 0
+        with telemetry() as registry:
+            cold = batch_recommend_all(rec, n=10, store=store)
+        assert _lookups(registry) == {"cache.miss": 1}
 
         # Any kernel computation on the warm path is a bug, not just slow.
         import repro.cache.store as store_module
@@ -184,8 +187,9 @@ class TestSimilarityCacheIntegration:
             raise AssertionError("kernel recomputed despite a warm cache")
 
         monkeypatch.setattr(store_module, "build_kernel", explode)
-        warm = batch_recommend_all(rec, n=10, store=store)
-        assert warm.stats.cache_hits == 1 and warm.stats.cache_misses == 0
+        with telemetry() as registry:
+            warm = batch_recommend_all(rec, n=10, store=store)
+        assert _lookups(registry) == {"cache.memory_hit": 1}
         for user, expected in cold.items():
             assert warm[user].item_ids() == expected.item_ids()
 
@@ -196,9 +200,9 @@ class TestSimilarityCacheIntegration:
         directory = str(tmp_path / "kernels")
         batch_recommend_all(rec, n=10, store=SimilarityStore(directory))
         fresh = SimilarityStore(directory)
-        result = batch_recommend_all(rec, n=10, store=fresh)
-        assert result.stats.cache_hits == 1
-        assert fresh.stats.disk_hits == 1
+        with telemetry() as registry:
+            batch_recommend_all(rec, n=10, store=fresh)
+        assert _lookups(registry) == {"cache.disk_hit": 1}
 
     def test_unsupported_measure_bypasses_the_store(self, lastfm_small, tmp_path):
         class Unregistered(CommonNeighbors):
@@ -213,30 +217,61 @@ class TestSimilarityCacheIntegration:
     def test_every_measure_goes_through_the_store(self, lastfm_small, tmp_path):
         rec = _fitted(lastfm_small, Jaccard())
         store = SimilarityStore(str(tmp_path / "kernels"))
-        result = batch_recommend_all(rec, n=5, store=store)
-        assert result.stats.cache_misses == 1 and len(store.info()) == 1
+        with telemetry() as registry:
+            batch_recommend_all(rec, n=5, store=store)
+        assert _lookups(registry) == {"cache.miss": 1}
+        assert len(store.info()) == 1
 
 
 class TestBatchStats:
     def test_result_is_a_dict_with_stats(self, lastfm_small):
         rec = _fitted(lastfm_small, CommonNeighbors())
-        result = batch_recommend_all(rec, n=5)
-        assert isinstance(result, BatchResult)
-        assert isinstance(result, dict)
-        stats = result.stats
-        assert stats.users_served == len(result) > 0
-        assert stats.wall_seconds > 0
-        assert stats.rows_per_second > 0
-        assert stats.num_shards == len(stats.shard_seconds) >= 1
-        assert stats.kernel_seconds >= 0
+        with telemetry() as registry:
+            result = batch_recommend_all(rec, n=5, chunk_size=64)
+        assert type(result) is dict
+        # The counters land in the registry, and the time in spans.
+        served = len(result)
+        assert served > 64
+        shards = -(-served // 64)
+        counters = registry.snapshot().counters
+        assert counters["batch.users_served"] == served
+        assert counters["batch.num_shards"] == shards
+        assert counters["compute.builds"] == 1
+        assert not any(name.startswith("batch.cache") for name in counters)
+        assert registry.snapshot().gauges == {}
+        assert registry.span_total("batch.recommend_all")[0] == 1
+        assert registry.span_total("batch.recommend_all/batch.kernel")[0] == 1
+        assert registry.span_total("batch.recommend_all/batch.chunk")[0] == shards
 
     def test_per_user_fallback_counts_everyone(self, lastfm_small):
         # Users outside the graph have no similarity signal: every one of
         # them is served through the per-user ladder, and counted.
         rec = _fitted(lastfm_small, CommonNeighbors())
         ghosts = [f"ghost-{i}" for i in range(3)]
-        result = batch_recommend_all(rec, users=ghosts, n=5)
+        with telemetry() as registry:
+            result = batch_recommend_all(rec, users=ghosts, n=5)
         assert set(result) == set(ghosts)
-        assert result.stats.fallback_users == len(result) == 3
+        assert registry.counter("batch.fallback_users") == len(result) == 3
         for ghost in ghosts:
             assert result[ghost] == rec.recommend(ghost, n=5)
+
+    def test_fallback_users_are_not_served_tiers(self, lastfm_small):
+        # ``serve.tier.*`` counts responses of the serving tier; a batch
+        # serves nothing over HTTP, even through the per-user ladder.
+        rec = _fitted(lastfm_small, CommonNeighbors())
+        ghosts = [f"ghost-{i}" for i in range(3)]
+        with telemetry() as registry:
+            result = batch_recommend_all(rec, users=ghosts, n=5)
+        assert {lists.tier for lists in result.values()} == {"global-popularity"}
+        counters = registry.snapshot().counters
+        assert counters["batch.fallback_users"] == 3
+        assert not [name for name in counters if name.startswith("serve.tier.")]
+
+
+def _lookups(registry):
+    """The similarity store's lookup counters recorded in ``registry``."""
+    return {
+        name: value
+        for name, value in registry.snapshot().counters.items()
+        if name in ("cache.memory_hit", "cache.disk_hit", "cache.miss")
+    }

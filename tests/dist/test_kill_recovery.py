@@ -19,6 +19,7 @@ import pytest
 import repro
 from repro.dist import SweepQueue, SweepSpec, SweepWorker, collect_results
 from repro.dist import dataset_descriptor, submit_tradeoff_sweep
+from repro.obs import telemetry
 
 from .conftest import EPSILONS, MEASURES, NS, REPEATS, SEED, as_tuples
 
@@ -104,8 +105,9 @@ class TestKillRecovery:
             worker_id="rescue",
             max_idle_s=5.0,
         )
-        stats = rescue.run()
-        assert rescue.queue.stats.reclaims >= 1  # the orphan was reclaimed
+        with telemetry() as registry:
+            stats = rescue.run()
+        assert registry.counter("dist.reclaims") >= 1  # the orphan was reclaimed
         assert stats.cells_completed == 3
         status = rescue.queue.status()
         assert status.done == 3 and status.poisoned == 0

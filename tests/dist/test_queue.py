@@ -9,6 +9,7 @@ import pytest
 from repro.dist import SweepQueue, task_id_for
 from repro.dist.spec import SweepSpec
 from repro.exceptions import LeaseLostError, SweepQueueError
+from repro.obs import telemetry
 from repro.resilience import FaultPlan, FaultSpec
 
 from .conftest import FakeClock, tiny_spec
@@ -133,8 +134,9 @@ class TestClaim:
         queue.claim("w1", TTL)
         queue.claim("w1", TTL)
         clock.advance(TTL / 2)  # not yet expired
-        assert queue.claim("w2", TTL) is None
-        assert queue.stats.reclaims == 0
+        with telemetry() as registry:
+            assert queue.claim("w2", TTL) is None
+        assert registry.counter("dist.reclaims") == 0
 
 
 class TestExpiryAndReclaim:
@@ -143,12 +145,13 @@ class TestExpiryAndReclaim:
         queue = queue_factory(clock=clock)
         dead = queue.claim("dead-worker", TTL)
         clock.advance(TTL + 1)
-        relcaimed = queue.claim("live-worker", TTL)
+        with telemetry() as registry:
+            relcaimed = queue.claim("live-worker", TTL)
         assert relcaimed is not None
         # sorted scan: the reclaimer gets the dead worker's cell first
         assert relcaimed.task.task_id == dead.task.task_id
         assert relcaimed.attempt == 2  # the death counted as one attempt
-        assert queue.stats.reclaims == 1
+        assert registry.counter("dist.reclaims") == 1
 
     def test_reclaim_loop_poisons_after_budget(self, queue_factory):
         """A cell whose worker dies on every attempt marches to
@@ -209,8 +212,9 @@ class TestHeartbeat:
         renewed = queue.heartbeat(lease, TTL)
         assert renewed.expires_at == pytest.approx(clock() + TTL)
         clock.advance(TTL - 1)  # would have expired without the renewal
-        assert queue.claim("w2", TTL) is not None  # another cell, not ours
-        assert queue.stats.reclaims == 0
+        with telemetry() as registry:
+            assert queue.claim("w2", TTL) is not None  # another cell, not ours
+        assert registry.counter("dist.reclaims") == 0
 
     def test_lost_lease_raises(self, queue_factory):
         clock = FakeClock()
@@ -219,9 +223,9 @@ class TestHeartbeat:
         clock.advance(TTL + 1)
         stolen = queue.claim("w2", TTL)
         assert stolen.task.task_id == lease.task.task_id
-        with pytest.raises(LeaseLostError):
+        with telemetry() as registry, pytest.raises(LeaseLostError):
             queue.heartbeat(lease, TTL)
-        assert queue.stats.lease_lost == 1
+        assert registry.counter("dist.lease_lost") == 1
         # the thief's heartbeat still works
         queue.heartbeat(stolen, TTL)
 

@@ -10,6 +10,7 @@ from repro.dist import SweepWorker, collect_results
 from repro.dist.worker import _Heartbeat
 from repro.experiments.checkpoint import SweepCheckpoint
 from repro.experiments.tradeoff import run_tradeoff
+from repro.obs import telemetry
 from repro.resilience import FaultPlan, FaultSpec
 from repro.similarity.base import get_measure
 
@@ -74,13 +75,13 @@ class TestWorkerFaults:
         without touching the lease-level attempt accounting."""
         queue = queue_factory()
         plan = FaultPlan([FaultSpec(site="dist.worker", on_call=1)])
-        with plan.installed():
+        with telemetry() as registry, plan.installed():
             stats = SweepWorker(
                 queue, dataset=tiny_dataset, max_idle_s=2.0
             ).run()
         assert stats.cells_completed == 3
         assert stats.cells_failed == 0
-        assert queue.stats.failures == 0
+        assert registry.counter("dist.failures") == 0
         assert as_tuples(collect_results(queue, dataset=tiny_dataset)) == baseline
 
     def test_persistent_fault_poisons_then_sweep_completes(
@@ -181,10 +182,11 @@ class TestHeartbeat:
         queue = queue_factory()
         lease = queue.claim("w1", 10.0)
         beat = _Heartbeat(queue, lease, 10.0, interval=0.02, sleep=time.sleep)
-        beat.start()
-        time.sleep(0.2)
-        beat.stop()
-        assert queue.stats.heartbeats >= 2
+        with telemetry() as registry:
+            beat.start()
+            time.sleep(0.2)
+            beat.stop()
+        assert registry.counter("dist.heartbeats") >= 2
         assert not beat.lost
         assert beat.lease.expires_at > lease.expires_at
 

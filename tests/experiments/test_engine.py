@@ -47,9 +47,7 @@ def context(lastfm_small):
 
 @pytest.fixture
 def engine(lastfm_small):
-    eng = SweepEngine(lastfm_small)
-    yield eng
-    eng.close()
+    return SweepEngine(lastfm_small)
 
 
 class TestValidation:
@@ -104,14 +102,11 @@ class TestEquivalence:
             )
 
     def test_chunked_scoring_identical(self, lastfm_small, context, clustering):
-        with SweepEngine(lastfm_small) as whole, SweepEngine(
-            lastfm_small, chunk_size=7
-        ) as chunked:
-            assert whole.evaluate(
-                context, clustering, 0.5, [10, 50], 2, base_seed=3
-            ) == chunked.evaluate(
-                context, clustering, 0.5, [10, 50], 2, base_seed=3
-            )
+        whole = SweepEngine(lastfm_small)
+        chunked = SweepEngine(lastfm_small, chunk_size=7)
+        assert whole.evaluate(
+            context, clustering, 0.5, [10, 50], 2, base_seed=3
+        ) == chunked.evaluate(context, clustering, 0.5, [10, 50], 2, base_seed=3)
 
     def test_repeat_rankings_match_recommender(
         self, engine, context, clustering, lastfm_small
@@ -206,19 +201,26 @@ class TestEquivalence:
 
 
 class TestStats:
-    def test_vectorized_result_carries_stats(self, lastfm_small):
-        cells = run_tradeoff(
-            lastfm_small,
-            measures=[MEASURE],
-            epsilons=(1.0,),
-            ns=(10,),
-            repeats=2,
-            seed=0,
-        )
-        assert cells.stats is not None
-        assert cells.stats.cells == 1
-        assert cells.stats.repeats == 2
-        assert cells.stats.wall_seconds > 0.0
+    def test_sweep_counts_its_work_into_the_registry(self, lastfm_small):
+        with telemetry() as registry:
+            cells = run_tradeoff(
+                lastfm_small,
+                measures=[MEASURE],
+                epsilons=(math.inf, 1.0),
+                ns=(10,),
+                repeats=2,
+                seed=0,
+            )
+        assert type(cells) is list and len(cells) == 2
+        counters = registry.snapshot().counters
+        # One kernel, two cells; the eps = inf cell scores one repeat.
+        assert counters["engine.measures"] == 1
+        assert counters["engine.cells"] == 2
+        assert counters["engine.repeats"] == 3
+        assert not any(name.startswith("engine.cache") for name in counters)
+        assert registry.snapshot().gauges == {}
+        assert registry.span_total("engine.evaluate_many")[0] == 1
+        assert registry.span_total("engine.evaluate_many/engine.kernel")[0] == 1
 
 
 class TestLedger:
@@ -269,13 +271,14 @@ class TestKernelCache:
             EvaluationContext.build(lastfm_small, measure, max_n=10, seed=0)
             for measure in (first, second)
         ]
-        with SweepEngine(lastfm_small) as shared:
+        shared = SweepEngine(lastfm_small)
+        with telemetry() as registry:
             shared.repeat_rankings(contexts[0], clustering, 1.0, 5, [10])
             actual = shared.repeat_rankings(contexts[1], clustering, 1.0, 5, [10])
-        with SweepEngine(lastfm_small) as fresh:
-            expected = fresh.repeat_rankings(contexts[1], clustering, 1.0, 5, [10])
+        fresh = SweepEngine(lastfm_small)
+        expected = fresh.repeat_rankings(contexts[1], clustering, 1.0, 5, [10])
         assert actual == expected
-        assert shared.stats.measures == 2
+        assert registry.counter("engine.measures") == 2
 
 
 class Boom(RuntimeError):

@@ -66,14 +66,6 @@ def test_kernels_bit_identical(graphs, measure_name):
     assert (dense.matrix != mapped.matrix).nnz == 0
 
 
-def test_kernel_under_memory_budget_bit_identical(graphs):
-    social, big = graphs
-    measure = get_measure("cn")
-    dense = build_kernel(social, measure)
-    budgeted = build_kernel(big, measure, memory_budget_bytes=64 * 1024)
-    assert (dense.matrix != budgeted.matrix).nnz == 0
-
-
 def test_louvain_partitions_identical(graphs):
     social, big = graphs
     dense_result = louvain(social, rng=np.random.default_rng(7))

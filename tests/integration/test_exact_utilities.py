@@ -296,8 +296,8 @@ def test_evaluation_reference(datasets, monkeypatch, name, measure, backend):
             dense[row, column[item]] = value
         for position, item in enumerate(context.reference_rankings[user]):
             gains[row, position] = ideal[user][item]
-    with SweepEngine(dataset) as engine:
-        arrays = engine._eval_for(context, engine._kernel_for(context))
+    engine = SweepEngine(dataset)
+    arrays = engine._eval_for(context, engine._kernel_for(context))
     assert np.array_equal(arrays.utilities, dense)
     assert np.array_equal(arrays.reference_cum, dcg_array(gains))
 

@@ -69,8 +69,8 @@ def test_every_path_serves_the_same_lists(world, tmp_path, measure_name):
     servers = [server_over(dataset.social, True), server_over(dataset.social, False)]
     batch = batch_recommend_all(recommender, users=users + [GHOST], n=N)
     context = EvaluationContext.build(dataset, measure, max_n=N)
-    with SweepEngine(dataset) as engine:
-        rankings = engine.repeat_rankings(context, clustering, EPSILON, SEED, [N])[N]
+    engine = SweepEngine(dataset)
+    rankings = engine.repeat_rankings(context, clustering, EPSILON, SEED, [N])[N]
 
     for user in users + [GHOST]:
         expected = recommender.recommend(user, n=N)

@@ -7,6 +7,7 @@ from repro.community.clustering import Clustering
 from repro.core.cluster_weights import NoisyClusterWeights
 from repro.core.persistence import PublishedRelease
 from repro.core.private import PrivateSocialRecommender
+from repro.core.scoring import ladder_estimates
 from repro.graph.social_graph import SocialGraph
 from repro.resilience.degradation import (
     DEGRADATION_LADDER,
@@ -14,7 +15,6 @@ from repro.resilience.degradation import (
     TIER_EMPTY,
     TIER_GLOBAL,
     TIER_PERSONALIZED,
-    degradation_estimates,
 )
 from repro.similarity.common_neighbors import CommonNeighbors
 
@@ -30,6 +30,14 @@ def make_weights(matrix, items, clusters):
     )
 
 
+def _ladder(weights, user):
+    """The ladder's ``(estimates, tier)`` for ``user`` of a release."""
+    clustering = weights.clustering
+    column = clustering.cluster_of(user) if user in clustering else -1
+    sizes = np.asarray(clustering.sizes(), dtype=float)
+    return ladder_estimates(weights.matrix, column, sizes)
+
+
 class TestDegradationEstimates:
     def test_ladder_order(self):
         assert DEGRADATION_LADDER == (
@@ -40,7 +48,7 @@ class TestDegradationEstimates:
         weights = make_weights(
             [[1.0, 10.0], [2.0, 20.0]], ["a", "b"], [[1, 2], [3]]
         )
-        estimates, tier = degradation_estimates(weights, 3)
+        estimates, tier = _ladder(weights, 3)
         assert tier == TIER_CLUSTER
         assert np.allclose(estimates, [10.0, 20.0])
 
@@ -48,14 +56,14 @@ class TestDegradationEstimates:
         weights = make_weights(
             [[1.0, 10.0], [2.0, 20.0]], ["a", "b"], [[1, 2], [3]]
         )
-        estimates, tier = degradation_estimates(weights, "stranger")
+        estimates, tier = _ladder(weights, "stranger")
         assert tier == TIER_GLOBAL
         # clusters of size 2 and 1: mean = (2*col0 + 1*col1) / 3
         assert np.allclose(estimates, [(2 * 1.0 + 10.0) / 3, (2 * 2.0 + 20.0) / 3])
 
     def test_empty_release_reports_empty_tier(self):
         weights = make_weights(np.zeros((0, 1)), [], [[1]])
-        estimates, tier = degradation_estimates(weights, 1)
+        estimates, tier = _ladder(weights, 1)
         assert tier == TIER_EMPTY
         assert estimates is None
 

@@ -53,6 +53,26 @@ class TestDeadlineExpiry:
         assert counters["serve.deadline.expired"] == 1
         assert "serve.deadline.met" not in counters
 
+    def test_expired_request_counts_one_served_tier(
+        self, registry, make_server, popular_user
+    ):
+        harness = make_server()
+        with slow_plan().installed():
+            _, payload = harness.get(
+                f"/recommend?user={popular_user}&deadline_ms=50"
+            )
+            # Let the abandoned scoring thread finish its own answer.
+            assert wait_for(
+                lambda: harness.get("/stats")[1]["depth"] == 0, timeout_s=10.0
+            )
+        # Only the inline answer the client got is a served tier.
+        served = {
+            name: value
+            for name, value in registry.snapshot().counters.items()
+            if name.startswith("serve.tier.")
+        }
+        assert served == {f"serve.tier.{payload['tier']}": 1}
+
     def test_slot_and_ref_released_after_late_completion(
         self, make_server, popular_user
     ):

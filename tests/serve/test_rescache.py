@@ -100,6 +100,27 @@ class TestServerCaching:
         stats = harness.server.rescache.stats()
         assert stats["misses"] == 1 and stats["hits"] == 1
 
+    def test_cached_responses_count_their_tier(
+        self, registry, make_server, popular_user
+    ):
+        # ``serve.tier.*`` counts served responses, replayed or scored,
+        # once each, as ``/stats`` ``tier_counts`` does.
+        harness = make_server(config=cached_config())
+        target = f"/recommend?user={popular_user}&n=5"
+        for _ in range(3):
+            harness.get(target)
+        _, stats = harness.get("/stats")
+        assert stats["response_cache"]["hits"] == 2
+        counters = registry.snapshot().counters
+        prefix = "serve.tier."
+        tiers = {
+            name[len(prefix) :]: value
+            for name, value in counters.items()
+            if name.startswith(prefix)
+        }
+        assert sum(tiers.values()) == counters["serve.requests"] == 3
+        assert tiers == stats["tier_counts"]
+
     def test_distinct_n_are_distinct_entries(self, make_server, popular_user):
         harness = make_server(config=cached_config())
         _, at_three = harness.get(f"/recommend?user={popular_user}&n=3")

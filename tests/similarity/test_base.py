@@ -3,6 +3,7 @@
 import pytest
 
 from repro.exceptions import NodeNotFoundError, SimilarityError
+from repro.obs import telemetry
 from repro.similarity.adamic_adar import AdamicAdar
 from repro.similarity.base import (
     SimilarityCache,
@@ -60,11 +61,11 @@ class TestSimilarityCache:
 
         # Rows come from the one kernel, built once on the first query.
         cache = SimilarityCache(Counting(), triangle_graph)
-        cache.row(1)
-        stats = cache.last_compute_stats
-        cache.row(1)
+        with telemetry() as registry:
+            cache.row(1)
+            cache.row(1)
         assert calls == []
-        assert cache.last_compute_stats is stats
+        assert registry.counter("compute.builds") == 1
 
     def test_cached_values_correct(self, triangle_graph):
         cache = SimilarityCache(CommonNeighbors(), triangle_graph)
@@ -130,13 +131,13 @@ class TestCacheBackends:
         assert len(cache) == 3
 
     def test_precompute_records_compute_stats(self, triangle_graph):
-        cache = SimilarityCache(CommonNeighbors(), triangle_graph)
-        assert cache.last_compute_stats is None
-        cache.precompute()
-        stats = cache.last_compute_stats
-        assert stats is not None
-        assert stats.measure == "cn"
-        assert stats.rows == 3
+        with telemetry() as registry:
+            cache = SimilarityCache(CommonNeighbors(), triangle_graph)
+            assert registry.counter("compute.builds") == 0
+            cache.precompute()
+        assert registry.counter("compute.builds") == 1
+        assert registry.counter("compute.measure.cn") == 1
+        assert registry.counter("compute.rows") == 3
 
     def test_auto_backend_degrades_for_unsupported_measure(self, triangle_graph):
         # Jaccard once had no kernel and ran per-user rows; it now builds
@@ -144,8 +145,9 @@ class TestCacheBackends:
         from repro.similarity.neighborhood import Jaccard
 
         cache = SimilarityCache(Jaccard(), triangle_graph)
-        assert cache.row(1) == Jaccard().similarity_row(triangle_graph, 1)
-        assert cache.last_compute_stats.measure == "jc"
+        with telemetry() as registry:
+            assert cache.row(1) == Jaccard().similarity_row(triangle_graph, 1)
+        assert registry.counter("compute.measure.jc") == 1
 
     def test_similarity_set_drops_zero_scores(self, triangle_graph):
         cache = SimilarityCache(CommonNeighbors(), triangle_graph)

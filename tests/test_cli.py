@@ -3,6 +3,8 @@
 import pytest
 
 from repro.cli import build_parser, main
+from repro.datasets.synthetic import SyntheticDatasetSpec
+from repro.obs import get_telemetry
 
 
 class TestParser:
@@ -417,6 +419,31 @@ class TestTradeoffEngine:
         assert "kernel:" in out
         assert "compute:" in out
 
+    def test_engine_line_counts_the_sweep(self, capsys):
+        # The CI profile's sweep, without --profile: the command still
+        # counts into a registry of its own, and removes it afterwards.
+        argv = ["tradeoff", "--scale", "0.05", "--seed", "1", "--measures",
+                "cn", "--epsilons", "inf", "1.0", "0.1", "--ns", "10", "50",
+                "--repeats", "2"]
+        assert main(argv) == 0
+        out = capsys.readouterr().out
+        assert "engine:      3 cell(s) x 5 repeat(s) over 1 measure(s) in " in out
+        assert "kernel:      " in out and "(0 cache hit(s), 0 miss(es))" in out
+        assert "compute:     cn kernel, 97 rows at " in out
+        assert "1 block(s) [adjacency " in out
+        assert "profile:" not in out
+        assert get_telemetry() is None
+
+    def test_multi_measure_compute_line_covers_every_build(self, capsys):
+        argv = ["tradeoff", "--scale", "0.04", "--seed", "1", "--measures",
+                "cn", "aa", "--epsilons", "1.0", "--ns", "5", "--repeats", "1"]
+        assert main(argv) == 0
+        out = capsys.readouterr().out
+        assert "over 2 measure(s)" in out
+        dataset = SyntheticDatasetSpec.lastfm_like(scale=0.04).generate(seed=1)
+        rows = 2 * dataset.social.num_users
+        assert f"compute:     cn, aa kernels, {rows} rows at " in out
+
     def test_engines_print_identical_tables(self, capsys):
         import math
 
@@ -474,12 +501,26 @@ class TestCacheCommand:
         out = capsys.readouterr().out
         assert "cn: computed" in out
         assert "2 miss(es)" in out
+        # Each computed kernel reports its own build, not the total.
+        lines = out.splitlines()
+        for name in ("cn", "aa"):
+            at = next(
+                i for i, line in enumerate(lines)
+                if line.startswith(f"{name}: computed")
+            )
+            assert lines[at + 1].startswith(f"  compute:     {name} kernel, ")
+            assert ", 1 block(s) [adjacency " in lines[at + 1]
+        assert (
+            "cache stats: 0 hit(s), 2 miss(es), 0 corrupt artifact(s) recomputed"
+            in out
+        )
 
         # A second warm run hits the persisted artifacts.
         assert main(argv) == 0
         out = capsys.readouterr().out
         assert "cn: hit" in out and "aa: hit" in out
         assert "2 hit(s), 0 miss(es)" in out
+        assert "compute:" not in out
 
         assert main(["cache", "info", "--cache-dir", cache_dir]) == 0
         out = capsys.readouterr().out
@@ -509,6 +550,20 @@ class TestCacheCommand:
 
 
 class TestBatchCommand:
+    def test_batch_prints_the_work_it_counted(self, capsys):
+        argv = ["batch", "--scale", "0.05", "--seed", "1"]
+        assert main(argv) == 0
+        out = capsys.readouterr().out
+        assert "served 97 users in " in out
+        assert (
+            "shards:      1 (2 zero-signal user(s) on the per-user ladder)"
+            in out
+        )
+        assert "shard wall:  [" in out
+        assert "kernel:      " in out and "(0 cache hit(s), 0 miss(es))" in out
+        assert "compute:     cn kernel, 97 rows at " in out
+        assert get_telemetry() is None
+
     def test_batch_serves_everyone_with_counters(self, tmp_path, capsys):
         cache_dir = str(tmp_path / "kernels")
         argv = ["batch", "--scale", "0.04", "--seed", "1", "--measure", "cn",
