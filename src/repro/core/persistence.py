@@ -96,8 +96,9 @@ def _mmap_matrix(matrix: np.ndarray, digest: str, mmap_dir: str) -> np.ndarray:
     first load materialises ``<digest>.npy`` atomically (tmp + fsync +
     ``os.replace``); later loads — and other processes serving the same
     release — share the page cache instead of each holding a private
-    copy of the matrix.  A cache file that fails to parse or does not
-    match the verified in-memory matrix's shape/dtype is rewritten.
+    copy of the matrix.  A cache file that fails to parse, or whose
+    shape, dtype or values differ from the checksum-verified matrix, is
+    rewritten.
     """
     os.makedirs(mmap_dir, exist_ok=True)
     cache_path = os.path.join(mmap_dir, f"{digest}.npy")
@@ -109,7 +110,9 @@ def _mmap_matrix(matrix: np.ndarray, digest: str, mmap_dir: str) -> np.ndarray:
         except (OSError, ValueError):
             mapped = None
         if mapped is not None and (
-            mapped.shape != canonical.shape or mapped.dtype != canonical.dtype
+            mapped.shape != canonical.shape
+            or mapped.dtype != canonical.dtype
+            or not np.array_equal(mapped, canonical)
         ):
             mapped = None
     if mapped is None:

@@ -120,6 +120,12 @@ class SweepSpec:
             )
         if self.louvain_runs < 1:
             raise SweepQueueError(f"louvain_runs must be >= 1, got {self.louvain_runs}")
+        if self.repeats < 1:
+            raise SweepQueueError(f"repeats must be >= 1, got {self.repeats}")
+        if min(self.ns) < 1:
+            raise SweepQueueError(f"every n in ns must be >= 1, got {self.ns}")
+        if self.sample_size is not None and self.sample_size < 1:
+            raise SweepQueueError(f"sample_size must be >= 1, got {self.sample_size}")
 
     def epsilon_values(self) -> List[float]:
         return [decode_epsilon(label) for label in self.epsilons]

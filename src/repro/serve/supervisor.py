@@ -66,7 +66,7 @@ import signal
 import socket
 import time
 from dataclasses import dataclass
-from typing import Dict, List, Optional, Tuple
+from typing import Callable, Dict, List, Optional, Tuple
 from urllib.parse import quote
 
 from repro.exceptions import ReproError
@@ -87,7 +87,21 @@ from repro.serve.server import (
 )
 from repro.serve.swap import HotSwapper
 
-__all__ = ["SupervisorConfig", "ServingSupervisor"]
+__all__ = ["SupervisorConfig", "ServingSupervisor", "install_shutdown_handlers"]
+
+
+def install_shutdown_handlers(request_shutdown: Callable[[], None]) -> None:
+    """Call ``request_shutdown`` on SIGINT or SIGTERM in the running loop.
+
+    Does nothing where the platform, or a loop outside the main thread,
+    cannot take signal handlers.
+    """
+    loop = asyncio.get_running_loop()
+    for signum in (signal.SIGINT, signal.SIGTERM):
+        try:
+            loop.add_signal_handler(signum, request_shutdown)
+        except (NotImplementedError, RuntimeError):
+            pass
 
 
 def _reuseport_available() -> bool:
@@ -233,12 +247,7 @@ async def _worker_serve(slot: int, conn, init: _WorkerInit) -> None:
         supervisor_notify=lambda action: conn.send(("notify", slot, action)),
     )
 
-    loop = asyncio.get_running_loop()
-    for signum in (signal.SIGINT, signal.SIGTERM):
-        try:
-            loop.add_signal_handler(signum, server.request_shutdown)
-        except (NotImplementedError, RuntimeError):
-            pass
+    install_shutdown_handlers(server.request_shutdown)
 
     sock = init.sock
     if sock is None:  # reuseport mode: a private listener on the shared port

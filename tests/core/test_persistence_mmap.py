@@ -68,6 +68,24 @@ class TestMmapLoad:
         repaired = np.load(cache_path, mmap_mode="r")
         assert repaired.shape == expected.shape
 
+    def test_corrupted_cache_file_is_rewritten(self, release_path, tmp_path):
+        # Right shape and dtype, wrong bytes: the sidecar is compared with
+        # the checksum-verified matrix, not trusted for parsing.
+        mmap_dir = str(tmp_path / "mmap")
+        PublishedRelease.load(release_path, mmap_dir=mmap_dir)
+        cache_path = os.path.join(mmap_dir, _cache_files(mmap_dir)[0])
+        with open(cache_path, "r+b") as handle:
+            handle.seek(-1, os.SEEK_END)  # the last float's high byte
+            byte = handle.read(1)[0]
+            handle.seek(-1, os.SEEK_END)
+            handle.write(bytes([byte ^ 0x01]))
+        again = PublishedRelease.load(release_path, mmap_dir=mmap_dir)
+        # An earlier mmap load maps the same (now corrupt) file, so the
+        # reference is a load that never touches the sidecar.
+        expected = PublishedRelease.load(release_path).weights.matrix
+        assert np.array_equal(again.weights.matrix, expected)
+        assert np.array_equal(np.load(cache_path), expected)
+
     def test_unparsable_cache_file_is_rewritten(self, release_path, tmp_path):
         mmap_dir = str(tmp_path / "mmap")
         expected = np.array(PublishedRelease.load(release_path).weights.matrix)

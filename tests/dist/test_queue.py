@@ -1,5 +1,6 @@
 """Unit tests for the filesystem work queue's lease protocol."""
 
+import dataclasses
 import json
 import math
 import os
@@ -82,6 +83,19 @@ class TestCreate:
         payload = tiny_spec(tiny_dataset).to_dict()
         payload["louvain_runs"] = runs
         with pytest.raises(SweepQueueError, match="louvain_runs"):
+            SweepSpec.from_dict(payload)
+
+    @pytest.mark.parametrize(
+        "field, value",
+        [("repeats", 0), ("repeats", -1), ("ns", [5, 0]), ("sample_size", 0)],
+    )
+    def test_spec_rejects_unrunnable_sizes(self, tiny_dataset, field, value):
+        # A queue of such cells exits 0 at submit and fails in every worker.
+        with pytest.raises(SweepQueueError, match=field):
+            dataclasses.replace(tiny_spec(tiny_dataset), **{field: value})
+        payload = tiny_spec(tiny_dataset).to_dict()
+        payload[field] = value
+        with pytest.raises(SweepQueueError, match=field):
             SweepSpec.from_dict(payload)
 
     def test_spec_round_trips(self, queue_factory):

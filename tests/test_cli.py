@@ -1,5 +1,7 @@
 """Unit tests for the command-line interface."""
 
+import math
+
 import pytest
 
 from repro.cli import build_parser, main
@@ -23,7 +25,7 @@ class TestParser:
              "--ns", "10", "--repeats", "2"]
         )
         assert args.measures == ["cn"]
-        assert args.epsilons == ["inf", "0.5"]
+        assert args.epsilons == [math.inf, 0.5]
 
     def test_tradeoff_engine_defaults(self):
         args = build_parser().parse_args(["tradeoff"])
@@ -314,13 +316,13 @@ class TestErrorExitCodes:
         # Checked before the dataset is built or a release fitted (or
         # staged for the workers): a bad pair used to surface as the
         # admission policy's raw ValueError after the fit.
-        import repro.cli as cli
+        from repro.cli import options, serve
 
         def fitted_too_early(*_args):
             raise AssertionError("serve run went past the flag check")
 
-        monkeypatch.setattr(cli, "_resolve_dataset", fitted_too_early)
-        monkeypatch.setattr(cli, "_serve_release", fitted_too_early)
+        monkeypatch.setattr(options, "resolve_dataset", fitted_too_early)
+        monkeypatch.setattr(serve, "_fit_release", fitted_too_early)
         argv = ["serve", "run", "--scale", "0.04", "--workers", workers, *flags]
         try:
             code = main(argv)
