@@ -53,7 +53,7 @@ def add_degree_effect(sub) -> None:
     options.add_dataset_arguments(p_degree)
     options.add_measure(p_degree)
     options.add_n(p_degree, default=50)
-    p_degree.add_argument("--threshold", type=int, default=10)
+    p_degree.add_argument("--threshold", type=options.nonnegative_int, default=10)
     p_degree.set_defaults(run=_cmd_degree_effect)
 
 
@@ -142,12 +142,18 @@ def _cmd_degree_effect(args: argparse.Namespace) -> int:
         threshold=args.threshold,
         seed=args.seed,
     )
-    print(f"dataset: {result.dataset}  measure: {result.measure.upper()}")
-    print(
-        f"NDCG@{result.n} (eps=inf): degree <= {result.threshold}: "
-        f"{result.low_degree_mean:.3f}, degree > {result.threshold}: "
-        f"{result.high_degree_mean:.3f}"
+    threshold = result.threshold
+    low = sum(1 for _user, degree, _ndcg in result.points if degree <= threshold)
+    groups = [
+        (f"degree <= {threshold}", result.low_degree_mean, low),
+        (f"degree > {threshold}", result.high_degree_mean, len(result.points) - low),
+    ]
+    summary = ", ".join(
+        f"{label}: {mean:.3f} ({users} users)" if users else f"{label}: no users"
+        for label, mean, users in groups
     )
+    print(f"dataset: {result.dataset}  measure: {result.measure.upper()}")
+    print(f"NDCG@{result.n} (eps=inf): {summary}")
     return 0
 
 

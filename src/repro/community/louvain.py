@@ -31,6 +31,7 @@ implementation in ``tests/oracles`` pins it partition for partition.
 
 from __future__ import annotations
 
+import math
 from dataclasses import dataclass
 from typing import Dict, Iterable, List, Optional, Sequence, Tuple
 
@@ -174,25 +175,42 @@ def _one_level_flat(
     graph: _FlatGraph,
     node2com: np.ndarray,
     rng: np.random.Generator,
-) -> bool:
+) -> None:
     """Run local moving until no node move improves modularity.
 
-    ``node2com`` is modified in place; returns True when at least one move
-    happened.  The weighted-degree vector and the community-degree
-    accumulator are computed vectorised once.  The sequential move scan
-    itself runs over the graph's cached builtin-list pair runs
-    (:meth:`_FlatGraph.neighbor_pairs`): local moving is inherently
-    order-dependent, and element reads on lists avoid per-access numpy
-    scalar boxing while holding the exact same float64 values.
+    ``node2com`` is modified in place.  The weighted-degree vector and
+    the community-degree accumulator are computed vectorised once.  The
+    sequential move scan itself runs over the graph's cached builtin-list
+    pair runs (:meth:`_FlatGraph.neighbor_pairs`): local moving is
+    inherently order-dependent, and element reads on lists avoid
+    per-access numpy scalar boxing while holding the exact same float64
+    values.
 
     Candidate communities are visited in first-appearance order over the
     node's neighbor run, and every link sum and community degree is an
     integer-valued float, so gains, comparisons, and therefore moves are
     exact.
+
+    A visit evaluates its node only when the evaluation could move it.
+    Evaluating ``v`` records ``margin[v]``: the gain of the community
+    ``v`` ends in minus the best gain of any other candidate (``inf``
+    with no other), less a rounding allowance of ``1e-9 * k_v``.  Until
+    a neighbor of ``v`` moves, ``v``'s link sums and candidates stay as
+    they were (its own move leaves the inputs of its next evaluation
+    unchanged), so only community degrees can shift its gains: each
+    candidate's by ``|dD_c| * k_v / 2m``, and the sum of every
+    ``|dD_c|`` grows by ``2 * k_x`` per move of a node ``x``
+    (``churn``).  While ``margin[v]`` exceeds the churn since ``v``'s
+    evaluation times ``k_v / 2m``, the ``best + 1e-12`` scan would keep
+    ``v`` where it is, so the visit is skipped.  A move resets its
+    neighbors' margins to ``-inf`` (stale), as every node starts.  Each
+    evaluation that runs is the unpruned one, so the moves, and the
+    partition, are those of the unpruned scan; the allowance exceeds
+    the gains' float rounding, which is below ``2**-49 * k_v``.
     """
     m = graph.total_weight
     if m <= 0.0:
-        return False
+        return
 
     n = graph.num_nodes
     wdeg_arr = graph.weighted_degrees()
@@ -209,14 +227,22 @@ def _one_level_flat(
     order = order_arr.tolist()
     two_m = 2.0 * m
 
-    moved_any = False
+    stale = -math.inf
+    margin = [stale] * n
+    churn_at = [0.0] * n
+    churn = 0.0
+    visits = evaluations = 0
     improved = True
     while improved:
         improved = False
+        visits += n
         for node in order:
-            com = coms[node]
             k_i = wdeg[node]
             k_i_over_2m = k_i / two_m
+            if margin[node] > (churn - churn_at[node]) * k_i_over_2m:
+                continue
+            evaluations += 1
+            com = coms[node]
 
             links_to_com: Dict[int, float] = {}
             links_get = links_to_com.get
@@ -229,22 +255,33 @@ def _one_level_flat(
             # threshold changes only when the best candidate does.
             best_gain = links_to_com.get(com, 0.0) - com_degree[com] * k_i_over_2m
             threshold = best_gain + 1e-12
+            runner_up = stale
             best_com = com
             for c, dnc in links_to_com.items():
                 if c == com:
                     continue
                 gain = dnc - com_degree[c] * k_i_over_2m
                 if gain > threshold:
+                    if best_gain > runner_up:
+                        runner_up = best_gain
+                    best_gain = gain
                     threshold = gain + 1e-12
                     best_com = c
+                elif gain > runner_up:
+                    runner_up = gain
 
             com_degree[best_com] += k_i
+            margin[node] = best_gain - runner_up - 1e-9 * k_i
             if best_com != com:
                 coms[node] = best_com
+                churn += 2.0 * k_i
+                for nbr, _weight in pairs[node]:
+                    margin[nbr] = stale
                 improved = True
-                moved_any = True
+            churn_at[node] = churn
     node2com[:] = coms
-    return moved_any
+    obs_incr("louvain.node_visits", visits)
+    obs_incr("louvain.node_evaluations", evaluations)
 
 
 def _renumber_flat(node2com: np.ndarray) -> Tuple[np.ndarray, int]:

@@ -213,10 +213,11 @@ def _exact_sums(
 ) -> np.ndarray:
     """CSR accumulation: clipped preference matrix times cluster indicator.
 
-    Builds the (edges,) COO triplets in one pass, then reduces
-    ``W_pref^T @ C`` in scipy.  For the paper's unweighted model (and any
-    weight grid exactly representable in binary) the per-cell sums are
-    exact; the tests pin them against a per-edge loop.
+    Builds the (edges,) COO triplets one user at a time, clips the
+    weights once, then reduces ``W_pref^T @ C`` in scipy.  For the
+    paper's unweighted model (and any weight grid exactly representable
+    in binary) the per-cell sums are exact; the tests pin them against a
+    per-edge loop.
     """
     num_items = len(item_index)
     num_clusters = clustering.num_clusters
@@ -226,13 +227,12 @@ def _exact_sums(
     for column, owned in _clamped_user_items(
         preferences, clustering, item_index, max_weight, protection, user_clamp
     ):
-        for item, weight in owned.items():
-            rows.append(item_index[item])
-            cols.append(column)
-            data.append(min(weight, max_weight))
+        rows.extend(map(item_index.__getitem__, owned))
+        cols.extend([column] * len(owned))
+        data.extend(owned.values())
     sums = sp.csr_matrix(
         (
-            np.asarray(data, dtype=float),
+            np.minimum(np.asarray(data, dtype=float), max_weight),
             (np.asarray(rows, dtype=np.int64), np.asarray(cols, dtype=np.int64)),
         ),
         shape=(num_items, num_clusters),

@@ -8,6 +8,7 @@ import pytest
 
 from repro.community.louvain import best_louvain_clustering, louvain
 from repro.community.modularity import modularity
+from repro.datasets.synthetic import SyntheticDatasetSpec
 from repro.graph.bigcsr import bigcsr_from_social_graph
 from repro.graph.social_graph import SocialGraph
 from repro.obs import Telemetry, telemetry
@@ -94,6 +95,45 @@ class TestOutOfOrderUsers:
         assert vec == ref
         assert vec.clustering.assignment() == ref.clustering.assignment()
         assert modularity(graph, vec.clustering) == vec.modularity
+
+
+@pytest.fixture(scope="module")
+def lastfm_graph():
+    """lastfm-like x0.26 (516 users, 2,737 edges): big enough that the
+    move scan skips about 40% of its visits."""
+    return SyntheticDatasetSpec.lastfm_like(scale=0.26).generate(seed=1).social
+
+
+class TestPrunedScan:
+    """The scan skips visits that cannot move a node; the oracle never
+    does, so these pin the skip rule where it actually fires."""
+
+    @staticmethod
+    def _assert_same(vec, ref):
+        assert vec.clustering.assignment() == ref.clustering.assignment()
+        assert vec.modularity == ref.modularity
+        assert vec.num_levels == ref.num_levels
+
+    @staticmethod
+    def _assert_skipped(registry):
+        visits = registry.counter("louvain.node_visits")
+        assert 0 < registry.counter("louvain.node_evaluations") < visits
+
+    def test_best_of_ten_matches_oracle(self, lastfm_graph):
+        ref = oracle.best_louvain_clustering(lastfm_graph, runs=10, seed=0)
+        with telemetry(Telemetry()) as registry:
+            vec = best_louvain_clustering(lastfm_graph, runs=10, seed=0)
+        self._assert_same(vec, ref)
+        self._assert_skipped(registry)
+
+    @pytest.mark.parametrize("seed", [1, 5])
+    @pytest.mark.parametrize("refine", [True, False])
+    def test_single_run_matches_oracle(self, lastfm_graph, seed, refine):
+        ref = oracle.louvain(lastfm_graph, np.random.default_rng(seed), refine=refine)
+        with telemetry(Telemetry()) as registry:
+            vec = louvain(lastfm_graph, np.random.default_rng(seed), refine=refine)
+        self._assert_same(vec, ref)
+        self._assert_skipped(registry)
 
 
 class TestGraphRepresentations:

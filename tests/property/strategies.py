@@ -2,12 +2,14 @@
 
 from __future__ import annotations
 
+import numpy as np
 from hypothesis import strategies as st
 
+from repro.graph.generators import planted_partition_graph
 from repro.graph.preference_graph import PreferenceGraph
 from repro.graph.social_graph import SocialGraph
 
-__all__ = ["social_graphs", "preference_graphs", "partitions"]
+__all__ = ["social_graphs", "planted_graphs", "preference_graphs", "partitions"]
 
 
 @st.composite
@@ -27,6 +29,28 @@ def social_graphs(draw, max_users: int = 12, max_extra_edges: int = 20):
         )
         for u, v in edges:
             graph.add_edge(u, v)
+    return graph
+
+
+@st.composite
+def planted_graphs(draw, min_users: int = 60, max_users: int = 300):
+    """A planted-partition graph whose users arrive in a shuffled order.
+
+    Two to eight blocks with a mean of 2–8 neighbors inside a block and
+    0.2–2 outside; ``users()`` is the drawn insertion order, so it
+    differs from ``stable_user_order()``.
+    """
+    n = draw(st.integers(min_value=min_users, max_value=max_users))
+    blocks = draw(st.integers(min_value=2, max_value=8))
+    sizes = [n // blocks + (b < n % blocks) for b in range(blocks)]
+    p_in = min(1.0, draw(st.floats(2.0, 8.0)) / (min(sizes) - 1))
+    p_out = min(p_in, draw(st.floats(0.2, 2.0)) / (n - min(sizes)))
+    rng = np.random.default_rng(draw(st.integers(0, 2**32 - 1)))
+    planted = planted_partition_graph(sizes, p_in, p_out, rng)
+    graph = SocialGraph()
+    graph.add_users(draw(st.permutations(range(n))))
+    for u, v in planted.edges():
+        graph.add_edge(u, v)
     return graph
 
 

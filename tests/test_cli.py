@@ -146,6 +146,16 @@ class TestCommands:
         assert main(["degree-effect", "--scale", "0.04", "--seed", "1"]) == 0
         out = capsys.readouterr().out
         assert "NDCG@50" in out
+        assert " users), degree > 10: " in out
+
+    def test_degree_effect_names_an_empty_group(self, capsys):
+        argv = ["degree-effect", "--scale", "0.04", "--seed", "1"]
+        assert main(argv + ["--threshold", "100000"]) == 0
+        out = capsys.readouterr().out
+        assert "degree > 100000: no users" in out
+        assert "nan" not in out
+        low = out.split("degree <= 100000: ")[1].split(",")[0]
+        assert low.endswith(" users)")
 
     def test_tradeoff_command(self, capsys):
         code = main(

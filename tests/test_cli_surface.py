@@ -247,6 +247,7 @@ BAD_FLAGS = [
     (["compare", "--epsilons", "abc"], "--epsilons"),
     (["compare", "--n", "0"], "--n"),
     (["degree-effect", "--n", "0"], "--n"),
+    (["degree-effect", "--threshold", "-5"], "--threshold"),
     (["attack", "--top-n", "0"], "--top-n"),
     (["sweep", "submit", "--queue", "{tmp}/q", "--epsilons", "abc"], "--epsilons"),
     (["sweep", "submit", "--queue", "{tmp}/q", "--ns", "0"], "--ns"),
