@@ -22,9 +22,12 @@ Audit protocol (fixed per run, all derived from the master seed):
    sweep — the same factoring the vectorized sweep engine uses — so a
    membership trial costs one scaled noise draw and a reconstruction
    repeat costs one Laplace tensor.
-4. Per measure, obtain the one kernel (through ``store``) and read the
-   observer's cluster-similarity vector as a row of the scoring core's
-   profile ``P = S @ C`` (:mod:`repro.core.scoring`).  Derive canonical
+4. Per measure, build one similarity cache on the attacked graph: it
+   obtains the one kernel (through ``store``) for the observer's
+   cluster-similarity vector, a row of the scoring core's profile
+   ``P = S @ C`` (:mod:`repro.core.scoring`), and every deployed fit
+   shares it, so the kernel and LRM's workload SVD (both public) are
+   computed once per measure.  Derive canonical
    unit-noise streams
    (``SeedSequence(seed)`` -> per-measure children) shared across the
    epsilon sweep: common random numbers make the per-measure bounds
@@ -40,7 +43,8 @@ Audit protocol (fixed per run, all derived from the master seed):
    analytically unaccounted, which no empirical bound can violate.
 
 Everything runs under an ``attacks.audit`` span with per-cell
-``attacks.cell`` spans and ``attacks.*`` counters; when no registry is
+``attacks.cell`` spans (each deployed fit inside an ``attacks.fit``
+span) and ``attacks.*`` counters; when no registry is
 active the audit installs a local one so the ledger read-out always
 works.
 """
@@ -66,7 +70,6 @@ from repro.attacks.reconstruction import (
     victim_edge_mask,
 )
 from repro.attacks.sybil import SybilAttack
-from repro.cache.store import load_or_build_kernel
 from repro.core.baselines import NoiseOnEdges, NoiseOnUtility
 from repro.core.cluster_weights import (
     ClusterItemAverages,
@@ -82,7 +85,7 @@ from repro.obs.registry import Telemetry, get_telemetry
 from repro.obs.registry import incr as obs_incr
 from repro.obs.registry import telemetry as obs_telemetry
 from repro.obs.spans import span
-from repro.similarity.base import get_measure
+from repro.similarity.base import SimilarityCache, get_measure
 from repro.types import ItemId, UserId
 
 __all__ = [
@@ -290,14 +293,14 @@ def _choose_attacked_edge(
 
 def _fit_deployed_target(
     target: str,
-    measure_name: str,
     epsilon: float,
-    attacked_graph,
+    similarity: SimilarityCache,
     preferences,
     seed: int,
 ):
-    """One deployed (fixed-seed) mechanism, fitted on the attacked graph."""
-    measure = get_measure(measure_name)
+    """One deployed (fixed-seed) mechanism, fitted on the attacked graph
+    that ``similarity`` wraps and sharing that cache."""
+    measure = similarity.measure
     if target == "nou":
         recommender = NoiseOnUtility(measure, epsilon, seed=seed)
     elif target == "noe":
@@ -312,7 +315,8 @@ def _fit_deployed_target(
         recommender = GroupAndSmooth(measure, epsilon, seed=seed)
     else:
         raise ExperimentError(f"unknown audit target {target!r}")
-    recommender.fit(attacked_graph, preferences)
+    with span("attacks.fit"):
+        recommender.fit(similarity.graph, preferences, similarity=similarity)
     return recommender
 
 
@@ -377,9 +381,8 @@ def _audit_private_cell(
 
 def _audit_deployed_cell(
     target: str,
-    measure_name: str,
     epsilon: float,
-    attacked_graph,
+    similarity: SimilarityCache,
     worlds: Tuple,
     victim: UserId,
     item: ItemId,
@@ -391,10 +394,10 @@ def _audit_deployed_cell(
 ) -> Tuple[MembershipResult, ReconstructionResult]:
     preferences_without, preferences_with = worlds
     fitted_without = _fit_deployed_target(
-        target, measure_name, epsilon, attacked_graph, preferences_without, seed
+        target, epsilon, similarity, preferences_without, seed
     )
     fitted_with = _fit_deployed_target(
-        target, measure_name, epsilon, attacked_graph, preferences_with, seed
+        target, epsilon, similarity, preferences_with, seed
     )
     scores_without = attack.readout_scores(fitted_without, observer, items)
     scores_with = attack.readout_scores(fitted_with, observer, items)
@@ -451,7 +454,8 @@ def run_privacy_audit(
 
     Raises:
         ExperimentError: for an unknown target, an unattackable
-            dataset, or an invalid grid.
+            dataset, or an invalid grid (an empty or duplicated measure,
+            epsilon or target; measures compare case-insensitively).
     """
     unknown = [t for t in targets if t not in AUDIT_TARGETS]
     if unknown:
@@ -460,6 +464,17 @@ def run_privacy_audit(
         )
     if not measures or not epsilons or not targets:
         raise ExperimentError("measures, epsilons, and targets must be non-empty")
+    # AuditReport.cell() reaches only the first of two equal cells.
+    for kind, keys in (
+        ("measure", [name.lower() for name in measures]),
+        ("epsilon", list(epsilons)),
+        ("target", list(targets)),
+    ):
+        repeated = [key for i, key in enumerate(keys) if key in keys[:i]]
+        if repeated:
+            raise ExperimentError(
+                f"duplicate audit {kind} {repeated[0]!r}: each must appear once"
+            )
     if trials < 1 or repeats < 1:
         raise ExperimentError("trials and repeats must be >= 1")
 
@@ -493,9 +508,8 @@ def run_privacy_audit(
                 unit_laplace_draws(stream_without, trials),
                 unit_laplace_draws(stream_with, trials),
             )
-            kernel = load_or_build_kernel(
-                attacked_graph, get_measure(measure_name), store
-            ).matrix
+            similarity = SimilarityCache(get_measure(measure_name), attacked_graph)
+            kernel = similarity.ensure_kernel(store).matrix
             sim_vector = ClusterProfile(kernel, clustering).row(observer)
             repeat_streams = recon_root.spawn(len(epsilons) * repeats)
             for target in targets:
@@ -519,9 +533,8 @@ def run_privacy_audit(
                         else:
                             membership, reconstruction = _audit_deployed_cell(
                                 target,
-                                measure_name,
                                 epsilon,
-                                attacked_graph,
+                                similarity,
                                 (preferences_without, preferences_with),
                                 victim,
                                 item,

@@ -152,12 +152,16 @@ def _cmd_attack_audit(args: argparse.Namespace) -> int:
 
     dataset = options.resolve_dataset(args)
     store = SimilarityStore(args.cache_dir) if args.cache_dir else None
-    # Dedupe targets preserving order (nargs="+" allows repeats).
+    # Dedupe the grid preserving order (nargs="+" allows repeats); measure
+    # names resolve case-insensitively, so a name's first spelling stands.
+    measures = {}
+    for name in args.measures:
+        measures.setdefault(name.lower(), name)
     targets = list(dict.fromkeys(args.target))
     report = run_privacy_audit(
         dataset,
-        measures=args.measures,
-        epsilons=args.eps,
+        measures=list(measures.values()),
+        epsilons=list(dict.fromkeys(args.eps)),
         targets=targets,
         trials=args.trials,
         repeats=args.repeats,

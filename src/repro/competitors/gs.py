@@ -32,6 +32,7 @@ comparison.
 from __future__ import annotations
 
 import math
+import numbers
 from typing import Dict, Iterable, List, Optional, Sequence
 
 import numpy as np
@@ -58,13 +59,16 @@ class GroupAndSmooth(BaseRecommender):
         epsilon: privacy parameter, split evenly between the rough-estimate
             and smoothing phases (``math.inf`` disables noise in both).
         n: default list length.
-        group_size: the grouping parameter ``m`` (>= 1).
+        group_size: the grouping parameter ``m`` (an integer >= 1).
         seed: noise seed.
 
     The full noisy utility matrix is materialised at fit time (the
     mechanism is inherently global: grouping needs all users' answers for
     an item at once), so memory is ``O(|U| * |I|)`` — use this on
     evaluation-scale datasets, as the paper does.
+
+    Raises:
+        ValueError: for a ``group_size`` that is not an integer >= 1.
     """
 
     def __init__(
@@ -77,9 +81,13 @@ class GroupAndSmooth(BaseRecommender):
     ) -> None:
         super().__init__(measure, n=n)
         self.epsilon = validate_epsilon(epsilon)
-        if group_size < 1:
-            raise ValueError(f"group_size must be >= 1, got {group_size}")
-        self.group_size = group_size
+        if (
+            isinstance(group_size, bool)
+            or not isinstance(group_size, numbers.Integral)
+            or group_size < 1
+        ):
+            raise ValueError(f"group_size must be an integer >= 1, got {group_size!r}")
+        self.group_size = int(group_size)
         self.seed = seed
         self._users: List[UserId] = []
         self._user_row: Dict[UserId, int] = {}

@@ -21,6 +21,7 @@ have near-full rank, which is why LRM underperforms even NOE here.
 from __future__ import annotations
 
 import math
+import numbers
 from typing import Dict, List, Optional
 
 import numpy as np
@@ -45,11 +46,15 @@ class LowRankMechanism(BaseRecommender):
             above the tolerance (the numerical rank — the paper's choice of
             ``r = rank(W)``).
         tolerance: relative singular-value cutoff used when ``rank`` is
-            ``None``.
+            ``None``, in ``[0, 1)``.
         seed: noise seed.
 
     After :meth:`fit`, :attr:`rank_` holds the effective rank and
     :attr:`workload_rank_` the numerical rank of ``W``.
+
+    Raises:
+        ValueError: for a ``rank`` that is not ``None`` or an integer
+            ``>= 1``, or a ``tolerance`` outside ``[0, 1)``.
     """
 
     def __init__(
@@ -63,9 +68,13 @@ class LowRankMechanism(BaseRecommender):
     ) -> None:
         super().__init__(measure, n=n)
         self.epsilon = validate_epsilon(epsilon)
-        if rank is not None and rank < 1:
-            raise ValueError(f"rank must be >= 1, got {rank}")
-        self.rank = rank
+        if rank is not None and (
+            isinstance(rank, bool) or not isinstance(rank, numbers.Integral) or rank < 1
+        ):
+            raise ValueError(f"rank must be None or an integer >= 1, got {rank!r}")
+        if not (isinstance(tolerance, numbers.Real) and 0.0 <= tolerance < 1.0):
+            raise ValueError(f"tolerance must be in [0, 1), got {tolerance!r}")
+        self.rank = None if rank is None else int(rank)
         self.tolerance = tolerance
         self.seed = seed
         self.rank_: Optional[int] = None
@@ -88,15 +97,9 @@ class LowRankMechanism(BaseRecommender):
             self.workload_rank_ = 0
             return
 
-        # The dense workload matrix W[u, v] = sim(u, v), both axes in
-        # user order (the cache's columns follow the kernel's order).
-        columns = {v: col for col, v in enumerate(state.similarity.column_users())}
-        workload = state.similarity.row_matrix(self._users)[
-            :, [columns[v] for v in self._users]
-        ].toarray()
-
-        # Truncated SVD factorisation W ~ B L.
-        u_mat, singular, vt = np.linalg.svd(workload, full_matrices=False)
+        # Truncated SVD factorisation W ~ B L of the public workload
+        # W[u, v] = sim(u, v), shared by every fit over the cache.
+        u_mat, singular, vt = state.similarity.workload_svd()
         cutoff = self.tolerance * (singular[0] if singular.size else 0.0)
         numerical_rank = int(np.sum(singular > cutoff))
         self.workload_rank_ = numerical_rank

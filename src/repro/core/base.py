@@ -3,8 +3,8 @@
 Every recommender follows the scikit-learn-style two-phase protocol:
 
 1. ``fit(social_graph, preference_graph)`` — snapshot the inputs, build
-   similarity caches and (for private recommenders) run the mechanism's
-   data-dependent preprocessing.
+   (or share, through ``similarity=``) the similarity cache and (for
+   private recommenders) run the mechanism's data-dependent preprocessing.
 2. ``utilities(user)`` / ``recommend(user)`` / ``recommend_all(users)`` —
    read-only queries against the fitted state.
 
@@ -88,7 +88,11 @@ class BaseRecommender(abc.ABC):
     # fitting
     # ------------------------------------------------------------------
     def fit(
-        self, social: GraphLike, preferences: PreferenceGraph
+        self,
+        social: GraphLike,
+        preferences: PreferenceGraph,
+        *,
+        similarity: Optional[SimilarityCache] = None,
     ) -> "BaseRecommender":
         """Snapshot the input graphs and run model-specific preparation.
 
@@ -96,13 +100,32 @@ class BaseRecommender(abc.ABC):
         graph are allowed (they simply have empty similarity sets); the
         reverse is also allowed (social users with no recorded preferences).
 
+        Args:
+            social: the public social graph.
+            preferences: the private preference graph.
+            similarity: a cache over ``social`` and this recommender's own
+                ``measure`` object, to share its kernel and workload SVD
+                with other fits on the same graph (both depend on the
+                public graph alone).  ``None`` builds a fresh cache.
+
         Returns self, for call chaining.
+
+        Raises:
+            ValueError: when ``similarity`` wraps another graph or another
+                measure object.
         """
+        if similarity is None:
+            similarity = SimilarityCache(self.measure, social)
+        elif similarity.graph is not social or similarity.measure is not self.measure:
+            raise ValueError(
+                "similarity must be a cache over the fitted social graph "
+                "and this recommender's own measure object"
+            )
         items = preferences.items()
         self._state = FittedState(
             social=social,
             preferences=preferences,
-            similarity=SimilarityCache(self.measure, social),
+            similarity=similarity,
             items=items,
             item_index={item: i for i, item in enumerate(items)},
         )

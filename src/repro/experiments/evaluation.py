@@ -53,7 +53,8 @@ class EvaluationContext:
         reference_rankings: per-user non-private top-``max_n`` rankings.
         ideal_utilities: per-user true utility maps.
         similarity: the reference's similarity cache, whose kernel the
-            sweep engine reuses (None for a hand-assembled context).
+            sweep engine reuses and :func:`evaluate_recommender` fits share
+            (None for a hand-assembled context).
         utility_rows: the ideal utilities as sparse rows, one per user,
             over the dataset's items: the matrix the sweep engine scores
             against (None for a hand-assembled context).
@@ -204,8 +205,19 @@ def _reference_answers(
 def evaluate_recommender(
     context: EvaluationContext, recommender: BaseRecommender, n: int
 ) -> float:
-    """Fit ``recommender`` on the context's dataset and score NDCG@n."""
-    recommender.fit(context.dataset.social, context.dataset.preferences)
+    """Fit ``recommender`` on the context's dataset and score NDCG@n.
+
+    A recommender on the context's own measure object fits with the
+    reference's similarity cache, so every fit of one context shares its
+    kernel and workload SVD; any other recommender, including a wrapper
+    with no ``measure``, is fitted with ``fit(social, preferences)`` alone.
+    """
+    social, preferences = context.dataset.social, context.dataset.preferences
+    shared = context.similarity
+    if shared is not None and getattr(recommender, "measure", None) is shared.measure:
+        recommender.fit(social, preferences, similarity=shared)
+    else:
+        recommender.fit(social, preferences)
     rankings = {
         u: recommender.recommend(u, n=n).item_ids() for u in context.users
     }

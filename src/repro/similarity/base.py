@@ -14,12 +14,15 @@ sweep per user instead of O(|U|) pairwise calls.
 from __future__ import annotations
 
 import abc
-from typing import Callable, Dict, FrozenSet, List, Sequence
+from typing import Callable, Dict, FrozenSet, List, Sequence, Tuple
 
+import numpy as np
 import scipy.sparse as sp
 
 from repro.exceptions import NodeNotFoundError, SimilarityError
 from repro.graph.protocol import GraphLike
+from repro.obs.registry import incr
+from repro.obs.spans import span
 from repro.types import UserId
 
 __all__ = [
@@ -85,15 +88,18 @@ class SimilarityCache:
     :class:`~repro.similarity.matrix.SimilarityMatrix` kernel
     (:func:`repro.compute.build_kernel`) on first use and serves every
     row from it, so one kernel serves every holder of the cache — a
-    fitted recommender and its batch, or a whole sweep.  The cache
-    assumes the graph is not mutated after wrapping — mutating it
-    invalidates the cache silently, so wrap a finished snapshot.
+    fitted recommender and its batch, a whole sweep, or every fit over
+    one graph.  Beside the kernel it holds the workload's SVD
+    (:meth:`workload_svd`), which depends on the public graph alone too.
+    The cache assumes the graph is not mutated after wrapping — mutating
+    it invalidates the cache silently, so wrap a finished snapshot.
     """
 
     def __init__(self, measure: SimilarityMeasure, graph: GraphLike) -> None:
         self._measure = measure
         self._graph = graph
         self._kernel = None
+        self._workload_svd = None
 
     @property
     def measure(self) -> SimilarityMeasure:
@@ -184,6 +190,27 @@ class SimilarityCache:
         rows = kernel.matrix[positions]
         rows.eliminate_zeros()  # row() skips stored zeros
         return rows
+
+    def workload_svd(self) -> Tuple[np.ndarray, np.ndarray, np.ndarray]:
+        """The thin SVD ``(U, s, Vt)`` of the dense workload ``W``.
+
+        ``W[u, v] = sim(u, v)``, both axes in ``graph.users()`` order.
+        Computed on the first call inside a ``similarity.workload_svd``
+        span and counted by ``similarity.workload_svds``, then held beside
+        the kernel; the arrays are read-only.
+        """
+        if self._workload_svd is None:
+            users = self._graph.users()
+            with span("similarity.workload_svd"):
+                rows = self.row_matrix(users)
+                columns = {v: col for col, v in enumerate(self.column_users())}
+                workload = rows[:, [columns[v] for v in users]].toarray()
+                factors = tuple(np.linalg.svd(workload, full_matrices=False))
+            for factor in factors:
+                factor.setflags(write=False)
+            incr("similarity.workload_svds")
+            self._workload_svd = factors
+        return self._workload_svd
 
     def similarity(self, u: UserId, v: UserId) -> float:
         """Cached ``sim(u, v)``."""

@@ -17,6 +17,7 @@ import repro.cache.store as store_module
 import repro.core.private as private_module
 from repro.attacks.audit import format_audit_table, run_privacy_audit
 from repro.attacks.estimator import EPS_SENTINEL
+from repro.core.base import BaseRecommender
 from repro.exceptions import ExperimentError
 from repro.obs.registry import Telemetry, telemetry
 
@@ -161,6 +162,58 @@ class TestTelemetry:
         assert any("attacks.cell" in path for path in paths)
 
 
+#: Every target, so all 16 deployed fits (4 targets x 2 epsilons x 2
+#: worlds) run.
+EVERY_TARGET = dict(
+    measures=["cn"],
+    epsilons=[0.5, 2.0],
+    targets=["private", "nou", "noe", "lrm", "gs"],
+    trials=50,
+    repeats=1,
+    louvain_runs=2,
+)
+
+
+class TestSharedFitState:
+    """One similarity cache per measure serves the private target's
+    profile and every deployed fit, without moving any release."""
+
+    @pytest.mark.parametrize("seed", [3, 4])
+    def test_report_equals_fits_with_caches_of_their_own(
+        self, lastfm_small, monkeypatch, seed
+    ):
+        shared = run_privacy_audit(lastfm_small, seed=seed, **EVERY_TARGET)
+        fit = BaseRecommender.fit
+        monkeypatch.setattr(
+            BaseRecommender,
+            "fit",
+            lambda self, social, preferences, similarity=None: fit(
+                self, social, preferences
+            ),
+        )
+        with telemetry(Telemetry(trace=False)) as registry:
+            own = run_privacy_audit(lastfm_small, seed=seed, **EVERY_TARGET)
+        assert registry.counter("compute.builds") == 17
+        assert registry.counter("similarity.workload_svds") == 4
+        assert json.dumps(own.to_jsonable(), sort_keys=True) == json.dumps(
+            shared.to_jsonable(), sort_keys=True
+        )
+
+    def test_one_kernel_and_one_svd_serve_every_deployed_fit(self, lastfm_small):
+        with telemetry(Telemetry(trace=False)) as registry:
+            report = run_privacy_audit(lastfm_small, seed=3, **EVERY_TARGET)
+            spans = registry.snapshot().span_totals
+        fits = sum(
+            count
+            for path, (count, _seconds) in spans.items()
+            if path.endswith("/attacks.fit")
+        )
+        assert len(report.cells) == 10
+        assert registry.counter("compute.builds") == 1
+        assert registry.counter("similarity.workload_svds") == 1
+        assert fits == 16
+
+
 class TestDeployedCompetitors:
     def test_lrm_and_gs_are_audited_as_deterministic(self, lastfm_small):
         report = run_privacy_audit(
@@ -211,6 +264,18 @@ class TestErrors:
     def test_invalid_trials(self, lastfm_small):
         with pytest.raises(ExperimentError, match=">= 1"):
             run_privacy_audit(lastfm_small, trials=0)
+
+    @pytest.mark.parametrize(
+        "grid, kind",
+        [
+            ({"measures": ["cn", "CN"]}, "measure"),
+            ({"epsilons": [1.0, 0.5, 1.0]}, "epsilon"),
+            ({"targets": ["private", "nou", "private"]}, "target"),
+        ],
+    )
+    def test_duplicate_grid_entry(self, lastfm_small, grid, kind):
+        with pytest.raises(ExperimentError, match=f"duplicate audit {kind}"):
+            run_privacy_audit(lastfm_small, **grid)
 
     def test_unknown_victim(self, lastfm_small):
         with pytest.raises(ExperimentError):

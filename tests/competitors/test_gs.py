@@ -2,6 +2,7 @@
 
 import math
 
+import numpy as np
 import pytest
 
 from repro.competitors.gs import GroupAndSmooth, select_group_size
@@ -53,6 +54,22 @@ class TestGrouping:
     def test_invalid_group_size(self):
         with pytest.raises(ValueError):
             GroupAndSmooth(CommonNeighbors(), epsilon=1.0, group_size=0)
+
+    @pytest.mark.parametrize("group_size", [2.5, True, math.nan, "8"])
+    def test_non_integer_group_size_rejected_by_the_constructor(self, group_size):
+        with pytest.raises(ValueError, match="group_size"):
+            GroupAndSmooth(CommonNeighbors(), epsilon=1.0, group_size=group_size)
+
+    def test_numpy_integer_group_size_accepted(self, lastfm_small):
+        social, prefs = lastfm_small.social, lastfm_small.preferences
+        gs = GroupAndSmooth(
+            CommonNeighbors(), epsilon=math.inf, n=10, group_size=np.int64(1)
+        )
+        gs.fit(social, prefs)
+        exact = SocialRecommender(CommonNeighbors(), n=10).fit(social, prefs)
+        user = social.users()[0]
+        for item, value in exact.utilities(user).items():
+            assert gs.utilities(user)[item] == pytest.approx(value)
 
     def test_invalid_epsilon(self):
         with pytest.raises(InvalidEpsilonError):

@@ -2,11 +2,14 @@
 
 import math
 
+import numpy as np
 import pytest
 
 from repro.competitors.lrm import LowRankMechanism
 from repro.core.recommender import SocialRecommender
 from repro.exceptions import InvalidEpsilonError
+from repro.obs import telemetry
+from repro.similarity.base import SimilarityCache
 from repro.similarity.common_neighbors import CommonNeighbors
 
 
@@ -46,6 +49,57 @@ class TestFactorisation:
     def test_invalid_epsilon(self):
         with pytest.raises(InvalidEpsilonError):
             LowRankMechanism(CommonNeighbors(), epsilon=0.0)
+
+    @pytest.mark.parametrize(
+        "name, value",
+        [
+            ("rank", 2.5),
+            ("rank", True),
+            ("rank", "3"),
+            ("tolerance", math.nan),
+            ("tolerance", math.inf),
+            ("tolerance", -1e-9),
+            ("tolerance", 1.0),
+        ],
+    )
+    def test_invalid_parameter_rejected_by_the_constructor(self, name, value):
+        with pytest.raises(ValueError, match=name):
+            LowRankMechanism(CommonNeighbors(), epsilon=1.0, **{name: value})
+
+    def test_numpy_integer_rank_accepted(self, lastfm_small):
+        lrm = LowRankMechanism(
+            CommonNeighbors(), epsilon=math.inf, n=10, rank=np.int64(5)
+        )
+        lrm.fit(lastfm_small.social, lastfm_small.preferences)
+        assert lrm.rank_ == 5
+
+
+class TestSharedWorkload:
+    def test_fit_on_a_shared_svd_equals_a_fresh_fit(self, lastfm_small):
+        """A fit reading the SVD that a fit of the other world at another
+        epsilon computed releases exactly what a fit of its own does."""
+        social, prefs = lastfm_small.social, lastfm_small.preferences
+        owner = next(
+            u for u in social.users() if prefs.has_user(u) and prefs.user_degree(u)
+        )
+        other_world = prefs.without_edge(owner, next(iter(prefs.items_of(owner))))
+        measure = CommonNeighbors()
+        cache = SimilarityCache(measure, social)
+        LowRankMechanism(measure, epsilon=2.0, seed=4).fit(
+            social, other_world, similarity=cache
+        )
+        with telemetry() as registry:
+            shared = LowRankMechanism(measure, epsilon=0.5, seed=4).fit(
+                social, prefs, similarity=cache
+            )
+        assert registry.counter("similarity.workload_svds") == 0
+        assert registry.counter("compute.builds") == 0
+        fresh = LowRankMechanism(CommonNeighbors(), epsilon=0.5, seed=4)
+        fresh.fit(social, prefs)
+        assert np.array_equal(shared._B, fresh._B)
+        assert np.array_equal(shared._noisy_LD, fresh._noisy_LD)
+        assert shared.rank_ == fresh.rank_
+        assert shared.workload_rank_ == fresh.workload_rank_
 
 
 class TestNoiseBehaviour:

@@ -5,6 +5,7 @@ import pytest
 
 from repro.core.base import BaseRecommender, NotFittedError
 from repro.graph.preference_graph import PreferenceGraph
+from repro.similarity.base import SimilarityCache
 from repro.similarity.common_neighbors import CommonNeighbors
 
 
@@ -90,3 +91,23 @@ class TestFitContract:
         stub = _Stub([1.0], n=1)
         stub.fit(triangle_graph, prefs)
         assert stub.state.social is triangle_graph
+
+    def test_fit_shares_a_passed_cache(self, triangle_graph):
+        prefs = PreferenceGraph([(1, "a")])
+        stub = _Stub([1.0], n=1)
+        shared = SimilarityCache(stub.measure, triangle_graph)
+        stub.fit(triangle_graph, prefs, similarity=shared)
+        assert stub.state.similarity is shared
+
+    def test_fit_rejects_a_cache_over_another_graph_or_measure(
+        self, triangle_graph, two_communities_graph
+    ):
+        prefs = PreferenceGraph([(1, "a")])
+        stub = _Stub([1.0], n=1)
+        for cache in (
+            SimilarityCache(stub.measure, two_communities_graph),
+            SimilarityCache(CommonNeighbors(), triangle_graph),
+        ):
+            with pytest.raises(ValueError, match="similarity"):
+                stub.fit(triangle_graph, prefs, similarity=cache)
+        assert not stub.is_fitted

@@ -7,6 +7,8 @@ from repro.experiments.comparison import (
     format_comparison_table,
     run_comparison,
 )
+from repro.obs.registry import Telemetry, telemetry
+from repro.similarity.adamic_adar import AdamicAdar
 from repro.similarity.common_neighbors import CommonNeighbors
 
 
@@ -65,6 +67,23 @@ class TestRunComparison:
     def test_empty_measures_rejected(self, lastfm_small):
         with pytest.raises(ExperimentError):
             run_comparison(lastfm_small, measures=[])
+
+
+class TestSharedFitState:
+    def test_one_kernel_and_one_svd_per_measure(self, lastfm_small):
+        """Every fit of one measure shares its evaluation context's cache."""
+        with telemetry(Telemetry(trace=False)) as registry:
+            cells = run_comparison(
+                lastfm_small,
+                measures=[CommonNeighbors(), AdamicAdar()],
+                epsilons=(1.0, 0.1),
+                n=10,
+                repeats=2,
+                seed=0,
+            )
+        assert len(cells) == 2 * 5 * 2
+        assert registry.counter("compute.builds") == 2
+        assert registry.counter("similarity.workload_svds") == 2
 
 
 class TestFormatting:

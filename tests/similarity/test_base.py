@@ -1,5 +1,6 @@
 """Unit tests for the similarity registry and row cache."""
 
+import numpy as np
 import pytest
 
 from repro.exceptions import NodeNotFoundError, SimilarityError
@@ -89,6 +90,30 @@ class TestSimilarityCache:
         cache = SimilarityCache(measure, triangle_graph)
         assert cache.measure is measure
         assert cache.graph is triangle_graph
+
+    def test_workload_svd_is_computed_once_and_held_read_only(
+        self, two_communities_graph
+    ):
+        cache = SimilarityCache(CommonNeighbors(), two_communities_graph)
+        with telemetry() as registry:
+            first = cache.workload_svd()
+            second = cache.workload_svd()
+            paths = registry.snapshot().span_totals
+        assert registry.counter("similarity.workload_svds") == 1
+        assert registry.counter("compute.builds") == 1
+        assert any(path.endswith("similarity.workload_svd") for path in paths)
+        assert len(first) == 3
+        assert all(a is b for a, b in zip(first, second))
+        users = two_communities_graph.users()
+        workload = np.array(
+            [[cache.row(u).get(v, 0.0) for v in users] for u in users]
+        )
+        expected = np.linalg.svd(workload, full_matrices=False)
+        for held, factor in zip(first, expected):
+            assert not held.flags.writeable
+            assert np.array_equal(held, factor)
+        with pytest.raises(ValueError):
+            first[1][0] = 0.0
 
     def test_user_outside_the_kernel_raises(self, triangle_graph):
         cache = SimilarityCache(CommonNeighbors(), triangle_graph)

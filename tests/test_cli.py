@@ -197,6 +197,17 @@ class TestCommands:
         assert "unaccounted" in out
         assert "all cells satisfy" in out
 
+    def test_attack_audit_prints_one_row_per_cell(self, capsys):
+        argv = ["attack", "audit", "--scale", "0.04", "--seed", "1",
+                "--measures", "cn", "CN", "cn", "--eps", "1", "1",
+                "--target", "private", "private", "--trials", "10",
+                "--repeats", "1"]
+        assert main(argv) == 0
+        out = capsys.readouterr().out
+        rows = [line.split()[:3] for line in out.splitlines()
+                if line.startswith("private ")]
+        assert rows == [["private", "cn", "1"]]
+
     def test_attack_audit_json_stdout(self, capsys):
         import json
 
