@@ -32,6 +32,7 @@ implementation in ``tests/oracles`` pins it partition for partition.
 from __future__ import annotations
 
 import math
+import numbers
 from dataclasses import dataclass
 from typing import Dict, Iterable, List, Optional, Sequence, Tuple
 
@@ -45,7 +46,7 @@ from repro.obs.registry import incr as obs_incr
 from repro.obs.spans import span
 from repro.types import UserId
 
-__all__ = ["louvain", "best_louvain_clustering", "LouvainResult"]
+__all__ = ["louvain", "best_louvain_clustering", "validate_protocol", "LouvainResult"]
 
 # Minimum modularity improvement for another level of aggregation.
 _MIN_LEVEL_GAIN = 1e-7
@@ -57,7 +58,8 @@ class _FlatGraph:
     Per-node neighbor runs (``indices[indptr[u]:indptr[u+1]]``) hold
     neighbors in edge insertion order, which is the first-appearance
     order local moving iterates candidate communities in — the
-    tie-breaking order.  The weighted degrees and the ``(neighbor,
+    tie-breaking order.  The weighted degrees, the neighbor id lists and
+    (for a graph whose weights are not all 1.0) the ``(neighbor,
     weight)`` pair lists are derived once and cached, so every local-move
     pass over one graph (a level's and its refinement's, and every
     restart's on a shared base graph) reads the same copy.
@@ -69,7 +71,9 @@ class _FlatGraph:
         "weights",
         "loops",
         "total_weight",
+        "unit_weights",
         "_wdeg",
+        "_ids",
         "_pairs",
     )
 
@@ -86,7 +90,9 @@ class _FlatGraph:
         self.weights = weights
         self.loops = loops
         self.total_weight = total_weight
+        self.unit_weights = bool((weights == 1.0).all())
         self._wdeg: Optional[np.ndarray] = None
+        self._ids: Optional[List[List[int]]] = None
         self._pairs: Optional[List[List[Tuple[int, float]]]] = None
 
     @property
@@ -103,21 +109,32 @@ class _FlatGraph:
             self._wdeg = wdeg + 2.0 * self.loops
         return self._wdeg
 
+    def neighbor_ids(self) -> List[List[int]]:
+        """Per-node neighbor runs as builtin int lists (cached).
+
+        The sequential move scan reads these instead of the CSR arrays:
+        element reads on lists avoid per-access numpy scalar boxing.  Each
+        run stays in neighbor order, so ``links_to_com`` fills in
+        first-appearance order.
+        """
+        if self._ids is None:
+            ptr = self.indptr.tolist()
+            idx = self.indices.tolist()
+            self._ids = [idx[ptr[i] : ptr[i + 1]] for i in range(self.num_nodes)]
+        return self._ids
+
     def neighbor_pairs(self) -> List[List[Tuple[int, float]]]:
         """Per-node ``(neighbor, weight)`` runs as builtin lists (cached).
 
-        The sequential move scan reads these instead of the CSR arrays:
-        element reads on lists avoid per-access numpy scalar boxing while
-        holding the exact same float64 values.  Each run stays in neighbor
-        order, so ``links_to_com`` fills in first-appearance order.
+        The weighted counterpart of :meth:`neighbor_ids`, holding the
+        exact float64 weights; a unit-weight graph needs only the ids.
         """
         if self._pairs is None:
-            ptr = self.indptr.tolist()
-            idx = self.indices.tolist()
             wts = self.weights.tolist()
+            ptr = self.indptr.tolist()
             self._pairs = [
-                list(zip(idx[ptr[i] : ptr[i + 1]], wts[ptr[i] : ptr[i + 1]]))
-                for i in range(self.num_nodes)
+                list(zip(run, wts[ptr[i] : ptr[i + 1]]))
+                for i, run in enumerate(self.neighbor_ids())
             ]
         return self._pairs
 
@@ -171,6 +188,38 @@ class _FlatGraph:
         )
 
 
+def _start_margins(
+    graph: _FlatGraph, node2com: np.ndarray, com_degree: np.ndarray
+) -> np.ndarray:
+    """The margin an evaluation of each node would record at the start.
+
+    One vectorised pass over the CSR runs with the move scan's float
+    expressions, element by element: the link sums per (node,
+    community), exact integer sums in any order; the gain of the node's
+    own community, ``own_link - (D_own - k) * (k / 2m)``; and the best
+    gain of any other, ``-inf`` with none.  A node the evaluation would
+    keep gets ``own - other - 1e-9 * k``, and one it would move ``-inf``
+    (stale).
+    """
+    n = graph.num_nodes
+    k = graph.weighted_degrees()
+    k_over_2m = k / (2.0 * graph.total_weight)
+    src = np.repeat(np.arange(n), np.diff(graph.indptr))
+    keys, inverse = np.unique(src * n + node2com[graph.indices], return_inverse=True)
+    links = np.bincount(inverse, weights=graph.weights)
+    node, com = np.divmod(keys, n)
+    is_own = com == node2com[node]
+    own_link = np.zeros(n)
+    own_link[node[is_own]] = links[is_own]
+    own = own_link - (com_degree[node2com] - k) * k_over_2m
+    other = np.full(n, -math.inf)
+    node, com, links = node[~is_own], com[~is_own], links[~is_own]
+    np.maximum.at(other, node, links - com_degree[com] * k_over_2m[node])
+    margin = own - other - 1e-9 * k
+    margin[other > own + 1e-12] = -math.inf
+    return margin
+
+
 def _one_level_flat(
     graph: _FlatGraph,
     node2com: np.ndarray,
@@ -178,13 +227,14 @@ def _one_level_flat(
 ) -> None:
     """Run local moving until no node move improves modularity.
 
-    ``node2com`` is modified in place.  The weighted-degree vector and
-    the community-degree accumulator are computed vectorised once.  The
-    sequential move scan itself runs over the graph's cached builtin-list
-    pair runs (:meth:`_FlatGraph.neighbor_pairs`): local moving is
-    inherently order-dependent, and element reads on lists avoid
-    per-access numpy scalar boxing while holding the exact same float64
-    values.
+    ``node2com`` is the start partition, modified in place.  The
+    weighted-degree vector and the community-degree accumulator are
+    computed vectorised once.  The sequential move scan itself runs over
+    the graph's cached builtin-list runs: local moving is inherently
+    order-dependent, and element reads on lists avoid per-access numpy
+    scalar boxing.  On a unit-weight graph (the base graph) a link sum
+    counts ``1.0`` per neighbor id (:meth:`_FlatGraph.neighbor_ids`); a
+    weighted coarse graph reads its ``(neighbor, weight)`` runs.
 
     Candidate communities are visited in first-appearance order over the
     node's neighbor run, and every link sum and community degree is an
@@ -202,11 +252,28 @@ def _one_level_flat(
     ``|dD_c|`` grows by ``2 * k_x`` per move of a node ``x``
     (``churn``).  While ``margin[v]`` exceeds the churn since ``v``'s
     evaluation times ``k_v / 2m``, the ``best + 1e-12`` scan would keep
-    ``v`` where it is, so the visit is skipped.  A move resets its
-    neighbors' margins to ``-inf`` (stale), as every node starts.  Each
-    evaluation that runs is the unpruned one, so the moves, and the
-    partition, are those of the unpruned scan; the allowance exceeds
-    the gains' float rounding, which is below ``2**-49 * k_v``.
+    ``v`` where it is, so the visit is skipped.  Two more cases keep a
+    margin valid:
+
+    - A move of ``x`` from ``A`` to ``B`` raises the own link of each
+      neighbor already in ``B`` by ``w`` and lowers its link to ``A``, a
+      rival, by ``w``; only the two degree shifts can close its margin,
+      and ``churn`` already bounds them, so those neighbors keep their
+      margins.  Every other neighbor of ``x`` is marked stale (``-inf``).
+    - A call from a start partition (every refinement call) evaluates
+      every node once up front, vectorised, at churn 0
+      (:func:`_start_margins`): a node that evaluation would keep gets
+      the margin it records, so even its first visit can be skipped.  A
+      node it would move, and every node of a call from singletons,
+      starts stale.
+
+    Each skipped visit is one the unpruned scan would evaluate and leave
+    in place; a skip leaves ``com_degree`` as it was, since ``D - k + k``
+    is exact for integer-valued floats, so each evaluation that runs
+    reads the same ``coms`` and ``com_degree`` as in the unpruned scan.
+    The moves, the number of passes and the partition are therefore
+    those of the unpruned scan; the allowance exceeds the gains' float
+    rounding, which is below ``2**-49 * k_v``.
     """
     m = graph.total_weight
     if m <= 0.0:
@@ -217,18 +284,24 @@ def _one_level_flat(
     com_degree_arr = np.zeros(n)
     np.add.at(com_degree_arr, node2com, wdeg_arr)
 
+    stale = -math.inf
     order_arr = np.arange(n)
+    if np.array_equal(node2com, order_arr):
+        # From singletons nearly every node moves on its first visit.
+        margin = [stale] * n
+    else:
+        margin = _start_margins(graph, node2com, com_degree_arr).tolist()
     rng.shuffle(order_arr)
 
-    pairs = graph.neighbor_pairs()
+    ids = graph.neighbor_ids()
+    pairs = None if graph.unit_weights else graph.neighbor_pairs()
     wdeg = wdeg_arr.tolist()
     com_degree = com_degree_arr.tolist()
     coms = node2com.tolist()
+    com_of = coms.__getitem__
     order = order_arr.tolist()
     two_m = 2.0 * m
 
-    stale = -math.inf
-    margin = [stale] * n
     churn_at = [0.0] * n
     churn = 0.0
     visits = evaluations = 0
@@ -246,9 +319,13 @@ def _one_level_flat(
 
             links_to_com: Dict[int, float] = {}
             links_get = links_to_com.get
-            for nbr, weight in pairs[node]:
-                c = coms[nbr]
-                links_to_com[c] = links_get(c, 0.0) + weight
+            if pairs is None:
+                for c in map(com_of, ids[node]):
+                    links_to_com[c] = links_get(c, 0.0) + 1.0
+            else:
+                for nbr, weight in pairs[node]:
+                    c = coms[nbr]
+                    links_to_com[c] = links_get(c, 0.0) + weight
 
             com_degree[com] -= k_i
             # A candidate must beat the best gain so far by 1e-12; the
@@ -275,8 +352,9 @@ def _one_level_flat(
             if best_com != com:
                 coms[node] = best_com
                 churn += 2.0 * k_i
-                for nbr, _weight in pairs[node]:
-                    margin[nbr] = stale
+                for nbr in ids[node]:
+                    if coms[nbr] != best_com:
+                        margin[nbr] = stale
                 improved = True
             churn_at[node] = churn
     node2com[:] = coms
@@ -423,7 +501,7 @@ def _best_of(
 ) -> LouvainResult:
     """One Louvain run per rng on a shared base graph; the best one wins.
 
-    The base graph, its weighted degrees and its neighbor pair lists are
+    The base graph, its weighted degrees and its neighbor id lists are
     built once, inside the ``community.louvain_base`` span, and dropped
     on return.  Each run compares by :func:`label_modularity` of its flat
     assignment — the arithmetic :func:`modularity` uses, so the winner's
@@ -436,7 +514,7 @@ def _best_of(
         base, users = _FlatGraph.from_graph(graph)
         # Fill both caches here so this span times the whole shared build.
         base.weighted_degrees()
-        base.neighbor_pairs()
+        base.neighbor_ids()
     best: Optional[Tuple[float, np.ndarray, int]] = None
     for rng in rngs:
         with span("community.louvain"):
@@ -532,6 +610,22 @@ def _refine_levels(
         levels[li] = node2com
 
 
+def validate_protocol(runs: int, seed: int) -> None:
+    """Check the best-of-``runs`` protocol's parameters.
+
+    Raises:
+        ValueError: unless ``runs`` is an integer >= 1 and ``seed`` an
+            integer >= 0 (``bool`` is not an integer here).
+    """
+    for name, value, least in (("runs", runs, 1), ("seed", seed, 0)):
+        if (
+            isinstance(value, bool)
+            or not isinstance(value, numbers.Integral)
+            or value < least
+        ):
+            raise ValueError(f"{name} must be an integer >= {least}, got {value!r}")
+
+
 def best_louvain_clustering(
     graph: GraphLike,
     runs: int = 10,
@@ -545,9 +639,9 @@ def best_louvain_clustering(
     deterministic in ``seed``).  The runs share one base graph.
 
     Raises:
-        ValueError: if ``runs`` < 1.
+        ValueError: unless ``runs`` is an integer >= 1 and ``seed`` an
+            integer >= 0 (:func:`validate_protocol`).
     """
-    if runs < 1:
-        raise ValueError(f"runs must be >= 1, got {runs}")
+    validate_protocol(runs, seed)
     seeds = np.random.SeedSequence(seed).spawn(runs)
     return _best_of(graph, (np.random.default_rng(child) for child in seeds), refine)

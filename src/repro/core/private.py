@@ -27,7 +27,7 @@ from typing import Callable, Dict, Optional
 import numpy as np
 
 from repro.community.clustering import Clustering
-from repro.community.louvain import best_louvain_clustering
+from repro.community.louvain import best_louvain_clustering, validate_protocol
 from repro.core.base import BaseRecommender, FittedState
 from repro.core.cluster_weights import NoisyClusterWeights, noisy_cluster_item_weights
 from repro.core.scoring import ReleaseScorer
@@ -62,7 +62,14 @@ def covering_clustering(clustering: Clustering, preferences) -> Clustering:
 
 
 def louvain_strategy(runs: int = 10, seed: int = 0) -> ClusteringStrategy:
-    """The paper's default strategy: best-of-``runs`` Louvain restarts."""
+    """The paper's default strategy: best-of-``runs`` Louvain restarts.
+
+    Raises:
+        ValueError: on construction, for the parameters
+            :func:`~repro.community.louvain.best_louvain_clustering`
+            rejects.
+    """
+    validate_protocol(runs, seed)
 
     def strategy(graph: GraphLike) -> Clustering:
         fault_point("clustering.strategy")

@@ -59,17 +59,20 @@ def erdos_renyi_graph(n: int, p: float, rng: np.random.Generator) -> SocialGraph
     log_q = np.log1p(-p)
     total = n * (n - 1) // 2
     index = -1
-    while True:
-        # For subnormal p the quotient can overflow to inf; any skip
-        # >= total ends the loop, so clamping there changes nothing.
-        skip = int(min(np.floor(np.log(1.0 - rng.random()) / log_q), float(total)))
-        index += skip + 1
-        if index >= total:
-            break
-        # Invert the pairing (u, v), u < v, from the linear index.
-        u = int((2 * n - 1 - np.sqrt((2 * n - 1) ** 2 - 8 * index)) // 2)
-        v = index - u * (2 * n - u - 1) // 2 + u + 1
-        graph.add_edge(u, int(v))
+    # For subnormal p the quotient can overflow to inf; any skip >= total
+    # ends the loop, so clamping there changes nothing.
+    with np.errstate(over="ignore"):
+        while True:
+            skip = int(
+                min(np.floor(np.log(1.0 - rng.random()) / log_q), float(total))
+            )
+            index += skip + 1
+            if index >= total:
+                break
+            # Invert the pairing (u, v), u < v, from the linear index.
+            u = int((2 * n - 1 - np.sqrt((2 * n - 1) ** 2 - 8 * index)) // 2)
+            v = index - u * (2 * n - u - 1) // 2 + u + 1
+            graph.add_edge(u, int(v))
     return graph
 
 

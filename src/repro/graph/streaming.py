@@ -123,13 +123,13 @@ def stream_erdos_renyi_edges(
         draws = rng.random(batch)
         # Same elementwise ops as the scalar loop:
         #   skip = floor(log(1 - u) / log_q)
-        # For subnormal p the quotient can exceed int64 (the scalar loop
-        # survives via Python's arbitrary-precision int()); any skip
-        # >= total already ends the stream, so clamping there changes
-        # nothing but keeps the cast defined.
-        skips = np.minimum(
-            np.floor(np.log(1.0 - draws) / log_q), float(total)
-        ).astype(np.int64)
+        # For subnormal p the quotient can exceed int64, or overflow to
+        # inf (the scalar loop survives via Python's arbitrary-precision
+        # int()); any skip >= total already ends the stream, so clamping
+        # there changes nothing but keeps the cast defined.
+        with np.errstate(over="ignore"):
+            quotient = np.log(1.0 - draws) / log_q
+        skips = np.minimum(np.floor(quotient), float(total)).astype(np.int64)
         indices = index + np.cumsum(skips + 1)
         valid = indices < total
         if not valid.all():

@@ -6,6 +6,7 @@ import pytest
 from repro.community.clustering import Clustering
 from repro.community.louvain import LouvainResult, best_louvain_clustering, louvain
 from repro.community.modularity import modularity
+from repro.core.private import louvain_strategy
 from repro.graph.generators import community_attachment_graph
 from repro.graph.social_graph import SocialGraph
 
@@ -113,3 +114,41 @@ class TestBestOfRuns:
         a = best_louvain_clustering(lastfm_small.social, runs=3, seed=9)
         b = best_louvain_clustering(lastfm_small.social, runs=3, seed=9)
         assert a.clustering == b.clustering
+
+
+_BAD_RUNS = [0, -1, 2.5, float("nan"), True, None, "3", np.float64(3.0)]
+_BAD_SEEDS = [-1, 1.5, None, True, np.bool_(False), "0", np.float64(0.0)]
+
+
+class TestProtocolValidation:
+    """``runs`` and ``seed`` are checked before anything is built."""
+
+    @pytest.mark.parametrize("runs", _BAD_RUNS, ids=repr)
+    def test_bad_runs_rejected(self, runs):
+        # No graph: the check comes before the base graph is built.
+        with pytest.raises(ValueError, match="runs"):
+            best_louvain_clustering(None, runs=runs)
+
+    @pytest.mark.parametrize("seed", _BAD_SEEDS, ids=repr)
+    def test_bad_seed_rejected(self, seed):
+        # seed=None would draw OS entropy: not deterministic in seed.
+        with pytest.raises(ValueError, match="seed"):
+            best_louvain_clustering(None, runs=2, seed=seed)
+
+    @pytest.mark.parametrize("runs", _BAD_RUNS, ids=repr)
+    def test_strategy_rejects_bad_runs_on_construction(self, runs):
+        with pytest.raises(ValueError, match="runs"):
+            louvain_strategy(runs=runs)
+
+    @pytest.mark.parametrize("seed", _BAD_SEEDS, ids=repr)
+    def test_strategy_rejects_bad_seed_on_construction(self, seed):
+        with pytest.raises(ValueError, match="seed"):
+            louvain_strategy(runs=2, seed=seed)
+
+    def test_numpy_integers_accepted(self, lastfm_small):
+        g = lastfm_small.social
+        expected = best_louvain_clustering(g, runs=2, seed=3)
+        got = best_louvain_clustering(g, runs=np.int64(2), seed=np.int64(3))
+        assert got == expected
+        strategy = louvain_strategy(runs=np.int64(2), seed=np.uint8(3))
+        assert strategy(g) == expected.clustering

@@ -1,15 +1,22 @@
 """The flat-array Louvain against the dict-based reference oracle."""
 
 import importlib
+import math
 import random
 
 import numpy as np
 import pytest
 
-from repro.community.louvain import best_louvain_clustering, louvain
+from repro.community.louvain import (
+    _FlatGraph,
+    _start_margins,
+    best_louvain_clustering,
+    louvain,
+)
 from repro.community.modularity import modularity
 from repro.datasets.synthetic import SyntheticDatasetSpec
 from repro.graph.bigcsr import bigcsr_from_social_graph
+from repro.graph.generators import planted_partition_graph
 from repro.graph.social_graph import SocialGraph
 from repro.obs import Telemetry, telemetry
 
@@ -134,6 +141,118 @@ class TestPrunedScan:
             vec = louvain(lastfm_graph, np.random.default_rng(seed), refine=refine)
         self._assert_same(vec, ref)
         self._assert_skipped(registry)
+
+    def test_refinement_skips_first_visits(self, lastfm_graph):
+        # The visits are the unpruned scan's (every pass visits every
+        # node), so they stay at 33,056; the evaluations were 19,266
+        # when every refinement call evaluated every node on its first
+        # pass and marked every neighbour of a mover stale.
+        with telemetry(Telemetry()) as registry:
+            best_louvain_clustering(lastfm_graph, runs=10, seed=0)
+        assert registry.counter("louvain.node_visits") == 33056
+        assert registry.counter("louvain.node_evaluations") < 19266
+
+
+def _refinement_starts(graph, seed, monkeypatch):
+    """The level graph and start partition of each refinement call."""
+    louvain_module = importlib.import_module("repro.community.louvain")
+    one_level = louvain_module._one_level_flat
+    starts = []
+
+    def spy(level, node2com, rng):
+        if not np.array_equal(node2com, np.arange(level.num_nodes)):
+            starts.append((level, node2com.copy()))
+        one_level(level, node2com, rng)
+
+    with monkeypatch.context() as patch:
+        patch.setattr(louvain_module, "_one_level_flat", spy)
+        louvain(graph, np.random.default_rng(seed))
+    return starts
+
+
+def _scalar_margin(level, node2com, com_degree, node):
+    """The move scan's evaluation of ``node`` in the start state: the
+    margin it records where the node stays, ``-inf`` where it moves."""
+    k = float(level.weighted_degrees()[node])
+    k_over_2m = k / (2.0 * level.total_weight)
+    lo, hi = level.indptr[node], level.indptr[node + 1]
+    links = {}
+    nbrs = level.indices[lo:hi].tolist()
+    for nbr, weight in zip(nbrs, level.weights[lo:hi].tolist()):
+        links[node2com[nbr]] = links.get(node2com[nbr], 0.0) + weight
+    com = node2com[node]
+    own = links.get(com, 0.0) - (com_degree[com] - k) * k_over_2m
+    other = max(
+        (dnc - com_degree[c] * k_over_2m for c, dnc in links.items() if c != com),
+        default=-math.inf,
+    )
+    if other > own + 1e-12:
+        return -math.inf
+    return own - other - 1e-9 * k
+
+
+def _assert_scalar_margins(level, node2com):
+    com_degree = np.zeros(level.num_nodes)
+    np.add.at(com_degree, node2com, level.weighted_degrees())
+    margins = _start_margins(level, node2com, com_degree).tolist()
+    labels, degrees = node2com.tolist(), com_degree.tolist()
+    expected = [
+        _scalar_margin(level, labels, degrees, node) for node in range(level.num_nodes)
+    ]
+    assert margins == expected
+    return margins
+
+
+@pytest.fixture(scope="module")
+def layered_graph():
+    """Sparse planted blocks: Louvain aggregates three levels, so
+    refinement also starts on a weighted coarse level."""
+    return planted_partition_graph(
+        [50] * 4, 2 / 49, 0.5 / 150, np.random.default_rng(0)
+    )
+
+
+class TestStartMargins:
+    """A call from a start partition evaluates every node at once; each
+    margin must be the one the scalar scan's evaluation records."""
+
+    @pytest.mark.parametrize("perturb", [False, True])
+    def test_lastfm_refinement_start(self, lastfm_graph, monkeypatch, perturb):
+        starts = _refinement_starts(lastfm_graph, 1, monkeypatch)
+        assert starts and all(level.unit_weights for level, _start in starts)
+        for level, start in starts:
+            if perturb:
+                # Move a quarter of the nodes, so some would move back.
+                rng = np.random.default_rng(3)
+                moved = rng.random(len(start)) < 0.25
+                start[moved] = rng.integers(0, start.max() + 1, int(moved.sum()))
+            margins = _assert_scalar_margins(level, start)
+            assert any(math.isfinite(m) for m in margins)
+            assert (-math.inf in margins) == perturb
+
+    def test_weighted_level_refinement_start(self, layered_graph, monkeypatch):
+        starts = _refinement_starts(layered_graph, 0, monkeypatch)
+        weighted = [(level, start) for level, start in starts if not level.unit_weights]
+        assert weighted
+        for level, start in weighted:
+            margins = _assert_scalar_margins(level, start)
+            assert any(math.isfinite(m) for m in margins)
+
+    def test_tie_at_the_threshold_stays(self):
+        # Node 0 links to 1 and 2 by 40,000 each and starts with 1: both
+        # candidates gain exactly 20,000, where adding 1e-12 rounds away,
+        # so the scan keeps node 0 and records a margin of -1e-9 * k.
+        # Node 1 has no rival (inf); node 2 joins node 0 (-inf).
+        w = 40000.0
+        level = _FlatGraph(
+            np.array([0, 2, 3, 4]),
+            np.array([1, 2, 0, 0]),
+            np.full(4, w),
+            np.zeros(3),
+            2 * w,
+        )
+        margins = _assert_scalar_margins(level, np.array([0, 0, 2]))
+        assert margins == [0.0 - 1e-9 * (2 * w), math.inf, -math.inf]
 
 
 class TestGraphRepresentations:

@@ -10,7 +10,10 @@ any divergence in rng consumption order shows up as a failing example.
 
 from __future__ import annotations
 
+import warnings
+
 import numpy as np
+import pytest
 from hypothesis import given, settings
 from hypothesis import strategies as st
 
@@ -68,6 +71,18 @@ class TestErdosRenyiStreaming:
         )
         assert streamed == graph_edge_set(dense)
         assert list(dense.stable_user_order()) == list(range(n))
+
+    @pytest.mark.parametrize("p", [5e-324, 1e-310])
+    def test_subnormal_p_warns_nothing(self, p):
+        # log(1 - u) / log(1 - p) overflows to inf here, which both
+        # generators clamp to the end of the stream; no warning escapes.
+        with warnings.catch_warnings():
+            warnings.simplefilter("error")
+            dense = erdos_renyi_graph(50, p, np.random.default_rng(7))
+            streamed = streamed_edge_set(
+                stream_erdos_renyi_edges(50, p, np.random.default_rng(7))
+            )
+        assert streamed == graph_edge_set(dense)
 
 
 class TestBarabasiAlbertStreaming:
